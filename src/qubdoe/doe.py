@@ -2,16 +2,17 @@
 
 Each grid cell runs the full chain — simulate the two-pulse protocol,
 fit both phases, evaluate the estimators, propagate the error budget —
-for one (P_h, t_qub) pair against a reference H.  Cells are independent
-pure computations, so they may be evaluated concurrently; results are
-assembled in grid order, which keeps the exported CSV byte-identical
-whatever the thread count (``QUBDOE_THREADS`` caps it, 0 = automatic).
+for one (P_h, t_qub) pair against a reference H.  All cells of one
+duration share their sample instants, exponential tables and fit
+windows; only the heating input differs.  The sweep therefore evaluates
+a duration's powers together, as stacked arrays, through the same
+kernels :func:`~qubdoe.qub.simulate_qub` and :func:`~qubdoe.qub.fit_slope`
+use for one record, with the same floating-point operations in the same
+order: every cell is bit-identical to its lone evaluation, and the
+exported CSV is byte-identical from run to run.
 """
 from __future__ import annotations
 
-import os
-import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from math import nan
 from collections.abc import Sequence
@@ -23,7 +24,11 @@ from .error_budget import (ErrorPolicy, MeasurementErrors, assemble_budget,
 from .exceptions import ModelError, NumericalError, QubdoeError
 from .modal import EigenBasis, eigendecompose
 from .network import StateSpaceModel
-from .qub import QubProtocol, estimate_C, estimate_H, fit_slope, simulate_qub
+from .qub import (QubProtocol, _cancels, _protocol_setup, _sample_times,
+                  _two_pulse, _two_pulse_fits, estimate_H)
+# the sweep no longer calls simulate_qub per cell, but bench/tracing.py still
+# wraps it under this module to count such calls, so the name stays here
+from .qub import simulate_qub  # noqa: F401
 
 __all__ = [
     "DoeCell",
@@ -87,66 +92,88 @@ class DesignConstraints:
             raise ModelError("constraints must be positive")
 
 
-def _thread_count(threads: int | None, n_cells: int) -> int:
-    if threads is None:
-        raw = os.environ.get("QUBDOE_THREADS", "0")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ModelError(
-                f"QUBDOE_THREADS must be an integer, got {raw!r}"
-            ) from None
-    if threads < 0:
-        raise ModelError(f"thread count must be >= 0, got {threads}")
-    if threads == 0:
-        threads = os.cpu_count() or 1
-    return max(1, min(threads, n_cells))
+#: float64 elements per stacked temporary; sets how many powers of a row
+#: are evaluated together, and so bounds the sweep's working memory
+_BLOCK_ELEMENTS = 50_000
 
 
-def _evaluate_cell(model: StateSpaceModel, basis: EigenBasis,
-                   template: QubProtocol, ph: float, t_qub: float,
-                   H_ref: float, errors: ErrorPolicy | MeasurementErrors,
-                   temp_weights, power_weights) -> DoeCell:
-    theta_max = nan
+def _held_mean(power, count: int):
+    """Mean of ``count`` samples of a constant power, as the estimators
+    read it from a record (the pairwise sum need not return the power
+    itself); elementwise for an array of powers."""
+    power = np.asarray(power, dtype=float)
+    return np.repeat(power[..., None], count, axis=-1).mean(axis=-1)
+
+
+def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
+                    protocol: QubProtocol, setup, rel: np.ndarray,
+                    ph: np.ndarray, H_ref: float,
+                    errors: ErrorPolicy | MeasurementErrors, out: dict,
+                    index: np.ndarray) -> None:
+    """Fill ``out`` at ``index`` for the powers ``ph`` of one duration."""
+    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, ph, rel)
+    finite = np.isfinite(dT_heat).all(axis=-1) & np.isfinite(dT_cool).all(axis=-1)
+    ph, index, dT_heat, dT_cool = ph[finite], index[finite], dT_heat[finite], dT_cool[finite]
+    out["theta_max"][index] = protocol.T_o + np.maximum(dT_heat.max(axis=-1),
+                                                        dT_cool.max(axis=-1))
+    fit_h, fit_c = _two_pulse_fits(rel, protocol.t_qub, dT_heat, dT_cool,
+                                   protocol.slope_window_fraction)
+    keep = ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha)
+    fit_h, fit_c = (replace(f, alpha=f.alpha[keep], dT0=f.dT0[keep], r2=f.r2[keep])
+                    for f in (fit_h, fit_c))
+    P_h = _held_mean(ph[keep], rel.size)
+    P_c = float(_held_mean(protocol.P_c, rel.size - 1))
+    H_qub = estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
+    sens = partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
+    if isinstance(errors, MeasurementErrors):
+        resolved = errors
+    else:
+        resolved = errors.resolve(P_h, fit_h, fit_c)
+    budget = assemble_budget(H_qub, H_ref, measurement_error(sens, resolved))
+    index = index[keep]
+    out["H_qub"][index] = H_qub
+    out["eps_qub_pct"][index] = budget.eps_qub_pct
+    out["eps_Hm"][index] = budget.eps_Hm
+    out["eps_H_pct"][index] = budget.eps_H_pct
+    out["valid"][index] = True
+
+
+def _sweep_row(model: StateSpaceModel, basis: EigenBasis, template: QubProtocol,
+               setup, ph_values: np.ndarray, t_qub: float, H_ref: float,
+               errors: ErrorPolicy | MeasurementErrors) -> tuple[DoeCell, ...]:
+    n_ph = ph_values.size
+    # the DoeCell fields after ph and t_qub, in their order
+    out = {name: np.full(n_ph, nan) for name in
+           ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max")}
+    out["valid"] = np.zeros(n_ph, dtype=bool)
+    sample_dt = template.sample_dt
+    if sample_dt is not None and sample_dt > t_qub / 20.0:
+        sample_dt = None
     try:
-        sample_dt = template.sample_dt
-        if sample_dt is not None and sample_dt > t_qub / 20.0:
-            sample_dt = None
-        protocol = replace(template, P_h=ph, t_qub=t_qub, sample_dt=sample_dt)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # sub-maintenance cells are expected
-            trace = simulate_qub(model, protocol, temp_weights=temp_weights,
-                                 power_weights=power_weights, basis=basis)
-        theta_max = protocol.T_o + float(trace.delta_T.max())
-        window = protocol.slope_window_fraction
-        fit_h = fit_slope(trace, "heating", window)
-        fit_c = fit_slope(trace, "cooling", window)
-        P_h = float(trace.power[trace.heating].mean())
-        P_c = float(trace.power[trace.cooling].mean())
-        H_qub = estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
-        # capacity quotient is evaluated for its degeneracy signal even
-        # though the budget below only concerns H
-        estimate_C(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
-        sens = partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
-        if isinstance(errors, MeasurementErrors):
-            resolved = errors
-        else:
-            resolved = errors.resolve(P_h, fit_h, fit_c)
-        eps_Hm = measurement_error(sens, resolved)
-        budget = assemble_budget(H_qub, H_ref, eps_Hm)
-        return DoeCell(ph=ph, t_qub=t_qub, H_qub=H_qub,
-                       eps_qub_pct=budget.eps_qub_pct, eps_Hm=budget.eps_Hm,
-                       eps_H_pct=budget.eps_H_pct, theta_max=theta_max, valid=True)
+        protocol = replace(template, t_qub=t_qub, sample_dt=sample_dt)
     except QubdoeError:
-        return DoeCell(ph=ph, t_qub=t_qub, H_qub=nan, eps_qub_pct=nan,
-                       eps_Hm=nan, eps_H_pct=nan, theta_max=theta_max, valid=False)
+        pass  # a duration the protocol rejects voids the whole row
+    else:
+        rel = _sample_times(protocol)
+        # cells with P_h <= P_c are invalid protocols, never simulated
+        todo = np.flatnonzero(ph_values > protocol.P_c)
+        block = max(1, _BLOCK_ELEMENTS // (rel.size * model.n_states))
+        for first in range(0, todo.size, block):
+            index = todo[first:first + block]
+            try:
+                _evaluate_block(model, basis, protocol, setup, rel,
+                                ph_values[index], H_ref, errors, out, index)
+            except QubdoeError:
+                pass  # a fit window or an error policy no cell can satisfy
+    columns = (column.tolist() for column in out.values())
+    return tuple(DoeCell(ph, float(t_qub), *fields)
+                 for ph, *fields in zip(ph_values.tolist(), *columns))
 
 
 def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
           ph_values: Sequence[float], t_values: Sequence[float],
           errors: ErrorPolicy | MeasurementErrors, H_ref: float,
-          temp_weights=None, power_weights=None,
-          threads: int | None = None) -> DoeGrid:
+          temp_weights=None, power_weights=None) -> DoeGrid:
     """Evaluate the error budget over a (P_h × t_qub) grid.
 
     Parameters
@@ -162,14 +189,22 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
         fit's own r²).
     H_ref : float
         Reference coefficient the intrinsic error is measured against.
-    threads : int, optional
-        Concurrency cap; ``None`` reads ``QUBDOE_THREADS`` (0 = one
-        worker per CPU).  The result does not depend on it.
+    temp_weights, power_weights
+        As for :func:`~qubdoe.qub.simulate_qub`.
 
     Returns
     -------
     DoeGrid
-        Degenerate cells are flagged invalid, never fatal.
+        Degenerate cells are flagged invalid, never fatal.  Each cell
+        equals the chain simulate_qub → fit_slope → estimate_H →
+        error budget run for it alone, bit for bit.
+
+    Raises
+    ------
+    ModelError
+        On misuse that would void every cell, before any is evaluated:
+        a non-positive reference, empty axes, malformed weights, or
+        boundary temperatures naming no temperature input of the model.
     """
     if not H_ref > 0.0:
         raise ModelError(f"H_ref must be positive, got {H_ref}")
@@ -177,23 +212,11 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     t_values = np.asarray(t_values, dtype=float)
     if ph_values.ndim != 1 or t_values.ndim != 1 or not ph_values.size or not t_values.size:
         raise ModelError("ph_values and t_values must be non-empty 1-d sequences")
+    setup = _protocol_setup(model, protocol_template, temp_weights, power_weights)
     basis = eigendecompose(model)
-    jobs = [(t, ph) for t in t_values for ph in ph_values]
-
-    def run(job: tuple[float, float]) -> DoeCell:
-        t_qub, ph = job
-        return _evaluate_cell(model, basis, protocol_template, ph, t_qub,
-                              H_ref, errors, temp_weights, power_weights)
-
-    n_workers = _thread_count(threads, len(jobs))
-    if n_workers == 1:
-        flat = [run(job) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            flat = list(pool.map(run, jobs))
-
-    n_ph = ph_values.size
-    rows = tuple(tuple(flat[i * n_ph:(i + 1) * n_ph]) for i in range(t_values.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = tuple(_sweep_row(model, basis, protocol_template, setup, ph_values,
+                                t, H_ref, errors) for t in t_values)
     return DoeGrid(ph_values=ph_values, t_values=t_values, cells=rows)
 
 

@@ -10,15 +10,17 @@ exact first-order sensitivities of
 
 combined in root-sum-square since the six readings are independent.
 The total is the root-sum-square of the two parts and is what a design
-sweep minimises.
+sweep minimises.  Every function also takes arrays and then works
+elementwise, which is how the sweep evaluates a row of designs at once.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exceptions import ModelError, NumericalError
-from .qub import SlopeFit
+from .qub import SlopeFit, _cancels
 
 __all__ = [
     "MeasurementErrors",
@@ -49,7 +51,7 @@ class MeasurementErrors:
 
     def __post_init__(self) -> None:
         for name in ("eps_alpha", "eps_P", "eps_dT"):
-            if getattr(self, name) < 0.0:
+            if np.any(np.asarray(getattr(self, name)) < 0.0):
                 raise ModelError(f"{name} must be >= 0")
 
 
@@ -76,7 +78,8 @@ class ErrorPolicy:
             fits = [f for f in (fit_h, fit_c) if f is not None]
             if not fits:
                 raise ModelError("eps_alpha not set and no slope fits to derive it from")
-            eps_alpha = max(slope_standard_error(f.alpha, f.r2, f.n_samples) for f in fits)
+            eps_alpha = np.maximum.reduce(
+                [slope_standard_error(f.alpha, f.r2, f.n_samples) for f in fits])
         return MeasurementErrors(eps_alpha=eps_alpha, eps_P=eps_P, eps_dT=self.eps_dT)
 
 
@@ -85,10 +88,10 @@ def slope_standard_error(alpha: float, r2: float, n: int) -> float:
     se = |α|·sqrt((1−r²)/(r²·(n−2)))."""
     if n < 3:
         raise ModelError(f"need at least 3 samples for a slope error, got {n}")
-    r2 = min(max(r2, 0.0), 1.0)
-    if r2 == 0.0:
-        return math.inf
-    return abs(alpha) * math.sqrt((1.0 - r2) / (r2 * (n - 2)))
+    r2 = np.clip(r2, 0.0, 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        se = np.abs(alpha) * np.sqrt((1.0 - r2) / (r2 * (n - 2)))
+    return np.where(r2 == 0.0, np.inf, se)[()]
 
 
 @dataclass(frozen=True)
@@ -114,18 +117,20 @@ def partials(alpha_h: float, alpha_c: float, P_h: float, P_c: float,
         ∂H/∂P_h = α_c/σ                  ∂H/∂P_c = −α_h/σ
         ∂H/∂ΔT_h = −α_c N/σ²             ∂H/∂ΔT_c = α_h N/σ²
     """
-    sigma = dT_h * alpha_c - dT_c * alpha_h
-    scale = max(abs(dT_h * alpha_c), abs(dT_c * alpha_h))
-    if scale == 0.0 or abs(sigma) <= 1e-12 * scale:
+    if np.any(_cancels(dT_h * alpha_c, dT_c * alpha_h)):
         raise NumericalError("degenerate experiment: σ = ΔT_h·α_c − ΔT_c·α_h ≈ 0")
+    sigma = dT_h * alpha_c - dT_c * alpha_h
+    # np.square is x·x for floats and arrays alike; a float's ** 2 goes
+    # through pow() and can differ from an array's in the last bit
+    sigma2 = np.square(sigma)
     N = P_h * alpha_c - P_c * alpha_h
     return QubPartials(
-        dH_dalpha_h=dT_c * N / sigma**2 - P_c / sigma,
-        dH_dalpha_c=-dT_h * N / sigma**2 + P_h / sigma,
+        dH_dalpha_h=dT_c * N / sigma2 - P_c / sigma,
+        dH_dalpha_c=-dT_h * N / sigma2 + P_h / sigma,
         dH_dP_h=alpha_c / sigma,
         dH_dP_c=-alpha_h / sigma,
-        dH_ddT_h=-alpha_c * N / sigma**2,
-        dH_ddT_c=alpha_h * N / sigma**2,
+        dH_ddT_h=-alpha_c * N / sigma2,
+        dH_ddT_c=alpha_h * N / sigma2,
         sigma=sigma,
     )
 
@@ -144,13 +149,13 @@ def intrinsic_error(H_qub: float, H_ref: float) -> tuple[float, float]:
 
 def measurement_error(p: QubPartials, errors: MeasurementErrors) -> float:
     """Root-sum-square propagated instrument uncertainty on H (W/K)."""
-    return math.sqrt(
-        (errors.eps_alpha * p.dH_dalpha_h) ** 2
-        + (errors.eps_alpha * p.dH_dalpha_c) ** 2
-        + (errors.eps_P * p.dH_dP_h) ** 2
-        + (errors.eps_P * p.dH_dP_c) ** 2
-        + (errors.eps_dT * p.dH_ddT_h) ** 2
-        + (errors.eps_dT * p.dH_ddT_c) ** 2
+    return np.sqrt(
+        np.square(errors.eps_alpha * p.dH_dalpha_h)
+        + np.square(errors.eps_alpha * p.dH_dalpha_c)
+        + np.square(errors.eps_P * p.dH_dP_h)
+        + np.square(errors.eps_P * p.dH_dP_c)
+        + np.square(errors.eps_dT * p.dH_ddT_h)
+        + np.square(errors.eps_dT * p.dH_ddT_c)
     )
 
 
@@ -158,7 +163,7 @@ def total_error(eps_qub: float, eps_Hm: float, H_ref: float) -> tuple[float, flo
     """Combine bias and measurement scatter: (W/K, percent of H_ref)."""
     if not H_ref > 0.0:
         raise ModelError(f"H_ref must be positive, got {H_ref}")
-    eps = math.hypot(eps_qub, eps_Hm)
+    eps = np.hypot(eps_qub, eps_Hm)
     return eps, 100.0 * eps / H_ref
 
 
@@ -173,7 +178,7 @@ class ErrorBudget:
     eps_H_pct: float
 
     def __post_init__(self) -> None:
-        if self.eps_Hm < 0.0:
+        if np.any(np.asarray(self.eps_Hm) < 0.0):
             raise ModelError("eps_Hm must be >= 0")
 
 

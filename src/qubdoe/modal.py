@@ -97,17 +97,28 @@ def initial_state(model: StateSpaceModel, u0: np.ndarray) -> np.ndarray:
     return np.linalg.solve(model.A, -(model.B @ u0))
 
 
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M v for a vector or a stack of vectors (..., n).  Written as a
+    stacked ``@`` so each member is the same BLAS call as a lone vector."""
+    return (M @ v[..., None])[..., 0]
+
+
 def _state_trajectory(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
                       times: np.ndarray, basis: EigenBasis) -> np.ndarray:
     """States at the given times for a constant input:
-    x(t) = V [e^{Λt} V⁻¹x0 + Λ⁻¹(e^{Λt} - I) V⁻¹Bu]."""
+    x(t) = V [e^{Λt} V⁻¹x0 + Λ⁻¹(e^{Λt} - I) V⁻¹Bu].
+
+    ``u`` (..., n_inputs) and ``x0`` (..., n_states) may be stacks that
+    broadcast against each other; the result is (..., nt, n_states) and
+    every member equals the trajectory computed for it alone, bit for bit.
+    """
     lam = basis.eigenvalues
-    w0 = basis.inv_vectors @ x0
-    wu = basis.inv_vectors @ (model.B @ u)
+    w0 = _apply(basis.inv_vectors, x0)
+    wu = _apply(basis.inv_vectors, _apply(model.B, u))
     phase = np.outer(times, lam)
-    growth = np.exp(phase) * w0
+    growth = np.exp(phase) * w0[..., None, :]
     # expm1 keeps t -> 0 and slow modes accurate
-    forced = (np.expm1(phase) / lam) * wu
+    forced = (np.expm1(phase) / lam) * wu[..., None, :]
     return (growth + forced) @ basis.vectors.T
 
 
@@ -118,10 +129,12 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     Parameters
     ----------
     model : StateSpaceModel
-    u : ndarray, shape (n_inputs,)
+    u : ndarray, shape (n_inputs,) or (..., n_inputs)
         Input held constant over the whole horizon.
-    x0 : ndarray, shape (n_states,)
-        State at t = 0.
+    x0 : ndarray, shape (n_states,) or (..., n_states)
+        State at t = 0.  Stacks of inputs and start states broadcast
+        against each other; each member of the result is identical to
+        its own unstacked call.
     times : ndarray, shape (nt,)
         Evaluation instants (s); need not be uniform.
     basis : EigenBasis, optional
@@ -130,7 +143,7 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
 
     Returns
     -------
-    ndarray, shape (nt, n_outputs)
+    ndarray, shape (..., nt, n_outputs)
         y(t) = C[e^{At}x0 + A⁻¹(e^{At} - I)Bu] + Du, evaluated through
         the eigenbasis, so accuracy is uniform in t.
     """
@@ -140,17 +153,18 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     if basis is None:
         basis = eigendecompose(model)
     states = _state_trajectory(model, u, x0, times, basis)
-    return states @ model.C.T + (model.D @ u)[None, :]
+    return states @ model.C.T + _apply(model.D, u)[..., None, :]
 
 
 def state_at(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
              t: float, basis: EigenBasis | None = None) -> np.ndarray:
-    """State vector after holding input ``u`` for ``t`` seconds from ``x0``."""
+    """State vector after holding input ``u`` for ``t`` seconds from
+    ``x0``; stacks broadcast as in :func:`step_response`."""
     u = np.asarray(u, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     if basis is None:
         basis = eigendecompose(model)
-    return _state_trajectory(model, u, x0, np.array([float(t)]), basis)[0]
+    return _state_trajectory(model, u, x0, np.array([float(t)]), basis)[..., 0, :]
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,7 +167,9 @@ class SlopeFit:
 
     ``t0`` is the window start measured from the phase start; ``dT0``
     the fitted line's value there; ``alpha`` its slope; ``r2`` the
-    coefficient of determination over the window.
+    coefficient of determination over the window.  The design sweep
+    fits whole rows of records at once; alpha, dT0 and r2 are then
+    arrays with one entry per record.
     """
 
     alpha: float
@@ -214,8 +216,22 @@ def _normalized_weights(weights, count: int, what: str) -> np.ndarray:
     return w / w.sum()
 
 
-def _protocol_inputs(model: StateSpaceModel, protocol: QubProtocol,
-                     power_weights: np.ndarray) -> tuple[np.ndarray, ...]:
+def _protocol_setup(model: StateSpaceModel, protocol: QubProtocol,
+                    temp_weights, power_weights) -> tuple[np.ndarray, ...]:
+    """Output weights, boundary temperatures and power split of a
+    protocol on a model.
+
+    Raises
+    ------
+    ModelError
+        On structural misuse: no heat-flow input, malformed weights, or
+        boundary temperatures naming no temperature input of the model.
+    """
+    n_flow = len(model.flow_inputs)
+    if n_flow == 0:
+        raise ModelError("model has no heat-flow input to pulse")
+    w_temp = _normalized_weights(temp_weights, len(model.output_names), "temp_weights")
+    w_power = _normalized_weights(power_weights, n_flow, "power_weights")
     extra = dict(protocol.boundary_temperatures)
     unknown = set(extra) - set(model.temperature_inputs)
     if unknown:
@@ -225,11 +241,40 @@ def _protocol_inputs(model: StateSpaceModel, protocol: QubProtocol,
         )
     temps = np.array([float(extra.get(name, protocol.T_o))
                       for name in model.temperature_inputs])
+    return w_temp, temps, w_power
 
-    def stacked(total_power: float) -> np.ndarray:
-        return np.concatenate([temps, total_power * power_weights])
 
-    return stacked(protocol.P0), stacked(protocol.P_h), stacked(protocol.P_c)
+def _input_vectors(temps: np.ndarray, w_power: np.ndarray, total_power) -> np.ndarray:
+    """Inputs holding the boundary temperatures with ``total_power`` split
+    across the flow inputs; a (k,) array of powers gives (k, n_inputs)."""
+    power = np.asarray(total_power, dtype=float)[..., None] * w_power
+    return np.concatenate(
+        [np.broadcast_to(temps, power.shape[:-1] + temps.shape), power], axis=-1)
+
+
+def _sample_times(protocol: QubProtocol) -> np.ndarray:
+    """Sample instants of one phase, from its start to t_qub inclusive."""
+    n = max(20, round(protocol.t_qub / protocol.effective_sample_dt))
+    return (protocol.t_qub / n) * np.arange(n + 1)
+
+
+def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
+               setup: tuple[np.ndarray, ...], P_h, rel: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Indoor rise over T_o in the heating phase at ``rel`` and in the
+    cooling phase at ``rel[1:]`` after the switch.
+
+    ``P_h`` replaces ``protocol.P_h``; a (k,) array of powers gives
+    (k, n) rows, each identical to the run of that power alone.
+    """
+    w_temp, temps, w_power = setup
+    u_heat = _input_vectors(temps, w_power, P_h)
+    u_cool = _input_vectors(temps, w_power, protocol.P_c)
+    x0 = initial_state(model, _input_vectors(temps, w_power, protocol.P0))
+    y_heat = step_response(model, u_heat, x0, rel, basis=basis)
+    x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
+    y_cool = step_response(model, u_cool, x_switch, rel[1:], basis=basis)
+    return y_heat @ w_temp - protocol.T_o, y_cool @ w_temp - protocol.T_o
 
 
 def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
@@ -266,32 +311,18 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
         maintenance power), in which case the record is degenerate for
         estimation but still returned.
     """
-    n_flow = len(model.flow_inputs)
-    if n_flow == 0:
-        raise ModelError("model has no heat-flow input to pulse")
-    w_temp = _normalized_weights(temp_weights, len(model.output_names), "temp_weights")
-    w_power = _normalized_weights(power_weights, n_flow, "power_weights")
-    u_pre, u_heat, u_cool = _protocol_inputs(model, protocol, w_power)
-
+    setup = _protocol_setup(model, protocol, temp_weights, power_weights)
     if basis is None:
         basis = eigendecompose(model)
-    n = max(20, round(protocol.t_qub / protocol.effective_sample_dt))
-    dt = protocol.t_qub / n
-    rel = dt * np.arange(n + 1)
-
-    x0 = initial_state(model, u_pre)
-    y_heat = step_response(model, u_heat, x0, rel, basis=basis)
-    x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
-    y_cool = step_response(model, u_cool, x_switch, rel[1:], basis=basis)
-
-    dT_heat = y_heat @ w_temp - protocol.T_o
-    dT_cool = y_cool @ w_temp - protocol.T_o
+    rel = _sample_times(protocol)
+    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, protocol.P_h, rel)
     if dT_heat[-1] <= dT_heat[0] + 1e-12 * max(1.0, abs(dT_heat[0])):
         warnings.warn(
             "heating power is at or below the maintenance power: the indoor "
             "temperature does not rise during the heating pulse",
             stacklevel=2,
         )
+    n = rel.size - 1
     times = np.concatenate([rel, protocol.t_qub + rel[1:]])
     delta_T = np.concatenate([dT_heat, dT_cool])
     power = np.concatenate([np.full(n + 1, protocol.P_h), np.full(n, protocol.P_c)])
@@ -302,6 +333,55 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
 # ---------------------------------------------------------------------------
 # slope fitting and estimation
 # ---------------------------------------------------------------------------
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a·b along the last axis, for vectors or stacks of them.  Written as
+    a stacked ``@`` so each member is the same BLAS dot as lone vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _fit_window(t_rel: np.ndarray, values: np.ndarray, window_fraction: float,
+                phase: str) -> SlopeFit:
+    """Least-squares line over the trailing window of a phase sampled at
+    ``t_rel`` (from the phase start).  ``values`` may be a stack (k, n) of
+    records sharing those instants; alpha, dT0 and r2 are then (k,)
+    arrays, each identical to the fit of that record alone."""
+    span = t_rel[-1]
+    # same selection rule in both phases => identical window geometry
+    selected = t_rel >= (1.0 - window_fraction) * span - 1e-9 * span
+    t_win = t_rel[selected]
+    if t_win.size < 3:
+        raise ModelError(
+            f"{phase} window holds only {t_win.size} samples; need at least 3"
+        )
+    t_mean = t_win.mean()
+    t_dev = t_win - t_mean
+    t_var = float(t_dev @ t_dev)
+    if t_var == 0.0:
+        raise ModelError(f"{phase} window has zero time variance")
+    y_win = np.ascontiguousarray(values[..., selected])
+    y_mean = y_win.mean(axis=-1)
+    y_dev = y_win - y_mean[..., None]
+    alpha = _rowdot(t_dev, y_dev) / t_var
+    t0 = float(t_win[0])
+    dT0 = y_mean + alpha * (t0 - t_mean)
+    residual = y_win - (y_mean[..., None] + alpha[..., None] * t_dev)
+    total = _rowdot(y_dev, y_dev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r2 = np.where(total == 0.0, 1.0, 1.0 - _rowdot(residual, residual) / total)
+    return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=int(t_win.size))
+
+
+def _two_pulse_fits(rel: np.ndarray, t_qub: float, dT_heat: np.ndarray,
+                    dT_cool: np.ndarray, window_fraction: float
+                    ) -> tuple[SlopeFit, SlopeFit]:
+    """Both phase fits of (stacks of) :func:`_two_pulse` records, as
+    :func:`fit_slope` makes them on the trace :func:`simulate_qub` builds."""
+    # the cooling clock starts at the last heating sample, rel[-1]
+    t_cool = (t_qub + rel[1:]) - rel[-1]
+    return (_fit_window(rel, dT_heat, window_fraction, _HEATING),
+            _fit_window(t_cool, dT_cool, window_fraction, _COOLING))
+
 
 def fit_slope(trace: QubTrace, phase: str,
               window_fraction: float = 1.0 / 3.0) -> SlopeFit:
@@ -330,30 +410,17 @@ def fit_slope(trace: QubTrace, phase: str,
         raise ModelError("window_fraction must lie in (0, 1]")
     mask = trace.heating if phase == _HEATING else trace.cooling
     start = 0.0 if phase == _HEATING else trace.t_qub
-    t_rel = trace.times[mask] - start
-    values = trace.delta_T[mask]
-    span = t_rel[-1]
-    # same selection rule in both phases => identical window geometry
-    selected = t_rel >= (1.0 - window_fraction) * span - 1e-9 * span
-    t_win = t_rel[selected]
-    y_win = values[selected]
-    if t_win.size < 3:
-        raise ModelError(
-            f"{phase} window holds only {t_win.size} samples; need at least 3"
-        )
-    t_mean = t_win.mean()
-    y_mean = y_win.mean()
-    t_var = float((t_win - t_mean) @ (t_win - t_mean))
-    if t_var == 0.0:
-        raise ModelError(f"{phase} window has zero time variance")
-    alpha = float((t_win - t_mean) @ (y_win - y_mean)) / t_var
-    t0 = float(t_win[0])
-    dT0 = y_mean + alpha * (t0 - t_mean)
-    residual = y_win - (y_mean + alpha * (t_win - t_mean))
-    total = float((y_win - y_mean) @ (y_win - y_mean))
-    r2 = 1.0 if total == 0.0 else 1.0 - float(residual @ residual) / total
-    return SlopeFit(alpha=alpha, dT0=float(dT0), t0=t0, r2=float(r2),
-                    n_samples=int(t_win.size))
+    fit = _fit_window(trace.times[mask] - start, trace.delta_T[mask],
+                      window_fraction, phase)
+    return replace(fit, alpha=float(fit.alpha), dT0=float(fit.dT0), r2=float(fit.r2))
+
+
+def _cancels(a, b):
+    """Whether the difference a − b counts as zero: within the relative
+    degeneracy tolerance of the larger term, or both terms zero.
+    Elementwise on arrays."""
+    scale = np.maximum(np.abs(a), np.abs(b))
+    return (np.abs(a - b) <= _DEGENERACY_TOL * scale) | (scale == 0.0)
 
 
 def estimate_H(alpha_h: float, alpha_c: float, dT0_h: float, dT0_c: float,
@@ -362,16 +429,15 @@ def estimate_H(alpha_h: float, alpha_c: float, dT0_h: float, dT0_c: float,
 
     H = (P_h α_c − P_c α_h) / (ΔT_h α_c − ΔT_c α_h).  Exact on a
     first-order building for slopes and temperatures read at consistent
-    points of the two phases, whatever those points are.
+    points of the two phases, whatever those points are.  Arrays are
+    evaluated elementwise; any degenerate element raises.
     """
-    denom = dT0_h * alpha_c - dT0_c * alpha_h
-    scale = max(abs(dT0_h * alpha_c), abs(dT0_c * alpha_h))
-    if abs(denom) <= _DEGENERACY_TOL * scale or scale == 0.0:
+    if np.any(_cancels(dT0_h * alpha_c, dT0_c * alpha_h)):
         raise NumericalError(
             "degenerate experiment: ΔT_h·α_c and ΔT_c·α_h cancel; "
             "the two phases carry no independent information"
         )
-    return (P_h * alpha_c - P_c * alpha_h) / denom
+    return (P_h * alpha_c - P_c * alpha_h) / (dT0_h * alpha_c - dT0_c * alpha_h)
 
 
 def estimate_C(alpha_h: float, alpha_c: float, dT0_h: float, dT0_c: float,
@@ -384,14 +450,12 @@ def estimate_C(alpha_h: float, alpha_c: float, dT0_h: float, dT0_c: float,
     at the phase origins); other conventions scale it by an exponential
     factor of the read-out delay, see :func:`recover_C`.
     """
-    denom = alpha_h * dT0_c - alpha_c * dT0_h
-    scale = max(abs(alpha_h * dT0_c), abs(alpha_c * dT0_h))
-    if abs(denom) <= _DEGENERACY_TOL * scale or scale == 0.0:
+    if _cancels(alpha_h * dT0_c, alpha_c * dT0_h):
         raise NumericalError(
             "degenerate experiment: α_h·ΔT_c and α_c·ΔT_h cancel; "
             "capacity is unidentifiable"
         )
-    return (P_h * dT0_c - P_c * dT0_h) / denom
+    return (P_h * dT0_c - P_c * dT0_h) / (alpha_h * dT0_c - alpha_c * dT0_h)
 
 
 def recover_C(C_star: float, H: float, t0: float) -> float:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -73,6 +74,26 @@ def make_bridged(elim_mid=True):
         "flow_sources": [{"node": "a", "source_name": "P"}],
     }
     return q.parse_building(json.dumps(doc))
+
+
+def assert_matches_reference(grid, reference):
+    """H_qub and eps_qub_pct exactly, the other fields to 1e-12 relative,
+    with the same valid flags and nan positions."""
+    assert np.array_equal(grid.ph_values, reference.ph_values)
+    assert np.array_equal(grid.t_values, reference.t_values)
+    for row, ref_row in zip(grid.cells, reference.cells, strict=True):
+        for cell, ref in zip(row, ref_row, strict=True):
+            where = (cell.ph, cell.t_qub)
+            assert (cell.ph, cell.t_qub, cell.valid) == (ref.ph, ref.t_qub, ref.valid)
+            for name in ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max"):
+                got, want = getattr(cell, name), getattr(ref, name)
+                assert math.isnan(got) == math.isnan(want), (name, where)
+                if math.isnan(want):
+                    continue
+                if name in ("H_qub", "eps_qub_pct"):
+                    assert got == want, (name, where)
+                else:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0.0), (name, where)
 
 
 @pytest.fixture(scope="session")

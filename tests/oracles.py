@@ -4,12 +4,19 @@ Everything here is deliberately written by a different route than the
 package: dense per-branch stamping instead of incidence assembly,
 implicit Euler stepping instead of matrix exponentials, ``np.polyfit``
 instead of hand-rolled normal equations, the quadratic formula instead
-of a general eigensolver, and brute-force Monte Carlo instead of
-first-order propagation.
+of a general eigensolver, brute-force Monte Carlo instead of
+first-order propagation, and the design sweep's stacked rows of powers
+cell by cell through the public single-record chain.
 """
 from __future__ import annotations
 
+import warnings
+from dataclasses import replace
+from math import nan
+
 import numpy as np
+
+import qubdoe as q
 
 
 def stamped_steady_state(circuit, source_values):
@@ -182,3 +189,53 @@ def first_order_degree_day_integrals(G, C, P, horizon, dT_start=0.0):
     ss = P / G
     integral_dT = ss * horizon + (dT_start - ss) * tau * (1.0 - np.exp(-horizon / tau))
     return P * horizon, integral_dT
+
+
+def evaluate_cell(model, basis, template, ph, t_qub, H_ref, errors,
+                  temp_weights=None, power_weights=None):
+    """One design-sweep cell through the public single-record chain:
+    simulate_qub → fit_slope → estimate_H → partials → error policy →
+    measurement_error → assemble_budget, any QubdoeError marking the
+    cell invalid (theta_max is kept once the simulation succeeded)."""
+    theta_max = nan
+    try:
+        sample_dt = template.sample_dt
+        if sample_dt is not None and sample_dt > t_qub / 20.0:
+            sample_dt = None
+        protocol = replace(template, P_h=ph, t_qub=t_qub, sample_dt=sample_dt)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sub-maintenance cells are expected
+            trace = q.simulate_qub(model, protocol, temp_weights=temp_weights,
+                                   power_weights=power_weights, basis=basis)
+        theta_max = protocol.T_o + float(trace.delta_T.max())
+        window = protocol.slope_window_fraction
+        fit_h = q.fit_slope(trace, "heating", window)
+        fit_c = q.fit_slope(trace, "cooling", window)
+        P_h = float(trace.power[trace.heating].mean())
+        P_c = float(trace.power[trace.cooling].mean())
+        H_qub = q.estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
+        sens = q.partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
+        if isinstance(errors, q.MeasurementErrors):
+            resolved = errors
+        else:
+            resolved = errors.resolve(P_h, fit_h, fit_c)
+        budget = q.assemble_budget(H_qub, H_ref, q.measurement_error(sens, resolved))
+        return q.DoeCell(ph=ph, t_qub=t_qub, H_qub=H_qub,
+                         eps_qub_pct=budget.eps_qub_pct, eps_Hm=budget.eps_Hm,
+                         eps_H_pct=budget.eps_H_pct, theta_max=theta_max, valid=True)
+    except q.QubdoeError:
+        return q.DoeCell(ph=ph, t_qub=t_qub, H_qub=nan, eps_qub_pct=nan,
+                         eps_Hm=nan, eps_H_pct=nan, theta_max=theta_max, valid=False)
+
+
+def reference_sweep(model, template, ph_values, t_values, errors, H_ref,
+                    temp_weights=None, power_weights=None):
+    """The sweep grid evaluated one cell at a time by :func:`evaluate_cell`."""
+    basis = q.eigendecompose(model)
+    rows = tuple(
+        tuple(evaluate_cell(model, basis, template, float(ph), float(t), H_ref,
+                            errors, temp_weights, power_weights)
+              for ph in ph_values)
+        for t in t_values)
+    return q.DoeGrid(ph_values=np.asarray(ph_values, dtype=float),
+                     t_values=np.asarray(t_values, dtype=float), cells=rows)

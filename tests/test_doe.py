@@ -1,23 +1,26 @@
 """Design sweeps: grid evaluation, determinism, optimum selection."""
 from __future__ import annotations
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import qubdoe as q
-from conftest import make_first_order
+from conftest import assert_matches_reference, make_first_order
+from oracles import reference_sweep
 
 
-def small_sweep(threads=None, ph=(500.0, 1000.0, 2000.0), t=(4000.0, 8000.0),
+def small_sweep(ph=(500.0, 1000.0, 2000.0), t=(4000.0, 8000.0),
                 P_c=0.0, errors=None):
     circuit = make_first_order(G=100.0, C=1.0e6)
     model = q.to_state_space(circuit, ["air"])
     template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=P_c, t_qub=6000.0)
     if errors is None:
         errors = q.MeasurementErrors(eps_alpha=1.0e-6, eps_P=10.0, eps_dT=0.5)
-    return q.sweep(model, template, ph, t, errors, H_ref=100.0, threads=threads)
+    return q.sweep(model, template, ph, t, errors, H_ref=100.0)
 
 
 def hand_cell(ph, t, eps=1.0, theta=30.0, valid=True):
@@ -81,28 +84,116 @@ class TestSweep:
             q.sweep(model, template, [], [4000.0], errors, H_ref=100.0)
 
 
-class TestDeterminism:
-    def test_thread_count_does_not_change_bytes(self):
-        serial = q.grid_to_csv(small_sweep(threads=1))
-        threaded = q.grid_to_csv(small_sweep(threads=4))
-        assert serial == threaded
+def zone_weights(circuit):
+    """Temperature and power weights the CLI derives from zone air masses."""
+    temp = np.array([z.air_mass for z in circuit.zones])
+    mass_at = {z.air_node: z.air_mass for z in circuit.zones}
+    power = np.array([mass_at.get(fs.node, 0.0) for fs in circuit.flow_sources])
+    return temp, power
 
+
+# (building, template fields, error model): warm starts off T_o = 0,
+# cooling power above some heating powers, a second boundary temperature,
+# a sampling step kept for long and dropped for short pulses, a window too
+# short to fit, and every way of setting the measurement errors
+REFERENCE_CASES = {
+    "warm-start": ("bungalow", dict(T_o=5.0, P0=400.0), q.ErrorPolicy()),
+    "cooling-power": ("bungalow", dict(P_c=300.0), q.ErrorPolicy(eps_alpha=2.0e-6)),
+    "ground-14": ("house", dict(P_c=150.0, sample_dt=600.0,
+                                boundary_temperatures={"T_g": 14.0}),
+                  q.ErrorPolicy(eps_P_abs=5.0)),
+    "house-fixed": ("house", dict(T_o=-3.0, P0=200.0, sample_dt=60.0),
+                    q.MeasurementErrors(eps_alpha=1.0e-6, eps_P=10.0, eps_dT=0.5)),
+    "short-window": ("bungalow", dict(slope_window_fraction=0.01), q.ErrorPolicy()),
+}
+
+
+class TestAgainstPerCellReference:
+    @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+    def test_bundled_buildings(self, case, bungalow, house):
+        name, fields, errors = REFERENCE_CASES[case]
+        circuit = {"bungalow": bungalow, "house": house}[name]
+        model = q.to_state_space(circuit, [z.air_node for z in circuit.zones])
+        temp_weights, power_weights = zone_weights(circuit)
+        template = q.QubProtocol(**{"T_o": 0.0, "P0": 0.0, "P_h": 1000.0,
+                                    "P_c": 0.0, "t_qub": 43200.0, **fields})
+        args = (model, template, np.geomspace(100.0, 3000.0, 7),
+                np.linspace(1800.0, 28800.0, 4), errors, 51.1, temp_weights,
+                power_weights)
+        grid = q.sweep(*args)
+        assert_matches_reference(grid, reference_sweep(*args))
+        if case == "short-window":
+            assert not any(c.valid for row in grid.cells for c in row)
+        else:
+            assert any(c.valid for row in grid.cells for c in row)
+
+    def test_block_boundaries_do_not_matter(self, bungalow_model):
+        # more powers than one stacked block holds
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
+                                 t_qub=10800.0, sample_dt=30.0)
+        args = (bungalow_model, template, np.geomspace(60.0, 240.0, 40),
+                [28800.0], q.ErrorPolicy(), 51.1)
+        assert_matches_reference(q.sweep(*args), reference_sweep(*args))
+
+
+class TestNoWarnings:
+    def test_invalid_and_sub_maintenance_cells_are_silent(self):
+        # the sensor node never sees the heater, so every estimator
+        # quotient is 0/0; the cooling power voids the lowest heating
+        # power; the warm start puts the middle one below maintenance
+        doc = {
+            "nodes": [{"id": "air", "capacity": 1.0e6},
+                      {"id": "shed", "capacity": 5.0e5}],
+            "branches": [
+                {"id": "loss", "from": "REF", "to": "air", "conductance": 100.0,
+                 "temperature_source": "T_o"},
+                {"id": "shed_loss", "from": "REF", "to": "shed",
+                 "conductance": 40.0, "temperature_source": "T_o"},
+            ],
+            "flow_sources": [{"node": "shed", "source_name": "P"}],
+        }
+        blind = q.to_state_space(q.parse_building(json.dumps(doc)), ["air"])
+        seeing = q.to_state_space(make_first_order(G=100.0, C=1.0e6), ["air"])
+        template = q.QubProtocol(T_o=2.0, P0=500.0, P_h=1000.0, P_c=50.0,
+                                 t_qub=6000.0)
+        ph = [40.0, 300.0, 2000.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blind_grid = q.sweep(blind, template, ph, [4000.0, 8000.0],
+                                 q.ErrorPolicy(), H_ref=100.0)
+            grid = q.sweep(seeing, template, ph, [4000.0, 8000.0],
+                           q.ErrorPolicy(), H_ref=100.0)
+        assert not any(c.valid for row in blind_grid.cells for c in row)
+        assert [c.valid for c in grid.cells[0]] == [False, True, True]
+        # below maintenance the peak is the starting temperature
+        assert grid.cells[0][1].theta_max == pytest.approx(2.0 + 500.0 / 100.0)
+
+
+class TestStructuralMisuse:
+    def test_unknown_boundary_raises_before_the_grid(self, bungalow_model):
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
+                                 t_qub=10800.0,
+                                 boundary_temperatures={"T_bogus": 3.0})
+        with pytest.raises(q.ModelError, match="T_bogus"):
+            q.sweep(bungalow_model, template, [1000.0], [7200.0],
+                    q.ErrorPolicy(), 51.1)
+
+    @pytest.mark.parametrize("weights", [
+        {"temp_weights": [1.0, 1.0]},
+        {"power_weights": [-1.0]},
+        {"power_weights": [0.0]},
+    ])
+    def test_bad_weights_raise_before_the_grid(self, bungalow_model, weights):
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
+                                 t_qub=10800.0)
+        with pytest.raises(q.ModelError, match="weights"):
+            q.sweep(bungalow_model, template, [1000.0], [7200.0],
+                    q.ErrorPolicy(), 51.1, **weights)
+
+
+class TestDeterminism:
     def test_rerun_is_byte_identical(self):
         assert q.grid_to_csv(small_sweep()) == q.grid_to_csv(small_sweep())
-
-    def test_env_auto(self, monkeypatch):
-        monkeypatch.setenv("QUBDOE_THREADS", "0")
-        grid = small_sweep()
-        assert all(c.valid for row in grid.cells for c in row)
-
-    def test_env_parse_error(self, monkeypatch):
-        monkeypatch.setenv("QUBDOE_THREADS", "abc")
-        with pytest.raises(q.ModelError, match="QUBDOE_THREADS"):
-            small_sweep()
-
-    def test_negative_threads_rejected(self):
-        with pytest.raises(q.ModelError, match=">= 0"):
-            small_sweep(threads=-1)
 
 
 class TestDegenerateCells:

@@ -127,6 +127,28 @@ class TestTrajectories:
             energies.append(float(xt @ (caps * xt)))
         assert np.all(np.diff(energies) <= 1e-9 * energies[0])
 
+    def test_stacked_members_equal_lone_calls(self, bundled_models):
+        r = rng(23)
+        times = np.linspace(0.0, 3.0e4, 61)
+        for model in bundled_models.values():
+            basis = q.eigendecompose(model)
+            U = r.uniform(0.0, 900.0, (5, len(model.input_names)))
+            X = r.uniform(-2.0, 2.0, (5, model.n_states))
+            x0, u = X[0], U[0]
+            for stacked, lone in (
+                (q.step_response(model, U, X, times, basis=basis),
+                 [q.step_response(model, uk, xk, times, basis=basis)
+                  for uk, xk in zip(U, X)]),
+                (q.step_response(model, U, x0, times, basis=basis),
+                 [q.step_response(model, uk, x0, times, basis=basis) for uk in U]),
+                (q.step_response(model, u, X, times, basis=basis),
+                 [q.step_response(model, u, xk, times, basis=basis) for xk in X]),
+                (q.state_at(model, U, X, 7200.0, basis=basis),
+                 [q.state_at(model, uk, xk, 7200.0, basis=basis)
+                  for uk, xk in zip(U, X)]),
+            ):
+                assert np.array_equal(stacked, np.stack(lone))
+
 
 class TestModalDecomposition:
     def test_reconstructs_step_response(self, bundled_models):
