@@ -9,8 +9,7 @@ budget to the estimate, and sweeps power/duration grids to find the
 design with the smallest expected error.
 """
 from .buildings import bungalow_json, house_json, load_bungalow, load_house
-from .conductance import (ConductanceReport, H_from_K, areal_H,
-                          conductance_report, degree_day_H, elementwise_H,
+from .conductance import (ConductanceReport, conductance_report, degree_day_H,
                           mean_zone_temperature, overall_H_multizone,
                           reference_H_single, static_gains)
 from .doe import (GRID_HEADER, DesignConstraints, DoeCell, DoeGrid,
@@ -50,8 +49,8 @@ __all__ = [
     "ClassThresholds", "classify_modes",
     # conductance
     "static_gains", "reference_H_single", "mean_zone_temperature",
-    "overall_H_multizone", "H_from_K", "elementwise_H", "degree_day_H",
-    "areal_H", "ConductanceReport", "conductance_report",
+    "overall_H_multizone", "degree_day_H", "ConductanceReport",
+    "conductance_report",
     # qub
     "QubProtocol", "QubTrace", "SlopeFit", "QubEstimate", "simulate_qub",
     "fit_slope", "estimate_H", "estimate_C", "recover_C",

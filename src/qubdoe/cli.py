@@ -24,7 +24,8 @@ from .exceptions import ModelError, NumericalError, SchemaError
 from .modal import classify_modes, initial_state, modal_decomposition
 from .network import (StateSpaceModel, ThermalCircuit, parse_building,
                       to_state_space, zone_heat_inputs)
-from .qub import QubProtocol, estimate_from_trace, simulate_qub, trace_from_csv, trace_to_csv
+from .qub import (QubProtocol, _protocol_setup, estimate_from_trace, simulate_qub,
+                  trace_from_csv, trace_to_csv)
 
 _R = repr  # shortest round-trip float rendering
 
@@ -60,25 +61,32 @@ def _assignment(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}") from None
 
 
-def _add_protocol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--to", type=float, default=0.0, metavar="C",
-                   help="outdoor temperature (default 0)")
-    p.add_argument("--p0", type=float, default=0.0, metavar="W",
-                   help="pre-experiment power (default 0)")
-    p.add_argument("--ph", type=float, default=1000.0, metavar="W",
-                   help="heating power (default 1000)")
-    p.add_argument("--pc", type=float, default=0.0, metavar="W",
-                   help="cooling-phase power (default 0)")
-    p.add_argument("--tqub", type=float, default=10800.0, metavar="S",
-                   help="duration of each phase in seconds (default 10800)")
-    p.add_argument("--window", type=float, default=1.0 / 3.0, metavar="F",
-                   help="trailing fraction of each phase fitted (default 1/3)")
-    p.add_argument("--dt", type=float, default=None, metavar="S",
-                   help="sampling step (default t_qub/120)")
-    p.add_argument("--set", dest="boundary", type=_assignment, action="append",
-                   default=[], metavar="NAME=VALUE",
-                   help="hold a named temperature source at a value other "
-                        "than --to (repeatable)")
+_PROTOCOL_FLAGS = {
+    "--to": dict(type=float, default=0.0, metavar="C",
+                 help="outdoor temperature (default 0)"),
+    "--p0": dict(type=float, default=0.0, metavar="W",
+                 help="pre-experiment power (default 0)"),
+    "--ph": dict(type=float, default=1000.0, metavar="W",
+                 help="heating power (default 1000)"),
+    "--pc": dict(type=float, default=0.0, metavar="W",
+                 help="cooling-phase power (default 0)"),
+    "--tqub": dict(type=float, default=10800.0, metavar="S",
+                   help="duration of each phase in seconds (default 10800)"),
+    "--window": dict(type=float, default=1.0 / 3.0, metavar="F",
+                     help="trailing fraction of each phase fitted (default 1/3)"),
+    "--dt": dict(type=float, default=None, metavar="S",
+                 help="sampling step (default t_qub/120)"),
+    "--set": dict(dest="boundary", type=_assignment, action="append",
+                  default=[], metavar="NAME=VALUE",
+                  help="hold a named temperature source at a value other "
+                       "than --to (repeatable)"),
+}
+
+
+def _add_protocol_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named protocol flags, or all of them when none are named."""
+    for name in names or _PROTOCOL_FLAGS:
+        p.add_argument(name, **_PROTOCOL_FLAGS[name])
 
 
 def _add_error_flags(p: argparse.ArgumentParser) -> None:
@@ -110,13 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eig", help="time constants, modal amplitudes and classes")
     p.add_argument("building")
-    _add_protocol_flags(p)
+    _add_protocol_flags(p, "--to", "--p0", "--ph", "--tqub", "--set")
     _add_out_flag(p)
     p.set_defaults(func=_cmd_eig)
 
     p = sub.add_parser("gains", help="static gain matrix and overall H")
     p.add_argument("building")
-    _add_protocol_flags(p)
+    _add_protocol_flags(p, "--to", "--p0", "--set")
     _add_out_flag(p)
     p.set_defaults(func=_cmd_gains)
 
@@ -128,8 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="fit a trace CSV and report H and C")
     p.add_argument("--trace", required=True, metavar="PATH", help="trace CSV")
-    p.add_argument("--window", type=float, default=1.0 / 3.0, metavar="F",
-                   help="trailing fraction of each phase fitted (default 1/3)")
+    _add_protocol_flags(p, "--window")
     _add_out_flag(p)
     p.set_defaults(func=_cmd_estimate)
 
@@ -219,25 +226,18 @@ def _reference_H(circuit: ThermalCircuit, model: StateSpaceModel, T_o: float) ->
     return reference_H_single(model, model.flow_inputs[0], model.output_names[0])
 
 
-def _steady_mean_indoor(model, temp_weights, protocol: QubProtocol) -> float:
-    """Mass-weighted mean indoor temperature of the pre-experiment state."""
-    values = {name: protocol.boundary_temperatures.get(name, protocol.T_o)
-              for name in model.temperature_inputs}
-    n_flow = len(model.flow_inputs)
-    for name in model.flow_inputs:
-        values[name] = protocol.P0 / n_flow
-    y = static_gains(model) @ model.input_vector(values)
-    w = (np.full(len(y), 1.0 / len(y)) if temp_weights is None
-         else np.asarray(temp_weights, dtype=float) / np.sum(temp_weights))
-    return float(y @ w)
+def _setup(args, model: StateSpaceModel, temp_weights, power_weights):
+    return _protocol_setup(model, args.to, dict(args.boundary),
+                           temp_weights, power_weights)
 
 
-def _axes(args, circuit, model, temp_weights) -> tuple[np.ndarray, np.ndarray]:
-    H_ref = _reference_H(circuit, model, args.to)
+def _axes(args, model: StateSpaceModel, H_ref: float, temp_weights,
+          power_weights) -> tuple[np.ndarray, np.ndarray]:
     if args.ph_range is None or args.t_range is None:
-        theta0 = _steady_mean_indoor(model, temp_weights, _protocol(args))
-        maintenance = H_ref * (theta0 - args.to)
-        ph_default, t_default = default_axes(H_ref, maintenance)
+        # mean indoor temperature of the pre-experiment steady state
+        setup = _setup(args, model, temp_weights, power_weights)
+        theta0 = float(setup.indoor_mean(static_gains(model) @ setup.inputs(args.p0)))
+        ph_default, t_default = default_axes(H_ref, H_ref * (theta0 - args.to))
     if args.ph_range is not None:
         lo, hi, n = args.ph_range
         if lo <= 0.0:
@@ -259,13 +259,11 @@ def _run_sweep(args):
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
     H_ref = _reference_H(circuit, model, args.to)
-    ph_values, t_values = _axes(args, circuit, model, temp_weights)
+    ph_values, t_values = _axes(args, model, H_ref, temp_weights, power_weights)
     policy = ErrorPolicy(eps_dT=args.eps_dt, eps_P_rel=args.eps_p_rel,
                          eps_alpha=args.eps_alpha)
-    template = _protocol(args)
-    grid = sweep(model, template, ph_values, t_values, policy, H_ref,
+    return sweep(model, _protocol(args), ph_values, t_values, policy, H_ref,
                  temp_weights=temp_weights, power_weights=power_weights)
-    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -280,25 +278,14 @@ def _cmd_check(args) -> str:
 def _cmd_eig(args) -> str:
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
-    protocol = _protocol(args)
-    n_flow = len(model.flow_inputs)
-    if n_flow == 0:
-        raise ModelError("building declares no heat-flow source")
-    w_power = (np.full(n_flow, 1.0 / n_flow) if power_weights is None
-               else np.asarray(power_weights, dtype=float) / np.sum(power_weights))
-    temps = {name: protocol.boundary_temperatures.get(name, protocol.T_o)
-             for name in model.temperature_inputs}
-    u0 = model.input_vector({**temps, **{name: protocol.P0 * w
-                                         for name, w in zip(model.flow_inputs, w_power)}})
-    u_h = model.input_vector({**temps, **{name: protocol.P_h * w
-                                          for name, w in zip(model.flow_inputs, w_power)}})
-    decomp = modal_decomposition(model, u_h, initial_state(model, u0))
+    protocol = QubProtocol(T_o=args.to, P0=args.p0, P_h=args.ph, P_c=0.0,
+                           t_qub=args.tqub)
+    setup = _setup(args, model, temp_weights, power_weights)
+    decomp = modal_decomposition(model, setup.inputs(protocol.P_h),
+                                 initial_state(model, setup.inputs(protocol.P0)))
     labels = dict(classify_modes(decomp, protocol.t_qub))
-    p = len(model.output_names)
-    w_out = (np.full(p, 1.0 / p) if temp_weights is None
-             else np.asarray(temp_weights, dtype=float) / np.sum(temp_weights))
-    init_eq = w_out @ decomp.init_amplitudes
-    input_eq = w_out @ decomp.input_amplitudes
+    init_eq = setup.indoor_mean(decomp.init_amplitudes.T)
+    input_eq = setup.indoor_mean(decomp.input_amplitudes.T)
     lines = ["mode_index,tau_s,lambda_per_s,init_amp,input_amp,class"]
     for i, lam in enumerate(decomp.eigenvalues):
         lines.append(",".join((
@@ -311,20 +298,8 @@ def _cmd_eig(args) -> str:
 def _cmd_gains(args) -> str:
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
-    if not model.flow_inputs:
-        raise ModelError("building declares no heat-flow source")
-    protocol_values = None
-    if circuit.zones:
-        n_flow = len(model.flow_inputs)
-        w_power = (np.full(n_flow, 1.0 / n_flow) if power_weights is None
-                   else np.asarray(power_weights, dtype=float) / np.sum(power_weights))
-        protocol_values = {name: args.to for name in model.temperature_inputs}
-        protocol_values.update({name: args.p0 * w
-                                for name, w in zip(model.flow_inputs, w_power)})
-    report = conductance_report(
-        model, model.flow_inputs[0], model.output_names[0],
-        source_values=protocol_values, zones=circuit.zones or None,
-    )
+    setup = _setup(args, model, temp_weights, power_weights)
+    report = conductance_report(model, model.flow_inputs[0], model.output_names[0])
     lines = ["record,output,input,value"]
     for i, out in enumerate(report.output_names):
         for j, inp in enumerate(report.input_names):
@@ -336,8 +311,9 @@ def _cmd_gains(args) -> str:
     if len(circuit.zones) > 1:
         H_multi = _reference_H(circuit, model, args.to)
         lines.append(f"H_multizone,,,{_fmt(H_multi)}")
-    if report.mean_temperature is not None:
-        lines.append(f"mean_temperature,,,{_fmt(report.mean_temperature)}")
+    if circuit.zones:
+        steady = report.static_gain_matrix @ setup.inputs(args.p0)
+        lines.append(f"mean_temperature,,,{_fmt(setup.indoor_mean(steady))}")
     return "\n".join(lines) + "\n"
 
 

@@ -26,10 +26,7 @@ __all__ = [
     "reference_H_single",
     "mean_zone_temperature",
     "overall_H_multizone",
-    "H_from_K",
-    "elementwise_H",
     "degree_day_H",
-    "areal_H",
     "conductance_report",
 ]
 
@@ -144,52 +141,6 @@ def overall_H_multizone(model: StateSpaceModel, powers: Mapping[str, float],
     return total / rise
 
 
-def H_from_K(K: np.ndarray, masses: Sequence[float],
-             temperatures: Sequence[float]) -> float:
-    """Two-zone aggregate H from the 2x2 nodal conductance matrix.
-
-    H = [(K11+K12)θ1 + (K12+K22)θ2] / [(m1θ1 + m2θ2)/(m1+m2)]
-
-    with θ measured relative to the (single) boundary temperature.  The
-    numerator is the total steady power leaving through the boundary;
-    the denominator is the mass-weighted mean rise.
-    """
-    K = np.asarray(K, dtype=float)
-    if K.shape != (2, 2):
-        raise ModelError(f"K must be 2x2, got {K.shape}")
-    m1, m2 = (float(m) for m in masses)
-    t1, t2 = (float(t) for t in temperatures)
-    if m1 <= 0.0 or m2 <= 0.0:
-        raise ModelError("masses must be positive")
-    mean = (m1 * t1 + m2 * t2) / (m1 + m2)
-    if mean == 0.0:
-        raise NumericalError("mass-weighted mean rise is zero; H undefined")
-    flux = (K[0, 0] + K[0, 1]) * t1 + (K[0, 1] + K[1, 1]) * t2
-    return float(flux / mean)
-
-
-def elementwise_H(U_values: Sequence[float], areas: Sequence[float],
-                  temperatures: Sequence[float],
-                  masses: Sequence[float]) -> float:
-    """Element-sum aggregate H = Σ(U_i A_i θ_i) · Σm_i / Σ(m_i θ_i).
-
-    Diagnostic only: it weighs each envelope element by its own surface
-    temperature, so it does not agree with the measurable aggregates
-    above except in degenerate (isothermal) cases.  Kept for comparing
-    audit-style element sums against the network value.
-    """
-    U = np.asarray(U_values, dtype=float)
-    A = np.asarray(areas, dtype=float)
-    theta = np.asarray(temperatures, dtype=float)
-    m = np.asarray(masses, dtype=float)
-    if not (U.shape == A.shape == theta.shape == m.shape):
-        raise ModelError("U_values, areas, temperatures, masses must align")
-    denom = m @ theta
-    if denom == 0.0:
-        raise NumericalError("mass-weighted temperature sum is zero")
-    return float((U * A) @ theta * m.sum() / denom)
-
-
 def degree_day_H(times: np.ndarray, powers: np.ndarray,
                  delta_T: np.ndarray) -> float:
     """Long-horizon integral estimate H = ∫P dt / ∫ΔT dt (trapezoid).
@@ -213,55 +164,30 @@ def degree_day_H(times: np.ndarray, powers: np.ndarray,
     return float(np.trapezoid(powers, times) / denom)
 
 
-def areal_H(H: float, area: float) -> float:
-    """Envelope-area-normalised coefficient H' = H / A (W/(m²K))."""
-    if not area > 0.0:
-        raise ModelError(f"area must be positive, got {area}")
-    return H / area
-
-
 @dataclass(frozen=True)
 class ConductanceReport:
     """Everything the steady gains say about a model's heat loss."""
 
     H: float
     R: float
-    areal_H: float | None
     static_gain_matrix: np.ndarray
     input_names: tuple[str, ...]
     output_names: tuple[str, ...]
     temperature_gain_sums: np.ndarray
-    mean_temperature: float | None
 
 
-def conductance_report(model: StateSpaceModel, power_input: str, output: str,
-                       area: float | None = None,
-                       source_values: Mapping[str, float] | None = None,
-                       zones: Sequence[Zone] | None = None) -> ConductanceReport:
-    """Assemble the static-gain summary for one designated heat input.
-
-    When ``source_values`` and ``zones`` are given, the report also
-    carries the mass-weighted mean indoor temperature at that operating
-    point.
-    """
+def conductance_report(model: StateSpaceModel, power_input: str,
+                       output: str) -> ConductanceReport:
+    """Assemble the static-gain summary for one designated heat input."""
     gains = static_gains(model)
     H = reference_H_single(model, power_input, output)
     temp_cols = [i for i, kind in enumerate(model.input_kinds) if kind == "temperature"]
     sums = gains[:, temp_cols].sum(axis=1)
-    if source_values is not None and zones is not None:
-        u = model.input_vector(source_values)
-        by_name = dict(zip(model.output_names, gains @ u))
-        theta = {z.id: by_name[z.air_node] for z in zones}
-        mean_temperature = mean_zone_temperature(theta, zones, weighting="mass")
-    else:
-        mean_temperature = None
     return ConductanceReport(
         H=H,
         R=1.0 / H,
-        areal_H=None if area is None else areal_H(H, area),
         static_gain_matrix=gains,
         input_names=model.input_names,
         output_names=model.output_names,
         temperature_gain_sums=sums,
-        mean_temperature=mean_temperature,
     )

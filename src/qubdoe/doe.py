@@ -50,8 +50,8 @@ class DoeCell:
     """Outcome of one candidate design.
 
     Error fields are ``nan`` when the cell is degenerate (``valid`` is
-    False); the peak indoor temperature is kept whenever the simulation
-    itself succeeded.
+    False), a non-finite error budget included; the peak indoor
+    temperature is kept whenever the simulation itself succeeded.
     """
 
     ph: float
@@ -130,11 +130,13 @@ def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
     else:
         resolved = errors.resolve(P_h, fit_h, fit_c)
     budget = assemble_budget(H_qub, H_ref, measurement_error(sens, resolved))
-    index = index[keep]
-    out["H_qub"][index] = H_qub
-    out["eps_qub_pct"][index] = budget.eps_qub_pct
-    out["eps_Hm"][index] = budget.eps_Hm
-    out["eps_H_pct"][index] = budget.eps_H_pct
+    # a budget that over- or underflowed says nothing about the design
+    finite = np.isfinite(budget.eps_Hm) & np.isfinite(budget.eps_H_pct)
+    index = index[keep][finite]
+    out["H_qub"][index] = H_qub[finite]
+    out["eps_qub_pct"][index] = budget.eps_qub_pct[finite]
+    out["eps_Hm"][index] = budget.eps_Hm[finite]
+    out["eps_H_pct"][index] = budget.eps_H_pct[finite]
     out["valid"][index] = True
 
 
@@ -212,7 +214,9 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     t_values = np.asarray(t_values, dtype=float)
     if ph_values.ndim != 1 or t_values.ndim != 1 or not ph_values.size or not t_values.size:
         raise ModelError("ph_values and t_values must be non-empty 1-d sequences")
-    setup = _protocol_setup(model, protocol_template, temp_weights, power_weights)
+    setup = _protocol_setup(model, protocol_template.T_o,
+                            protocol_template.boundary_temperatures,
+                            temp_weights, power_weights)
     basis = eigendecompose(model)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rows = tuple(_sweep_row(model, basis, protocol_template, setup, ph_values,

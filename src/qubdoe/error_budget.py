@@ -61,13 +61,20 @@ class ErrorPolicy:
 
     Defaults: 0.5 K on temperature differences, 1% of the heating power
     on the power readings, and the regression standard error of the
-    slope (worse phase) unless an explicit value is forced.
+    slope (worse phase) unless an explicit value is forced.  Every value
+    given must be >= 0.
     """
 
     eps_dT: float = 0.5
     eps_P_rel: float = 0.01
     eps_P_abs: float | None = None
     eps_alpha: float | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("eps_dT", "eps_P_rel", "eps_P_abs", "eps_alpha"):
+            value = getattr(self, name)
+            if value is not None and not value >= 0.0:
+                raise ModelError(f"{name} must be >= 0, got {value}")
 
     def resolve(self, P_h: float, fit_h: SlopeFit | None = None,
                 fit_c: SlopeFit | None = None) -> MeasurementErrors:

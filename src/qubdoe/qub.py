@@ -108,57 +108,54 @@ class QubTrace:
     """Sampled experiment record.
 
     ``delta_T`` is the (mass-weighted mean) indoor temperature minus
-    T_o; ``power`` the total injected power; ``phase`` flips from
-    ``heating`` to ``cooling`` exactly once, right after t_qub (the
-    heating phase owns its endpoint).
+    T_o; ``power`` the total injected power.  The first ``n_heating``
+    samples are the heating phase and the rest the cooling phase, so the
+    phase switches exactly once, right after t_qub (the heating phase
+    owns its endpoint).
     """
 
     times: np.ndarray
     delta_T: np.ndarray
     power: np.ndarray
-    phase: np.ndarray
+    n_heating: int
 
     def __post_init__(self) -> None:
         times = np.asarray(self.times, dtype=float)
         delta_T = np.asarray(self.delta_T, dtype=float)
         power = np.asarray(self.power, dtype=float)
-        phase = np.asarray(self.phase)
-        if not (times.shape == delta_T.shape == power.shape == phase.shape):
+        if not (times.shape == delta_T.shape == power.shape):
             raise SchemaError("trace columns must have identical length")
         if times.ndim != 1 or times.size < 4:
             raise SchemaError("trace must hold at least four samples")
         if np.any(np.diff(times) <= 0.0):
             raise SchemaError("trace times must be strictly increasing")
-        labels = set(np.unique(phase).tolist())
-        if not labels <= {_HEATING, _COOLING}:
-            raise SchemaError(f"unknown phase label(s): {sorted(labels - {_HEATING, _COOLING})}")
-        is_heating = phase == _HEATING
-        if not is_heating[0] or is_heating[-1]:
-            raise SchemaError("trace must start with heating and end with cooling")
-        if np.count_nonzero(np.diff(is_heating.astype(int))) != 1:
-            raise SchemaError("phase must switch exactly once")
+        if not (isinstance(self.n_heating, (int, np.integer))
+                and 0 < self.n_heating < times.size):
+            raise SchemaError(
+                "n_heating must be an integer count that leaves both phases "
+                f"non-empty, got {self.n_heating!r} of {times.size} samples"
+            )
         for name, arr in (("times", times), ("delta_T", delta_T), ("power", power)):
             if not np.all(np.isfinite(arr)):
                 raise SchemaError(f"trace {name} contain non-finite values")
             arr.setflags(write=False)
-        phase.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "delta_T", delta_T)
         object.__setattr__(self, "power", power)
-        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "n_heating", int(self.n_heating))
 
     @property
-    def heating(self) -> np.ndarray:
-        return self.phase == _HEATING
+    def heating(self) -> slice:
+        return slice(0, self.n_heating)
 
     @property
-    def cooling(self) -> np.ndarray:
-        return self.phase == _COOLING
+    def cooling(self) -> slice:
+        return slice(self.n_heating, None)
 
     @property
     def t_qub(self) -> float:
         """Phase-switch time = last heating sample."""
-        return float(self.times[self.heating][-1])
+        return float(self.times[self.n_heating - 1])
 
 
 @dataclass(frozen=True)
@@ -216,10 +213,38 @@ def _normalized_weights(weights, count: int, what: str) -> np.ndarray:
     return w / w.sum()
 
 
-def _protocol_setup(model: StateSpaceModel, protocol: QubProtocol,
-                    temp_weights, power_weights) -> tuple[np.ndarray, ...]:
-    """Output weights, boundary temperatures and power split of a
-    protocol on a model.
+@dataclass(frozen=True)
+class _ExperimentSetup:
+    """How an experiment drives a model: the normalised output weights of
+    the indoor temperature, the boundary temperatures in input order, and
+    the normalised split of the total power across the flow inputs."""
+
+    temp_weights: np.ndarray
+    temperatures: np.ndarray
+    power_weights: np.ndarray
+
+    def inputs(self, total_power) -> np.ndarray:
+        """Inputs holding the boundary temperatures with ``total_power``
+        split across the flow inputs; a (k,) array of powers gives
+        (k, n_inputs)."""
+        power = np.asarray(total_power, dtype=float)[..., None] * self.power_weights
+        temps = self.temperatures
+        return np.concatenate(
+            [np.broadcast_to(temps, power.shape[:-1] + temps.shape), power], axis=-1)
+
+    def indoor_mean(self, outputs: np.ndarray) -> np.ndarray:
+        """Weighted mean indoor temperature of output vectors (outputs on
+        the last axis)."""
+        return outputs @ self.temp_weights
+
+
+def _protocol_setup(model: StateSpaceModel, T_o: float,
+                    boundary_temperatures: Mapping[str, float],
+                    temp_weights, power_weights) -> _ExperimentSetup:
+    """The setup of an experiment on a model: temperature inputs held at
+    ``T_o`` unless named in ``boundary_temperatures``, outputs averaged
+    with ``temp_weights`` and power split by ``power_weights`` (each
+    uniform when None).
 
     Raises
     ------
@@ -232,24 +257,17 @@ def _protocol_setup(model: StateSpaceModel, protocol: QubProtocol,
         raise ModelError("model has no heat-flow input to pulse")
     w_temp = _normalized_weights(temp_weights, len(model.output_names), "temp_weights")
     w_power = _normalized_weights(power_weights, n_flow, "power_weights")
-    extra = dict(protocol.boundary_temperatures)
+    extra = dict(boundary_temperatures)
     unknown = set(extra) - set(model.temperature_inputs)
     if unknown:
         raise ModelError(
             "boundary_temperatures: not temperature inputs of the model: "
             + ", ".join(sorted(unknown))
         )
-    temps = np.array([float(extra.get(name, protocol.T_o))
+    temps = np.array([float(extra.get(name, T_o))
                       for name in model.temperature_inputs])
-    return w_temp, temps, w_power
-
-
-def _input_vectors(temps: np.ndarray, w_power: np.ndarray, total_power) -> np.ndarray:
-    """Inputs holding the boundary temperatures with ``total_power`` split
-    across the flow inputs; a (k,) array of powers gives (k, n_inputs)."""
-    power = np.asarray(total_power, dtype=float)[..., None] * w_power
-    return np.concatenate(
-        [np.broadcast_to(temps, power.shape[:-1] + temps.shape), power], axis=-1)
+    return _ExperimentSetup(temp_weights=w_temp, temperatures=temps,
+                            power_weights=w_power)
 
 
 def _sample_times(protocol: QubProtocol) -> np.ndarray:
@@ -259,7 +277,7 @@ def _sample_times(protocol: QubProtocol) -> np.ndarray:
 
 
 def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-               setup: tuple[np.ndarray, ...], P_h, rel: np.ndarray
+               setup: _ExperimentSetup, P_h, rel: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Indoor rise over T_o in the heating phase at ``rel`` and in the
     cooling phase at ``rel[1:]`` after the switch.
@@ -267,14 +285,14 @@ def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
     ``P_h`` replaces ``protocol.P_h``; a (k,) array of powers gives
     (k, n) rows, each identical to the run of that power alone.
     """
-    w_temp, temps, w_power = setup
-    u_heat = _input_vectors(temps, w_power, P_h)
-    u_cool = _input_vectors(temps, w_power, protocol.P_c)
-    x0 = initial_state(model, _input_vectors(temps, w_power, protocol.P0))
+    u_heat = setup.inputs(P_h)
+    u_cool = setup.inputs(protocol.P_c)
+    x0 = initial_state(model, setup.inputs(protocol.P0))
     y_heat = step_response(model, u_heat, x0, rel, basis=basis)
     x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
     y_cool = step_response(model, u_cool, x_switch, rel[1:], basis=basis)
-    return y_heat @ w_temp - protocol.T_o, y_cool @ w_temp - protocol.T_o
+    return (setup.indoor_mean(y_heat) - protocol.T_o,
+            setup.indoor_mean(y_cool) - protocol.T_o)
 
 
 def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
@@ -311,7 +329,8 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
         maintenance power), in which case the record is degenerate for
         estimation but still returned.
     """
-    setup = _protocol_setup(model, protocol, temp_weights, power_weights)
+    setup = _protocol_setup(model, protocol.T_o, protocol.boundary_temperatures,
+                            temp_weights, power_weights)
     if basis is None:
         basis = eigendecompose(model)
     rel = _sample_times(protocol)
@@ -326,8 +345,7 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
     times = np.concatenate([rel, protocol.t_qub + rel[1:]])
     delta_T = np.concatenate([dT_heat, dT_cool])
     power = np.concatenate([np.full(n + 1, protocol.P_h), np.full(n, protocol.P_c)])
-    phase = np.array([_HEATING] * (n + 1) + [_COOLING] * n)
-    return QubTrace(times=times, delta_T=delta_T, power=power, phase=phase)
+    return QubTrace(times=times, delta_T=delta_T, power=power, n_heating=n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +426,9 @@ def fit_slope(trace: QubTrace, phase: str,
         raise ModelError(f"phase must be '{_HEATING}' or '{_COOLING}', got {phase!r}")
     if not 0.0 < window_fraction <= 1.0:
         raise ModelError("window_fraction must lie in (0, 1]")
-    mask = trace.heating if phase == _HEATING else trace.cooling
+    part = trace.heating if phase == _HEATING else trace.cooling
     start = 0.0 if phase == _HEATING else trace.t_qub
-    fit = _fit_window(trace.times[mask] - start, trace.delta_T[mask],
+    fit = _fit_window(trace.times[part] - start, trace.delta_T[part],
                       window_fraction, phase)
     return replace(fit, alpha=float(fit.alpha), dT0=float(fit.dT0), r2=float(fit.r2))
 
@@ -572,13 +590,19 @@ def trace_to_csv(trace: QubTrace) -> str:
     re-reading a trace is lossless and byte-deterministic.
     """
     lines = [_TRACE_HEADER]
-    for t, dT, p, ph in zip(trace.times, trace.delta_T, trace.power, trace.phase):
-        lines.append(f"{float(t)!r},{float(dT)!r},{float(p)!r},{ph}")
+    n = trace.n_heating
+    rows = zip(trace.times.tolist(), trace.delta_T.tolist(), trace.power.tolist())
+    for i, (t, dT, p) in enumerate(rows):
+        lines.append(f"{t!r},{dT!r},{p!r},{_HEATING if i < n else _COOLING}")
     return "\n".join(lines) + "\n"
 
 
 def trace_from_csv(text: str) -> QubTrace:
-    """Parse a trace CSV produced by :func:`trace_to_csv`."""
+    """Parse a trace CSV produced by :func:`trace_to_csv`.
+
+    The phase column must hold only ``heating`` and ``cooling`` labels,
+    start with heating, end with cooling and switch exactly once.
+    """
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines or lines[0].strip() != _TRACE_HEADER:
         raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
@@ -594,5 +618,13 @@ def trace_from_csv(text: str) -> QubTrace:
         except ValueError as exc:
             raise SchemaError(f"trace line {i}: {exc}") from None
         phase.append(parts[3].strip())
+    unknown = set(phase) - {_HEATING, _COOLING}
+    if unknown:
+        raise SchemaError(f"unknown phase label(s): {sorted(unknown)}")
+    if not phase or phase[0] != _HEATING or phase[-1] != _COOLING:
+        raise SchemaError("trace must start with heating and end with cooling")
+    n_heating = phase.index(_COOLING)
+    if phase.count(_HEATING) != n_heating:
+        raise SchemaError("phase must switch exactly once")
     return QubTrace(times=np.array(times), delta_T=np.array(delta_T),
-                    power=np.array(power), phase=np.array(phase))
+                    power=np.array(power), n_heating=n_heating)

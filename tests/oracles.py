@@ -5,7 +5,8 @@ package: dense per-branch stamping instead of incidence assembly,
 implicit Euler stepping instead of matrix exponentials, ``np.polyfit``
 instead of hand-rolled normal equations, the quadratic formula instead
 of a general eigensolver, brute-force Monte Carlo instead of
-first-order propagation, and the design sweep's stacked rows of powers
+first-order propagation, the two-zone aggregate H straight from the
+2x2 conductance matrix, and the design sweep's stacked rows of powers
 cell by cell through the public single-record chain.
 """
 from __future__ import annotations
@@ -191,12 +192,36 @@ def first_order_degree_day_integrals(G, C, P, horizon, dT_start=0.0):
     return P * horizon, integral_dT
 
 
+def H_from_K(K, masses, temperatures):
+    """Two-zone aggregate H from the 2x2 nodal conductance matrix.
+
+    H = [(K11+K12)θ1 + (K12+K22)θ2] / [(m1θ1 + m2θ2)/(m1+m2)]
+
+    with θ measured relative to the (single) boundary temperature.  The
+    numerator is the total steady power leaving through the boundary;
+    the denominator is the mass-weighted mean rise.
+    """
+    K = np.asarray(K, dtype=float)
+    if K.shape != (2, 2):
+        raise q.ModelError(f"K must be 2x2, got {K.shape}")
+    m1, m2 = (float(m) for m in masses)
+    t1, t2 = (float(t) for t in temperatures)
+    if m1 <= 0.0 or m2 <= 0.0:
+        raise q.ModelError("masses must be positive")
+    mean = (m1 * t1 + m2 * t2) / (m1 + m2)
+    if mean == 0.0:
+        raise q.NumericalError("mass-weighted mean rise is zero; H undefined")
+    flux = (K[0, 0] + K[0, 1]) * t1 + (K[0, 1] + K[1, 1]) * t2
+    return float(flux / mean)
+
+
 def evaluate_cell(model, basis, template, ph, t_qub, H_ref, errors,
                   temp_weights=None, power_weights=None):
     """One design-sweep cell through the public single-record chain:
     simulate_qub → fit_slope → estimate_H → partials → error policy →
-    measurement_error → assemble_budget, any QubdoeError marking the
-    cell invalid (theta_max is kept once the simulation succeeded)."""
+    measurement_error → assemble_budget, any QubdoeError or a non-finite
+    budget marking the cell invalid (theta_max is kept once the
+    simulation succeeded)."""
     theta_max = nan
     try:
         sample_dt = template.sample_dt
@@ -220,6 +245,8 @@ def evaluate_cell(model, basis, template, ph, t_qub, H_ref, errors,
         else:
             resolved = errors.resolve(P_h, fit_h, fit_c)
         budget = q.assemble_budget(H_qub, H_ref, q.measurement_error(sens, resolved))
+        if not (np.isfinite(budget.eps_Hm) and np.isfinite(budget.eps_H_pct)):
+            raise q.NumericalError("error budget is not finite")
         return q.DoeCell(ph=ph, t_qub=t_qub, H_qub=H_qub,
                          eps_qub_pct=budget.eps_qub_pct, eps_Hm=budget.eps_Hm,
                          eps_H_pct=budget.eps_H_pct, theta_max=theta_max, valid=True)

@@ -14,7 +14,7 @@ import pytest
 
 import qubdoe as q
 from conftest import rng
-from oracles import implicit_euler_richardson, mc_measurement_sigma
+from oracles import H_from_K, implicit_euler_richardson, mc_measurement_sigma
 
 
 @pytest.fixture(scope="module")
@@ -261,7 +261,7 @@ def test_acceptance_10_conductance_cross_checks(bungalow, house):
     H_direct = total_P / mean_rise
 
     K = q.nodal_conductance_matrix(house, [z.air_node for z in house.zones])
-    H_K = q.H_from_K(K, masses, rises)
+    H_K = H_from_K(K, masses, rises)
 
     assert H_multi == pytest.approx(H_direct, rel=1e-10)
     assert H_K == pytest.approx(H_direct, rel=1e-10)

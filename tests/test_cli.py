@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output discipline."""
 from __future__ import annotations
 
+import math
 import shutil
 import subprocess
 import sys
@@ -59,7 +60,7 @@ class TestCheck:
 
 class TestEig:
     def test_structure(self, bungalow_path, capsys):
-        code, out, err = run_main(["eig", bungalow_path] + SHORT, capsys)
+        code, out, err = run_main(["eig", bungalow_path, "--tqub", "5400"], capsys)
         assert code == 0
         lines = out.splitlines()
         assert lines[0] == "mode_index,tau_s,lambda_per_s,init_amp,input_amp,class"
@@ -101,6 +102,30 @@ class TestGains:
         _, out, _ = run_main(["gains", house_path], capsys)
         kinds = {r.split(",")[0] for r in out.splitlines()[1:]}
         assert "H_multizone" in kinds and "mean_temperature" in kinds
+
+    def test_boundary_override_moves_mean_temperature(self, house_path, capsys):
+        def mean_temperature(argv):
+            code, out, _ = run_main(["gains", house_path] + argv, capsys)
+            assert code == 0
+            (row,) = [r for r in out.splitlines() if r.startswith("mean_temperature,")]
+            return float(row.split(",")[3])
+
+        assert mean_temperature([]) == 0.0
+        assert 0.0 < mean_temperature(["--set", "T_g=14"]) < 14.0
+
+
+class TestCliSurface:
+    """Each command accepts only the flags it uses."""
+
+    @pytest.mark.parametrize("command, flag", [
+        ("eig", "--pc"), ("eig", "--window"), ("eig", "--dt"),
+        ("gains", "--ph"), ("gains", "--pc"), ("gains", "--tqub"),
+        ("gains", "--window"), ("gains", "--dt"),
+    ])
+    def test_unused_flag_is_a_usage_error(self, command, flag, bungalow_path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, bungalow_path, flag, "60"])
+        assert exc.value.code == 2
 
 
 class TestSimulateEstimate:
@@ -193,6 +218,27 @@ class TestSweepOptimum:
         assert err.startswith("error: numerical:")
         assert "max_indoor_temperature" in err
         assert not path.exists()
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    @pytest.mark.parametrize("flag, field", [("--eps-dt", "eps_dT"),
+                                             ("--eps-p-rel", "eps_P_rel"),
+                                             ("--eps-alpha", "eps_alpha")])
+    def test_negative_uncertainty_exits_3(self, command, flag, field,
+                                          bungalow_path, capsys):
+        code, out, err = run_main(
+            [command, bungalow_path, flag, "-0.01"] + self.RANGES, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and field in err
+
+    def test_optimum_skips_cells_with_non_finite_budget(self, bungalow_path, capsys):
+        # at 1e-150 W and 1e150 W the budget under- or overflows
+        code, out, _ = run_main(
+            ["optimum", bungalow_path, "--ph-range", "1e-300:1e300:5",
+             "--t-range", "3600:7200:2"], capsys)
+        assert code == 0
+        fields = dict(item.split("=") for item in out.split())
+        assert fields["ph_W"] == "1.0"
+        assert math.isfinite(float(fields["eps_H_pct"]))
 
     def test_bad_range_spec_exits_2(self, bungalow_path, capsys):
         with pytest.raises(SystemExit) as exc:

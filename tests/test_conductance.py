@@ -6,7 +6,8 @@ import pytest
 
 import qubdoe as q
 from conftest import make_divider, make_first_order, make_ladder
-from oracles import (first_order_degree_day_integrals, stamped_steady_state)
+from oracles import (H_from_K, first_order_degree_day_integrals,
+                     stamped_steady_state)
 
 
 class TestStaticGains:
@@ -102,7 +103,7 @@ class TestZoneAggregation:
 
     def test_H_from_K_requires_two_zones(self):
         with pytest.raises(q.ModelError, match="2x2"):
-            q.H_from_K(np.array([[42.0]]), np.array([1.0]), np.array([5.0]))
+            H_from_K(np.array([[42.0]]), np.array([1.0]), np.array([5.0]))
 
     def test_H_from_K_hand_value(self):
         K = np.array([[30.0, -10.0], [-10.0, 25.0]])
@@ -110,23 +111,13 @@ class TestZoneAggregation:
         theta = np.array([6.0, 3.0])
         want = ((30.0 - 10.0) * 6.0 + (-10.0 + 25.0) * 3.0) \
             / ((2.0 * 6.0 + 1.0 * 3.0) / 3.0)
-        assert q.H_from_K(K, masses, theta) == pytest.approx(want, rel=1e-12)
+        assert H_from_K(K, masses, theta) == pytest.approx(want, rel=1e-12)
 
     def test_H_from_K_equal_temperatures(self):
         # equal zone temperatures: H is the sum of all exterior paths
         K = np.array([[30.0, -10.0], [-10.0, 25.0]])
-        H = q.H_from_K(K, np.array([2.0, 1.0]), np.array([4.0, 4.0]))
+        H = H_from_K(K, np.array([2.0, 1.0]), np.array([4.0, 4.0]))
         assert H == pytest.approx((30.0 - 10.0) + (25.0 - 10.0))
-
-    def test_elementwise_H(self):
-        # two elements seeing different boundary differences
-        U = np.array([1.5, 0.5])
-        A = np.array([10.0, 20.0])
-        dT = np.array([8.0, 4.0])
-        masses = np.array([3.0, 1.0])
-        got = q.elementwise_H(U, A, dT, masses)
-        want = (1.5 * 10 * 8 + 0.5 * 20 * 4) * 4.0 / (3.0 * 8 + 1.0 * 4)
-        assert got == pytest.approx(want)
 
 
 class TestDegreeDay:
@@ -169,17 +160,10 @@ class TestDegreeDay:
 
 
 class TestReport:
-    def test_areal(self):
-        assert q.areal_H(50.0, 25.0) == pytest.approx(2.0)
-        with pytest.raises(q.QubdoeError):
-            q.areal_H(50.0, 0.0)
-
-    def test_bungalow_report(self, bungalow, bungalow_model):
-        report = q.conductance_report(bungalow_model, "P_heat", "air",
-                                      area=bungalow.zones[0].floor_area)
+    def test_bungalow_report(self, bungalow_model):
+        report = q.conductance_report(bungalow_model, "P_heat", "air")
         assert report.H == pytest.approx(
             q.reference_H_single(bungalow_model, "P_heat", "air"))
         assert report.R == pytest.approx(1.0 / report.H)
-        assert report.areal_H == pytest.approx(report.H / 13.5)
         assert report.temperature_gain_sums == pytest.approx(
             np.ones(len(report.output_names)), abs=1e-10)

@@ -135,6 +135,19 @@ class TestAgainstPerCellReference:
                 [28800.0], q.ErrorPolicy(), 51.1)
         assert_matches_reference(q.sweep(*args), reference_sweep(*args))
 
+    # the per-cell reference chain runs without the sweep's errstate guard
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_budgets_are_invalid(self, bungalow_model):
+        # at 1e-150 W and 1e150 W the error budget under- or overflows
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=10800.0)
+        args = (bungalow_model, template, np.geomspace(1e-300, 1e300, 5),
+                [3600.0, 7200.0], q.ErrorPolicy(), 51.1)
+        grid = q.sweep(*args)
+        assert_matches_reference(grid, reference_sweep(*args))
+        for row in grid.cells:
+            assert [c.valid for c in row] == [c.ph == 1.0 for c in row]
+            assert all(np.isfinite(c.eps_H_pct) == c.valid for c in row)
+
 
 class TestNoWarnings:
     def test_invalid_and_sub_maintenance_cells_are_silent(self):

@@ -148,6 +148,12 @@ class TestErrorPolicy:
         errors = policy.resolve(2000.0, *self.fits())
         assert errors.eps_P == pytest.approx(33.0)
 
+    @pytest.mark.parametrize("field", ["eps_dT", "eps_P_rel", "eps_P_abs", "eps_alpha"])
+    def test_negative_values_rejected(self, field):
+        with pytest.raises(q.ModelError, match=field):
+            q.ErrorPolicy(**{field: -0.01})
+        q.ErrorPolicy(**{field: 0.0})
+
 
 class TestBudget:
     def test_intrinsic(self):

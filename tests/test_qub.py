@@ -65,10 +65,9 @@ class TestSimulate:
         trace = q.simulate_qub(first_order_model(), proto())
         assert trace.t_qub == pytest.approx(10_000.0)
         assert np.all(np.diff(trace.times) > 0.0)
-        labels = set(trace.phase.tolist())
-        assert labels == {"heating", "cooling"}
-        switches = sum(1 for a, b in zip(trace.phase, trace.phase[1:]) if a != b)
-        assert switches == 1
+        # the heating phase owns the switch sample; both phases have 120 steps
+        assert trace.n_heating == 121 and trace.times.size == 241
+        assert trace.times[trace.n_heating - 1] == trace.t_qub
         assert np.all(trace.power[trace.heating] == 1000.0)
         assert np.all(trace.power[trace.cooling] == 0.0)
 
@@ -113,9 +112,7 @@ class TestFitSlope:
         t = np.linspace(0.0, 9000.0, 61)
         y = 3.0 + 4.0e-4 * t
         power = np.full_like(t, 100.0)
-        phase = np.array(["heating"] * 31 + ["cooling"] * 30)
-        y2 = y.copy()
-        trace = q.QubTrace(times=t, delta_T=y2, power=power, phase=phase)
+        trace = q.QubTrace(times=t, delta_T=y.copy(), power=power, n_heating=31)
         fit = q.fit_slope(trace, "heating", window_fraction=0.5)
         assert fit.alpha == pytest.approx(4.0e-4, rel=1e-12)
         assert fit.r2 == pytest.approx(1.0)
@@ -304,10 +301,9 @@ class TestEstimateFromTrace:
 
     def test_constant_trace_degenerate(self):
         t = np.linspace(0.0, 1000.0, 40)
-        phase = np.array(["heating"] * 20 + ["cooling"] * 20)
         trace = q.QubTrace(times=t, delta_T=np.full_like(t, 5.0),
                            power=np.where(np.arange(40) < 20, 100.0, 0.0),
-                           phase=phase)
+                           n_heating=20)
         with pytest.raises(q.NumericalError):
             q.estimate_from_trace(trace)
 
@@ -341,10 +337,22 @@ class TestTraceCsv:
 
     def test_trace_validation(self):
         t = np.linspace(0.0, 100.0, 10)
-        phase = np.array(["heating"] * 5 + ["cooling"] * 5)
         with pytest.raises(q.SchemaError):
             q.QubTrace(times=t[::-1], delta_T=np.zeros(10),
-                       power=np.zeros(10), phase=phase)
-        with pytest.raises(q.SchemaError):
-            q.QubTrace(times=t, delta_T=np.zeros(10), power=np.zeros(10),
-                       phase=np.array(["cooling"] * 5 + ["heating"] * 5))
+                       power=np.zeros(10), n_heating=5)
+        # both phases must be non-empty, and the count a whole number
+        for n_heating in (0, 10, 5.0):
+            with pytest.raises(q.SchemaError):
+                q.QubTrace(times=t, delta_T=np.zeros(10), power=np.zeros(10),
+                           n_heating=n_heating)
+
+    @pytest.mark.parametrize("labels, match", [
+        (["heating"] * 3 + ["warming"] + ["cooling"] * 3, "unknown phase label"),
+        (["cooling"] * 4 + ["heating"] * 3, "start with heating"),
+        (["heating"] * 4 + ["cooling"] * 2 + ["heating"], "end with cooling"),
+        (["heating"] * 2 + ["cooling", "heating"] + ["cooling"] * 3, "exactly once"),
+    ])
+    def test_phase_labels_validated(self, labels, match):
+        rows = "".join(f"{float(i)},0.0,0.0,{label}\n" for i, label in enumerate(labels))
+        with pytest.raises(q.SchemaError, match=match):
+            q.trace_from_csv("t_s,dT_K,power_W,phase\n" + rows)
