@@ -30,13 +30,10 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
-from qubdoe import (ClassThresholds, ErrorPolicy, QubProtocol, ThermalCircuit,
+from qubdoe import (ClassThresholds, QubProtocol, ThermalCircuit,
                     circuit_to_json, classify_modes, eigendecompose,
                     estimate_from_trace, initial_state, modal_decomposition,
-                    overall_H_multizone, parse_building, reference_H_single,
-                    simulate_qub, to_state_space, zone_heat_inputs)
+                    parse_building, reference_H, simulate_qub, to_state_space)
 from qubdoe.network import Branch, FlowSource, Node, Zone
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qubdoe" / "data"
@@ -230,12 +227,8 @@ def report(circuit: ThermalCircuit) -> None:
     print(f"== {circuit.name}: {model.n_states} states, "
           f"inputs {model.input_names}")
 
-    if len(circuit.zones) > 1:
-        powers = {z.id: z.air_mass for z in circuit.zones}
-        H = overall_H_multizone(model, powers, 0.0, circuit.zones,
-                                zone_inputs=zone_heat_inputs(circuit))
-    else:
-        H = reference_H_single(model, model.flow_inputs[0], model.output_names[0])
+    # uniform weights, as in the simulations below
+    H = reference_H(model)
     print(f"   H_ref = {H:.2f} W/K")
 
     basis = eigendecompose(model)

@@ -9,9 +9,7 @@ budget to the estimate, and sweeps power/duration grids to find the
 design with the smallest expected error.
 """
 from .buildings import bungalow_json, house_json, load_bungalow, load_house
-from .conductance import (ConductanceReport, conductance_report, degree_day_H,
-                          mean_zone_temperature, overall_H_multizone,
-                          reference_H_single, static_gains)
+from .conductance import degree_day_H, reference_H, static_gains
 from .doe import (GRID_HEADER, DesignConstraints, DoeCell, DoeGrid,
                   default_axes, export_grid, grid_to_csv, select_optimum,
                   sweep)
@@ -26,7 +24,7 @@ from .modal import (ClassThresholds, EigenBasis, ModalDecomposition,
 from .network import (Branch, FlowSource, Node, StateSpaceModel,
                       ThermalCircuit, Zone, circuit_to_json,
                       nodal_conductance_matrix, parse_building, steady_state,
-                      to_state_space, zone_heat_inputs)
+                      to_state_space)
 from .qub import (QubEstimate, QubProtocol, QubTrace, SlopeFit,
                   analytic_slopes, estimate_C, estimate_H,
                   estimate_from_trace, first_order_response, fit_slope,
@@ -41,16 +39,14 @@ __all__ = [
     # network
     "Node", "Branch", "FlowSource", "Zone", "ThermalCircuit",
     "parse_building", "circuit_to_json", "steady_state",
-    "nodal_conductance_matrix", "zone_heat_inputs", "StateSpaceModel",
+    "nodal_conductance_matrix", "StateSpaceModel",
     "to_state_space",
     # modal
     "EigenBasis", "eigendecompose", "initial_state", "state_at",
     "step_response", "ModalDecomposition", "modal_decomposition",
     "ClassThresholds", "classify_modes",
     # conductance
-    "static_gains", "reference_H_single", "mean_zone_temperature",
-    "overall_H_multizone", "degree_day_H", "ConductanceReport",
-    "conductance_report",
+    "static_gains", "reference_H", "degree_day_H",
     # qub
     "QubProtocol", "QubTrace", "SlopeFit", "QubEstimate", "simulate_qub",
     "fit_slope", "estimate_H", "estimate_C", "recover_C",

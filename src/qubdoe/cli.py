@@ -12,18 +12,18 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 import numpy as np
 
 from . import __version__
-from .conductance import conductance_report, overall_H_multizone, reference_H_single, static_gains
+from .conductance import reference_H, static_gains
 from .doe import (DesignConstraints, default_axes, grid_to_csv, select_optimum,
                   sweep)
 from .error_budget import ErrorPolicy
 from .exceptions import ModelError, NumericalError, SchemaError
 from .modal import classify_modes, initial_state, modal_decomposition
-from .network import (StateSpaceModel, ThermalCircuit, parse_building,
-                      to_state_space, zone_heat_inputs)
+from .network import StateSpaceModel, ThermalCircuit, parse_building, to_state_space
 from .qub import (QubProtocol, _protocol_setup, estimate_from_trace, simulate_qub,
                   trace_from_csv, trace_to_csv)
 
@@ -186,12 +186,14 @@ def _load_circuit(path: str) -> ThermalCircuit:
 
 def _indoor_model(circuit: ThermalCircuit):
     """Model with indoor-temperature outputs plus the averaging and
-    power-split weights (zone air masses when zones are declared)."""
+    power-split weights (zone air masses when zones are declared, each
+    zone's share split evenly among the heaters at its air node)."""
     if circuit.zones:
         outputs = [z.air_node for z in circuit.zones]
         temp_weights = np.array([z.air_mass for z in circuit.zones])
         mass_at = {z.air_node: z.air_mass for z in circuit.zones}
-        power_weights = np.array([mass_at.get(fs.node, 0.0)
+        heaters_at = Counter(fs.node for fs in circuit.flow_sources)
+        power_weights = np.array([mass_at.get(fs.node, 0.0) / heaters_at[fs.node]
                                   for fs in circuit.flow_sources])
         if power_weights.sum() <= 0.0:
             power_weights = None
@@ -216,27 +218,18 @@ def _protocol(args) -> QubProtocol:
     )
 
 
-def _reference_H(circuit: ThermalCircuit, model: StateSpaceModel, T_o: float) -> float:
-    if len(circuit.zones) > 1:
-        powers = {z.id: z.air_mass for z in circuit.zones}
-        return overall_H_multizone(model, powers, T_o, circuit.zones,
-                                   zone_inputs=zone_heat_inputs(circuit))
-    if not model.flow_inputs:
-        raise ModelError("building declares no heat-flow source")
-    return reference_H_single(model, model.flow_inputs[0], model.output_names[0])
-
-
 def _setup(args, model: StateSpaceModel, temp_weights, power_weights):
     return _protocol_setup(model, args.to, dict(args.boundary),
                            temp_weights, power_weights)
 
 
-def _axes(args, model: StateSpaceModel, H_ref: float, temp_weights,
+def _axes(args, model: StateSpaceModel, temp_weights,
           power_weights) -> tuple[np.ndarray, np.ndarray]:
     if args.ph_range is None or args.t_range is None:
         # mean indoor temperature of the pre-experiment steady state
         setup = _setup(args, model, temp_weights, power_weights)
         theta0 = float(setup.indoor_mean(static_gains(model) @ setup.inputs(args.p0)))
+        H_ref = reference_H(model, temp_weights, power_weights)
         ph_default, t_default = default_axes(H_ref, H_ref * (theta0 - args.to))
     if args.ph_range is not None:
         lo, hi, n = args.ph_range
@@ -258,11 +251,10 @@ def _axes(args, model: StateSpaceModel, H_ref: float, temp_weights,
 def _run_sweep(args):
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
-    H_ref = _reference_H(circuit, model, args.to)
-    ph_values, t_values = _axes(args, model, H_ref, temp_weights, power_weights)
+    ph_values, t_values = _axes(args, model, temp_weights, power_weights)
     policy = ErrorPolicy(eps_dT=args.eps_dt, eps_P_rel=args.eps_p_rel,
                          eps_alpha=args.eps_alpha)
-    return sweep(model, _protocol(args), ph_values, t_values, policy, H_ref,
+    return sweep(model, _protocol(args), ph_values, t_values, policy,
                  temp_weights=temp_weights, power_weights=power_weights)
 
 
@@ -299,20 +291,21 @@ def _cmd_gains(args) -> str:
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
     setup = _setup(args, model, temp_weights, power_weights)
-    report = conductance_report(model, model.flow_inputs[0], model.output_names[0])
+    gains = static_gains(model)
+    H = reference_H(model, temp_weights, power_weights)
+    temp_cols = [j for j, kind in enumerate(model.input_kinds) if kind == "temperature"]
+    temp_sums = gains[:, temp_cols].sum(axis=1)
     lines = ["record,output,input,value"]
-    for i, out in enumerate(report.output_names):
-        for j, inp in enumerate(report.input_names):
-            lines.append(f"gain,{out},{inp},{_fmt(report.static_gain_matrix[i, j])}")
-    for i, out in enumerate(report.output_names):
-        lines.append(f"temp_gain_sum,{out},,{_fmt(report.temperature_gain_sums[i])}")
-    lines.append(f"H,,,{_fmt(report.H)}")
-    lines.append(f"R,,,{_fmt(report.R)}")
-    if len(circuit.zones) > 1:
-        H_multi = _reference_H(circuit, model, args.to)
-        lines.append(f"H_multizone,,,{_fmt(H_multi)}")
+    for i, out in enumerate(model.output_names):
+        for j, inp in enumerate(model.input_names):
+            lines.append(f"gain,{out},{inp},{_fmt(gains[i, j])}")
+    for i, out in enumerate(model.output_names):
+        lines.append(f"temp_gain_sum,{out},,{_fmt(temp_sums[i])}")
+    # the reference H that sweep measures its intrinsic error against
+    lines.append(f"H,,,{_fmt(H)}")
+    lines.append(f"R,,,{_fmt(1.0 / H)}")
     if circuit.zones:
-        steady = report.static_gain_matrix @ setup.inputs(args.p0)
+        steady = gains @ setup.inputs(args.p0)
         lines.append(f"mean_temperature,,,{_fmt(setup.indoor_mean(steady))}")
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,8 @@
 
 Each grid cell runs the full chain — simulate the two-pulse protocol,
 fit both phases, evaluate the estimators, propagate the error budget —
-for one (P_h, t_qub) pair against a reference H.  All cells of one
+for one (P_h, t_qub) pair against the reference H of the same
+experiment (:func:`~qubdoe.conductance.reference_H`).  All cells of one
 duration share their sample instants, exponential tables and fit
 windows; only the heating input differs.  The sweep therefore evaluates
 a duration's powers together, as stacked arrays, through the same
@@ -19,6 +20,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from .conductance import reference_H
 from .error_budget import (ErrorPolicy, MeasurementErrors, assemble_budget,
                            measurement_error, partials)
 from .exceptions import ModelError, NumericalError, QubdoeError
@@ -142,12 +144,17 @@ def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
 
 def _sweep_row(model: StateSpaceModel, basis: EigenBasis, template: QubProtocol,
                setup, ph_values: np.ndarray, t_qub: float, H_ref: float,
-               errors: ErrorPolicy | MeasurementErrors) -> tuple[DoeCell, ...]:
+               errors: ErrorPolicy | MeasurementErrors
+               ) -> tuple[tuple[DoeCell, ...], ModelError | None]:
+    """The cells of one duration, and the error of its fit windows when
+    they are too short to fit at that duration (the row is then invalid,
+    its peak temperatures kept)."""
     n_ph = ph_values.size
     # the DoeCell fields after ph and t_qub, in their order
     out = {name: np.full(n_ph, nan) for name in
            ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max")}
     out["valid"] = np.zeros(n_ph, dtype=bool)
+    window_error = None
     sample_dt = template.sample_dt
     if sample_dt is not None and sample_dt > t_qub / 20.0:
         sample_dt = None
@@ -167,14 +174,21 @@ def _sweep_row(model: StateSpaceModel, basis: EigenBasis, template: QubProtocol,
                                 ph_values[index], H_ref, errors, out, index)
             except QubdoeError:
                 pass  # a fit window or an error policy no cell can satisfy
+        if not out["valid"].any():
+            # were the fit windows too short?  They depend on the sample
+            # instants alone, so any record sampled at them tells
+            try:
+                _two_pulse_fits(rel, t_qub, rel, rel[1:], protocol.slope_window_fraction)
+            except ModelError as exc:
+                window_error = exc
     columns = (column.tolist() for column in out.values())
     return tuple(DoeCell(ph, float(t_qub), *fields)
-                 for ph, *fields in zip(ph_values.tolist(), *columns))
+                 for ph, *fields in zip(ph_values.tolist(), *columns)), window_error
 
 
 def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
           ph_values: Sequence[float], t_values: Sequence[float],
-          errors: ErrorPolicy | MeasurementErrors, H_ref: float,
+          errors: ErrorPolicy | MeasurementErrors,
           temp_weights=None, power_weights=None) -> DoeGrid:
     """Evaluate the error budget over a (P_h × t_qub) grid.
 
@@ -189,10 +203,10 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
         Fixed :class:`MeasurementErrors`, or an :class:`ErrorPolicy`
         resolved per cell (power-relative eps_P, slope error from the
         fit's own r²).
-    H_ref : float
-        Reference coefficient the intrinsic error is measured against.
     temp_weights, power_weights
-        As for :func:`~qubdoe.qub.simulate_qub`.
+        As for :func:`~qubdoe.qub.simulate_qub`; the intrinsic error is
+        measured against :func:`~qubdoe.conductance.reference_H` of the
+        model with the same weights.
 
     Returns
     -------
@@ -204,12 +218,14 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     Raises
     ------
     ModelError
-        On misuse that would void every cell, before any is evaluated:
-        a non-positive reference, empty axes, malformed weights, or
-        boundary temperatures naming no temperature input of the model.
+        On misuse that would void every cell: empty axes, malformed
+        weights or boundary temperatures naming no temperature input of
+        the model (before any cell is evaluated), or a fit window too
+        short to fit at every duration.
+    NumericalError
+        When the indoor temperature does not rise under the heaters, so
+        there is no reference H.
     """
-    if not H_ref > 0.0:
-        raise ModelError(f"H_ref must be positive, got {H_ref}")
     ph_values = np.asarray(ph_values, dtype=float)
     t_values = np.asarray(t_values, dtype=float)
     if ph_values.ndim != 1 or t_values.ndim != 1 or not ph_values.size or not t_values.size:
@@ -217,10 +233,14 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     setup = _protocol_setup(model, protocol_template.T_o,
                             protocol_template.boundary_temperatures,
                             temp_weights, power_weights)
+    H_ref = reference_H(model, temp_weights, power_weights)
     basis = eigendecompose(model)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = tuple(_sweep_row(model, basis, protocol_template, setup, ph_values,
-                                t, H_ref, errors) for t in t_values)
+        rows, window_errors = zip(*(
+            _sweep_row(model, basis, protocol_template, setup, ph_values, t,
+                       H_ref, errors) for t in t_values))
+    if all(error is not None for error in window_errors):
+        raise window_errors[0]
     return DoeGrid(ph_values=ph_values, t_values=t_values, cells=rows)
 
 

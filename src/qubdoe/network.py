@@ -49,7 +49,6 @@ __all__ = [
     "steady_state",
     "to_state_space",
     "nodal_conductance_matrix",
-    "zone_heat_inputs",
 ]
 
 
@@ -537,27 +536,6 @@ def nodal_conductance_matrix(circuit: ThermalCircuit,
     K_ko = K[np.ix_(kept, others)]
     K_oo = K[np.ix_(others, others)]
     return K_kk - K_ko @ np.linalg.solve(K_oo, K_ko.T)
-
-
-def zone_heat_inputs(circuit: ThermalCircuit) -> dict[str, str]:
-    """Map each zone id to the flow source injecting at its air node.
-
-    Raises
-    ------
-    ModelError
-        If a zone has no heat input, or several.
-    """
-    mapping: dict[str, str] = {}
-    for zone in circuit.zones:
-        names = [fs.source_name for fs in circuit.flow_sources if fs.node == zone.air_node]
-        if not names:
-            raise ModelError(f"zone '{zone.id}' has no flow source at node "
-                             f"'{zone.air_node}'")
-        if len(names) > 1:
-            raise ModelError(f"zone '{zone.id}' has several flow sources: "
-                             + ", ".join(names))
-        mapping[zone.id] = names[0]
-    return mapping
 
 
 # ---------------------------------------------------------------------------

@@ -255,9 +255,11 @@ def evaluate_cell(model, basis, template, ph, t_qub, H_ref, errors,
                          eps_Hm=nan, eps_H_pct=nan, theta_max=theta_max, valid=False)
 
 
-def reference_sweep(model, template, ph_values, t_values, errors, H_ref,
+def reference_sweep(model, template, ph_values, t_values, errors,
                     temp_weights=None, power_weights=None):
-    """The sweep grid evaluated one cell at a time by :func:`evaluate_cell`."""
+    """The sweep grid evaluated one cell at a time by :func:`evaluate_cell`,
+    against the reference H of the same weights."""
+    H_ref = q.reference_H(model, temp_weights, power_weights)
     basis = q.eigendecompose(model)
     rows = tuple(
         tuple(evaluate_cell(model, basis, template, float(ph), float(t), H_ref,

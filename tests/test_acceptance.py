@@ -213,13 +213,11 @@ def test_acceptance_09_design_map_structure_on_bungalow_within_60s(bungalow):
     and a 3 h pulse exhibits all five mode classes a-e."""
     start = time.perf_counter()
     model = indoor_model(bungalow)
-    H_ref = q.reference_H_single(model, model.flow_inputs[0],
-                                 model.output_names[0])
+    H_ref = q.reference_H(model)
     ph_values, t_values = q.default_axes(H_ref, maintenance_power=0.0)
     template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
                              t_qub=10800.0)
-    grid = q.sweep(model, template, ph_values, t_values, q.ErrorPolicy(),
-                   H_ref)
+    grid = q.sweep(model, template, ph_values, t_values, q.ErrorPolicy())
     violations = [
         (cell.ph, cell.t_qub, cell.eps_qub_pct)
         for row in grid.cells for cell in row
@@ -249,12 +247,11 @@ def test_acceptance_10_conductance_cross_checks(bungalow, house):
     shares = total_P * masses / masses.sum()
     powers = {z.id: float(p) for z, p in zip(house.zones, shares)}
 
-    H_multi = q.overall_H_multizone(model, powers, 0.0, house.zones,
-                                    zone_inputs=q.zone_heat_inputs(house))
+    H_house = q.reference_H(model, masses, masses)
 
+    heater_at = {fs.node: fs.source_name for fs in house.flow_sources}
     sources = {name: 0.0 for name in house.temperature_sources}
-    sources.update({q.zone_heat_inputs(house)[z.id]: powers[z.id]
-                    for z in house.zones})
+    sources.update({heater_at[z.air_node]: powers[z.id] for z in house.zones})
     theta = q.steady_state(house, sources)
     rises = np.array([theta[z.air_node] for z in house.zones])
     mean_rise = float(masses @ rises) / float(masses.sum())
@@ -263,12 +260,11 @@ def test_acceptance_10_conductance_cross_checks(bungalow, house):
     K = q.nodal_conductance_matrix(house, [z.air_node for z in house.zones])
     H_K = H_from_K(K, masses, rises)
 
-    assert H_multi == pytest.approx(H_direct, rel=1e-10)
+    assert H_house == pytest.approx(H_direct, rel=1e-10)
     assert H_K == pytest.approx(H_direct, rel=1e-10)
 
     bmodel = indoor_model(bungalow)
-    H_ref = q.reference_H_single(bmodel, bmodel.flow_inputs[0],
-                                 bmodel.output_names[0])
+    H_ref = q.reference_H(bmodel)
     basis = q.eigendecompose(bmodel)
     tau_max = float((-1.0 / basis.eigenvalues).max())
     P = 1200.0
@@ -284,16 +280,14 @@ def test_acceptance_11_sweeps_byte_identical_across_runs(bungalow):
     """Identical sweep inputs give byte-identical CSV output on repeat
     runs within one process."""
     model = indoor_model(bungalow)
-    H_ref = q.reference_H_single(model, model.flow_inputs[0],
-                                 model.output_names[0])
+    H_ref = q.reference_H(model)
     template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
                              t_qub=10800.0)
     ph_values = np.geomspace(H_ref, 4.0 * H_ref, 6)
     t_values = np.linspace(7200.0, 28800.0, 5)
 
     def render():
-        grid = q.sweep(model, template, ph_values, t_values, q.ErrorPolicy(),
-                       H_ref)
+        grid = q.sweep(model, template, ph_values, t_values, q.ErrorPolicy())
         return q.grid_to_csv(grid).encode("utf-8")
 
     reference = render()

@@ -1,11 +1,13 @@
 """Command-line interface: subcommands, exit codes, output discipline."""
 from __future__ import annotations
 
+import json
 import math
 import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import qubdoe as q
@@ -101,7 +103,15 @@ class TestGains:
     def test_two_zone_adds_aggregate(self, house_path, capsys):
         _, out, _ = run_main(["gains", house_path], capsys)
         kinds = {r.split(",")[0] for r in out.splitlines()[1:]}
-        assert "H_multizone" in kinds and "mean_temperature" in kinds
+        assert "mean_temperature" in kinds and "H_multizone" not in kinds
+
+    def test_H_is_the_sweep_reference(self, house, house_model, house_path, capsys):
+        code, out, _ = run_main(["gains", house_path], capsys)
+        assert code == 0
+        (H,) = [float(r.split(",")[3]) for r in out.splitlines() if r.startswith("H,")]
+        masses = [z.air_mass for z in house.zones]
+        assert H == q.reference_H(house_model, masses, masses)
+        assert H == pytest.approx(113.8295918592700, rel=1e-12)
 
     def test_boundary_override_moves_mean_temperature(self, house_path, capsys):
         def mean_temperature(argv):
@@ -240,6 +250,12 @@ class TestSweepOptimum:
         assert fields["ph_W"] == "1.0"
         assert math.isfinite(float(fields["eps_H_pct"]))
 
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    def test_window_no_row_can_fit_exits_3(self, command, bungalow_path, capsys):
+        code, out, err = run_main([command, bungalow_path, "--window", "1e-4"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "window holds only" in err
+
     def test_bad_range_spec_exits_2(self, bungalow_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", bungalow_path, "--ph-range", "10:20"])
@@ -250,6 +266,64 @@ class TestSweepOptimum:
             ["sweep", bungalow_path, "--ph-range", "0:100:3",
              "--t-range", "7200:7200:1"], capsys)
         assert code == 3 and "positive" in err
+
+
+def floor_heated_building(tmp_path, zones):
+    """Air over a heavy floor with a floor heater listed before the air
+    heater; the zone, when declared, puts all the power on the air."""
+    doc = {
+        "nodes": [{"id": "air", "capacity": 2.0e5},
+                  {"id": "floor", "capacity": 4.0e6}],
+        "branches": [
+            {"id": "vent", "from": "REF", "to": "air", "conductance": 30.0,
+             "temperature_source": "T_o"},
+            {"id": "skin", "from": "air", "to": "floor", "conductance": 200.0},
+            {"id": "ground", "from": "REF", "to": "floor", "conductance": 20.0,
+             "temperature_source": "T_o"},
+        ],
+        "flow_sources": [{"node": "floor", "source_name": "P_floor"},
+                         {"node": "air", "source_name": "P_air"}],
+    }
+    if zones:
+        doc["zones"] = [{"id": "z", "air_node": "air", "floor_area": 50.0,
+                         "air_mass": 150.0}]
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestReference:
+    """The intrinsic error is measured against the H of the same power
+    split and indoor weighting as the simulated experiment."""
+
+    @pytest.mark.parametrize("zones", [True, False], ids=["air-zone", "no-zones"])
+    def test_long_pulse_recovers_reference(self, zones, tmp_path, capsys):
+        path = floor_heated_building(tmp_path, zones)
+        code, out, _ = run_main(["sweep", path, "--ph-range", "1000:1000:1",
+                                 "--t-range", "864000:864000:1"], capsys)
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert row["valid"] == "1"
+        assert abs(float(row["eps_qub_pct"])) < 1e-9
+
+    def test_zone_share_splits_across_its_heaters(self, house_path, tmp_path, capsys):
+        # two equal zones, zone 1 heated by two sources: power still
+        # splits 1:1 between the zones, as with one heater each
+        doc = json.loads(q.house_json())
+        doc["flow_sources"].append({"node": "air_z1", "source_name": "P_z1b"})
+        path = tmp_path / "two_heaters.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+        def trace(building):
+            code, out, _ = run_main(["simulate", building] + SHORT, capsys)
+            assert code == 0
+            return q.trace_from_csv(out)
+
+        split, twin = trace(str(path)), trace(house_path)
+        assert np.array_equal(split.times, twin.times)
+        assert split.delta_T == pytest.approx(twin.delta_T, rel=1e-12, abs=1e-12)
+        code, out, _ = run_main(["sweep", str(path)] + TestSweepOptimum.RANGES, capsys)
+        assert code == 0 and out.count(",1\n") > 0
 
 
 class TestConsoleScript:

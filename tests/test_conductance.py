@@ -1,5 +1,8 @@
-"""Static gains, heat-loss coefficients, and their aggregation routes."""
+"""Static gains, the reference heat-loss coefficient, and the routes
+that cross-check it."""
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -42,15 +45,26 @@ class TestStaticGains:
             assert sums == pytest.approx(np.ones(len(sums)), abs=1e-10)
 
 
+def mean_rise_H(circuit, model, temp_weights, power_weights, T_o=0.0):
+    """Total power over the weighted mean steady rise, from the stamping
+    oracle: 1000 W split by ``power_weights``, boundaries at ``T_o``."""
+    shares = 1000.0 * np.asarray(power_weights) / np.sum(power_weights)
+    values = {name: T_o for name in model.temperature_inputs}
+    values.update(zip(model.flow_inputs, shares))
+    theta = stamped_steady_state(circuit, values)
+    rises = np.array([theta[name] - T_o for name in model.output_names])
+    return 1000.0 / (np.dot(temp_weights, rises) / np.sum(temp_weights))
+
+
 class TestReferenceH:
     def test_first_order(self):
         model = q.to_state_space(make_first_order(G=100.0), ["air"])
-        assert q.reference_H_single(model, "P", "air") == pytest.approx(100.0)
+        assert q.reference_H(model) == pytest.approx(100.0)
 
     def test_ladder_equals_boundary_conductance(self):
         # all heat injected at the chain end leaves through the first link
         model = q.to_state_space(make_ladder(G=50.0), ["n4"])
-        H = q.reference_H_single(model, "P", "n4")
+        H = q.reference_H(model)
         # series chain: losses go through every link, so H is the series
         # combination of the five conductances
         gs = [50.0 * (1.0 + 0.1 * k) for k in range(5)]
@@ -58,48 +72,53 @@ class TestReferenceH:
         H_expected = 1.0 / sum(1.0 / g for g in gs)
         assert H == pytest.approx(H_expected, rel=1e-12)
 
-    def test_unknown_names(self, bungalow_model):
-        with pytest.raises(q.ModelError):
-            q.reference_H_single(bungalow_model, "nope", "air")
-        with pytest.raises(q.ModelError):
-            q.reference_H_single(bungalow_model, "P_heat", "nope")
-
     def test_bungalow_value(self, bungalow_model):
-        H = q.reference_H_single(bungalow_model, "P_heat", "air")
+        H = q.reference_H(bungalow_model)
         assert 45.0 < H < 58.0
+
+    def test_no_rise_rejected(self):
+        # the sensor sits on a branch of its own that the heater never reaches
+        circuit = q.parse_building(json.dumps({
+            "nodes": [{"id": "air", "capacity": 1.0e6},
+                      {"id": "shed", "capacity": 5.0e5}],
+            "branches": [
+                {"id": "loss", "from": "REF", "to": "air", "conductance": 100.0,
+                 "temperature_source": "T_o"},
+                {"id": "shed_loss", "from": "REF", "to": "shed",
+                 "conductance": 40.0, "temperature_source": "T_o"},
+            ],
+            "flow_sources": [{"node": "shed", "source_name": "P"}],
+        }))
+        model = q.to_state_space(circuit, ["air", "shed"])
+        assert q.reference_H(model, temp_weights=[0.0, 1.0]) == pytest.approx(40.0)
+        with pytest.raises(q.NumericalError, match="rise"):
+            q.reference_H(model, temp_weights=[1.0, 0.0])
+
+    def test_no_heat_input_rejected(self):
+        model = q.to_state_space(make_divider(), ["mid"])
+        with pytest.raises(q.ModelError, match="heat-flow"):
+            q.reference_H(model)
 
 
 class TestZoneAggregation:
-    def test_mean_zone_temperature_mass_weighted(self, house):
-        temps = {"z1": 20.0, "z2": 24.0}
-        mean = q.mean_zone_temperature(temps, house.zones, weighting="mass")
-        assert mean == pytest.approx(22.0)  # equal masses
-
-    def test_mean_zone_temperature_area_weighted(self):
-        zones = (q.Zone(id="a", air_node="x", floor_area=10.0, air_mass=1.0),
-                 q.Zone(id="b", air_node="y", floor_area=30.0, air_mass=1.0))
-        mean = q.mean_zone_temperature({"a": 20.0, "b": 24.0}, zones,
-                                       weighting="area")
-        assert mean == pytest.approx(23.0)
+    def test_mean_zone_temperature_mass_weighted(self, house, house_model):
+        masses = [z.air_mass for z in house.zones]
+        H = q.reference_H(house_model, masses, masses)
+        assert H == pytest.approx(mean_rise_H(house, house_model, masses, masses),
+                                  rel=1e-10)
 
     def test_overall_H_multizone_house(self, house, house_model):
-        powers = {z.id: 1000.0 for z in house.zones}
-        H = q.overall_H_multizone(house_model, powers, 0.0, house.zones,
-                                  zone_inputs=q.zone_heat_inputs(house))
-        assert 90.0 < H < 140.0
+        masses = [z.air_mass for z in house.zones]
+        assert 90.0 < q.reference_H(house_model, masses, masses) < 140.0
 
     def test_overall_H_independent_of_outdoor_level(self, house, house_model):
-        powers = {z.id: 800.0 for z in house.zones}
-        kwargs = dict(zones=house.zones, zone_inputs=q.zone_heat_inputs(house))
-        H0 = q.overall_H_multizone(house_model, powers, 0.0, **kwargs)
-        H9 = q.overall_H_multizone(house_model, powers, 9.0, **kwargs)
-        assert H9 == pytest.approx(H0, rel=1e-10)
+        masses = [z.air_mass for z in house.zones]
+        H9 = mean_rise_H(house, house_model, masses, masses, T_o=9.0)
+        assert q.reference_H(house_model, masses, masses) == pytest.approx(H9, rel=1e-10)
 
-    def test_zero_power_rejected(self, house, house_model):
-        with pytest.raises(q.QubdoeError):
-            q.overall_H_multizone(house_model, {"z1": 0.0, "z2": 0.0}, 0.0,
-                                  house.zones,
-                                  zone_inputs=q.zone_heat_inputs(house))
+    def test_zero_power_rejected(self, house_model):
+        with pytest.raises(q.ModelError, match="power_weights"):
+            q.reference_H(house_model, power_weights=[0.0, 0.0])
 
     def test_H_from_K_requires_two_zones(self):
         with pytest.raises(q.ModelError, match="2x2"):
@@ -161,9 +180,7 @@ class TestDegreeDay:
 
 class TestReport:
     def test_bungalow_report(self, bungalow_model):
-        report = q.conductance_report(bungalow_model, "P_heat", "air")
-        assert report.H == pytest.approx(
-            q.reference_H_single(bungalow_model, "P_heat", "air"))
-        assert report.R == pytest.approx(1.0 / report.H)
-        assert report.temperature_gain_sums == pytest.approx(
-            np.ones(len(report.output_names)), abs=1e-10)
+        # one heater and one sensor: H is the reciprocal of that static gain
+        K = q.static_gains(bungalow_model)
+        j = bungalow_model.input_names.index("P_heat")
+        assert q.reference_H(bungalow_model) == 1.0 / K[0, j]

@@ -20,7 +20,7 @@ def small_sweep(ph=(500.0, 1000.0, 2000.0), t=(4000.0, 8000.0),
     template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=P_c, t_qub=6000.0)
     if errors is None:
         errors = q.MeasurementErrors(eps_alpha=1.0e-6, eps_P=10.0, eps_dT=0.5)
-    return q.sweep(model, template, ph, t, errors, H_ref=100.0)
+    return q.sweep(model, template, ph, t, errors)
 
 
 def hand_cell(ph, t, eps=1.0, theta=30.0, valid=True):
@@ -74,18 +74,31 @@ class TestSweep:
         assert q.grid_to_csv(g1) == q.grid_to_csv(g2)
 
     def test_bad_reference_and_empty_axes(self):
-        circuit = make_first_order()
-        model = q.to_state_space(circuit, ["air"])
+        # the sensor node never sees the heater: there is no reference H
+        doc = {
+            "nodes": [{"id": "air", "capacity": 1.0e6},
+                      {"id": "shed", "capacity": 5.0e5}],
+            "branches": [
+                {"id": "loss", "from": "REF", "to": "air", "conductance": 100.0,
+                 "temperature_source": "T_o"},
+                {"id": "shed_loss", "from": "REF", "to": "shed",
+                 "conductance": 40.0, "temperature_source": "T_o"},
+            ],
+            "flow_sources": [{"node": "shed", "source_name": "P"}],
+        }
+        blind = q.to_state_space(q.parse_building(json.dumps(doc)), ["air"])
+        model = q.to_state_space(make_first_order(), ["air"])
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=6000.0)
         errors = q.MeasurementErrors(eps_alpha=0.0, eps_P=0.0, eps_dT=0.5)
+        with pytest.raises(q.NumericalError, match="rise"):
+            q.sweep(blind, template, [1000.0], [4000.0], errors)
         with pytest.raises(q.ModelError):
-            q.sweep(model, template, [1000.0], [4000.0], errors, H_ref=0.0)
-        with pytest.raises(q.ModelError):
-            q.sweep(model, template, [], [4000.0], errors, H_ref=100.0)
+            q.sweep(model, template, [], [4000.0], errors)
 
 
 def zone_weights(circuit):
-    """Temperature and power weights the CLI derives from zone air masses."""
+    """Temperature and power weights the CLI derives from zone air masses
+    (for buildings with one heater per zone, as both bundled ones)."""
     temp = np.array([z.air_mass for z in circuit.zones])
     mass_at = {z.air_node: z.air_mass for z in circuit.zones}
     power = np.array([mass_at.get(fs.node, 0.0) for fs in circuit.flow_sources])
@@ -95,7 +108,8 @@ def zone_weights(circuit):
 # (building, template fields, error model): warm starts off T_o = 0,
 # cooling power above some heating powers, a second boundary temperature,
 # a sampling step kept for long and dropped for short pulses, a window too
-# short to fit, and every way of setting the measurement errors
+# short to fit at the shorter durations, and every way of setting the
+# measurement errors
 REFERENCE_CASES = {
     "warm-start": ("bungalow", dict(T_o=5.0, P0=400.0), q.ErrorPolicy()),
     "cooling-power": ("bungalow", dict(P_c=300.0), q.ErrorPolicy(eps_alpha=2.0e-6)),
@@ -104,7 +118,8 @@ REFERENCE_CASES = {
                   q.ErrorPolicy(eps_P_abs=5.0)),
     "house-fixed": ("house", dict(T_o=-3.0, P0=200.0, sample_dt=60.0),
                     q.MeasurementErrors(eps_alpha=1.0e-6, eps_P=10.0, eps_dT=0.5)),
-    "short-window": ("bungalow", dict(slope_window_fraction=0.01), q.ErrorPolicy()),
+    "short-window": ("bungalow", dict(slope_window_fraction=0.01, sample_dt=60.0),
+                     q.ErrorPolicy()),
 }
 
 
@@ -118,12 +133,13 @@ class TestAgainstPerCellReference:
         template = q.QubProtocol(**{"T_o": 0.0, "P0": 0.0, "P_h": 1000.0,
                                     "P_c": 0.0, "t_qub": 43200.0, **fields})
         args = (model, template, np.geomspace(100.0, 3000.0, 7),
-                np.linspace(1800.0, 28800.0, 4), errors, 51.1, temp_weights,
-                power_weights)
+                np.linspace(1800.0, 28800.0, 4), errors, temp_weights, power_weights)
         grid = q.sweep(*args)
         assert_matches_reference(grid, reference_sweep(*args))
         if case == "short-window":
-            assert not any(c.valid for row in grid.cells for c in row)
+            # the windows of the two shortest durations hold < 3 samples
+            assert [any(c.valid for c in row) for row in grid.cells] == [
+                False, False, True, True]
         else:
             assert any(c.valid for row in grid.cells for c in row)
 
@@ -132,7 +148,7 @@ class TestAgainstPerCellReference:
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
                                  t_qub=10800.0, sample_dt=30.0)
         args = (bungalow_model, template, np.geomspace(60.0, 240.0, 40),
-                [28800.0], q.ErrorPolicy(), 51.1)
+                [28800.0], q.ErrorPolicy())
         assert_matches_reference(q.sweep(*args), reference_sweep(*args))
 
     # the per-cell reference chain runs without the sweep's errstate guard
@@ -141,7 +157,7 @@ class TestAgainstPerCellReference:
         # at 1e-150 W and 1e150 W the error budget under- or overflows
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=10800.0)
         args = (bungalow_model, template, np.geomspace(1e-300, 1e300, 5),
-                [3600.0, 7200.0], q.ErrorPolicy(), 51.1)
+                [3600.0, 7200.0], q.ErrorPolicy())
         grid = q.sweep(*args)
         assert_matches_reference(grid, reference_sweep(*args))
         for row in grid.cells:
@@ -151,32 +167,16 @@ class TestAgainstPerCellReference:
 
 class TestNoWarnings:
     def test_invalid_and_sub_maintenance_cells_are_silent(self):
-        # the sensor node never sees the heater, so every estimator
-        # quotient is 0/0; the cooling power voids the lowest heating
-        # power; the warm start puts the middle one below maintenance
-        doc = {
-            "nodes": [{"id": "air", "capacity": 1.0e6},
-                      {"id": "shed", "capacity": 5.0e5}],
-            "branches": [
-                {"id": "loss", "from": "REF", "to": "air", "conductance": 100.0,
-                 "temperature_source": "T_o"},
-                {"id": "shed_loss", "from": "REF", "to": "shed",
-                 "conductance": 40.0, "temperature_source": "T_o"},
-            ],
-            "flow_sources": [{"node": "shed", "source_name": "P"}],
-        }
-        blind = q.to_state_space(q.parse_building(json.dumps(doc)), ["air"])
+        # the cooling power voids the lowest heating power; the warm
+        # start puts the middle one below maintenance
         seeing = q.to_state_space(make_first_order(G=100.0, C=1.0e6), ["air"])
         template = q.QubProtocol(T_o=2.0, P0=500.0, P_h=1000.0, P_c=50.0,
                                  t_qub=6000.0)
         ph = [40.0, 300.0, 2000.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            blind_grid = q.sweep(blind, template, ph, [4000.0, 8000.0],
-                                 q.ErrorPolicy(), H_ref=100.0)
             grid = q.sweep(seeing, template, ph, [4000.0, 8000.0],
-                           q.ErrorPolicy(), H_ref=100.0)
-        assert not any(c.valid for row in blind_grid.cells for c in row)
+                           q.ErrorPolicy())
         assert [c.valid for c in grid.cells[0]] == [False, True, True]
         # below maintenance the peak is the starting temperature
         assert grid.cells[0][1].theta_max == pytest.approx(2.0 + 500.0 / 100.0)
@@ -189,7 +189,7 @@ class TestStructuralMisuse:
                                  boundary_temperatures={"T_bogus": 3.0})
         with pytest.raises(q.ModelError, match="T_bogus"):
             q.sweep(bungalow_model, template, [1000.0], [7200.0],
-                    q.ErrorPolicy(), 51.1)
+                    q.ErrorPolicy())
 
     @pytest.mark.parametrize("weights", [
         {"temp_weights": [1.0, 1.0]},
@@ -201,7 +201,14 @@ class TestStructuralMisuse:
                                  t_qub=10800.0)
         with pytest.raises(q.ModelError, match="weights"):
             q.sweep(bungalow_model, template, [1000.0], [7200.0],
-                    q.ErrorPolicy(), 51.1, **weights)
+                    q.ErrorPolicy(), **weights)
+
+    def test_window_too_short_for_every_duration(self, bungalow_model):
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
+                                 t_qub=10800.0, slope_window_fraction=1.0e-4)
+        with pytest.raises(q.ModelError, match="window holds only"):
+            q.sweep(bungalow_model, template, [1000.0], [3600.0, 43200.0],
+                    q.ErrorPolicy())
 
 
 class TestDeterminism:

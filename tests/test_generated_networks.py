@@ -7,22 +7,24 @@ import json
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qubdoe as q
 from conftest import assert_matches_reference
-from oracles import reference_sweep
+from oracles import reference_sweep, stamped_steady_state
 
 PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                              database=None)
 
 
 @st.composite
-def networks(draw):
+def circuits(draw):
     """A connected network: a ladder from the boundary through n capacitive
     nodes, optional bridges between non-adjacent rungs and to the
-    boundary, one heater and one sensor node."""
+    boundary, one or two heaters (possibly on one node); returned with
+    one or two distinct sensor nodes."""
     n = draw(st.integers(1, 5))
     conductance = st.floats(1.0, 500.0)
     # a small capacity palette makes repeated time constants likely
@@ -40,11 +42,17 @@ def networks(draw):
         for i, j in draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)):
             branches.append({"id": f"b{i}_{j}", "from": f"n{i}", "to": f"n{j}",
                              "conductance": draw(conductance)})
-    heated = draw(st.integers(0, n - 1))
-    sensor = draw(st.integers(0, n - 1))
+    heated = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2))
+    sensors = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True))
     doc = {"nodes": nodes, "branches": branches,
-           "flow_sources": [{"node": f"n{heated}", "source_name": "P"}]}
-    return q.to_state_space(q.parse_building(json.dumps(doc)), [f"n{sensor}"])
+           "flow_sources": [{"node": f"n{k}", "source_name": f"P{i}"}
+                            for i, k in enumerate(heated)]}
+    return q.parse_building(json.dumps(doc)), [f"n{k}" for k in sensors]
+
+
+def networks():
+    """State-space models of :func:`circuits` at their sensor nodes."""
+    return circuits().map(lambda drawn: q.to_state_space(*drawn))
 
 
 protocols = st.builds(
@@ -88,5 +96,22 @@ def test_trace_is_affine_in_heating_power(model, fields, power, step):
 def test_sweep_matches_per_cell_reference(model, fields, errors):
     usable(model)
     template = q.QubProtocol(P_h=fields["P_c"] + 1000.0, **fields)
-    args = (model, template, [50.0, 400.0, 1500.0], [3600.0, 14400.0], errors, 50.0)
+    args = (model, template, [50.0, 400.0, 1500.0], [3600.0, 14400.0], errors)
     assert_matches_reference(q.sweep(*args), reference_sweep(*args))
+
+
+@PROPERTY_SETTINGS
+@given(drawn=circuits(), weights=st.lists(st.floats(0.1, 10.0), min_size=4, max_size=4),
+       T_o=st.floats(-10.0, 10.0))
+def test_reference_H_is_power_over_weighted_mean_rise(drawn, weights, T_o):
+    circuit, sensors = drawn
+    model = q.to_state_space(circuit, sensors)
+    temp_weights = np.array(weights[:len(sensors)])
+    power_weights = np.array(weights[2:2 + len(model.flow_inputs)])
+    total = 1000.0
+    values = {name: T_o for name in model.temperature_inputs}
+    values.update(zip(model.flow_inputs, total * power_weights / power_weights.sum()))
+    theta = stamped_steady_state(circuit, values)
+    rises = np.array([theta[name] - T_o for name in sensors])
+    H = total / (temp_weights @ rises / temp_weights.sum())
+    assert q.reference_H(model, temp_weights, power_weights) == pytest.approx(H, rel=1e-10)

@@ -183,16 +183,6 @@ class TestSources:
         with pytest.raises(q.ModelError, match="unknown"):
             model.input_vector({"T_o": 0.0, "P": 0.0, "bogus": 1.0})
 
-    def test_zone_heat_inputs_maps_house(self, house):
-        mapping = q.zone_heat_inputs(house)
-        assert mapping == {"z1": "P_z1", "z2": "P_z2"}
-
-    def test_zone_heat_inputs_requires_heater(self):
-        circuit = q.parse_building(doc(zones=[{"id": "z", "air_node": "a",
-                                               "floor_area": 5.0, "air_mass": 10.0}]))
-        with pytest.raises(q.ModelError):
-            q.zone_heat_inputs(circuit)
-
 
 # ---------------------------------------------------------------------------
 # steady state against the stamping oracle

@@ -308,7 +308,7 @@ class TestEstimateFromTrace:
             q.estimate_from_trace(trace)
 
     def test_bungalow_long_pulse_near_reference(self, bungalow_model):
-        H_ref = q.reference_H_single(bungalow_model, "P_heat", "air")
+        H_ref = q.reference_H(bungalow_model)
         trace = q.simulate_qub(bungalow_model,
                                proto(P_h=1500.0, t_qub=8.0 * 3600.0))
         est = q.estimate_from_trace(trace)
