@@ -11,6 +11,12 @@ kernels :func:`~qubdoe.qub.simulate_qub` and :func:`~qubdoe.qub.fit_slope`
 use for one record, with the same floating-point operations in the same
 order: every cell is bit-identical to its lone evaluation, and the
 exported CSV is byte-identical from run to run.
+
+The response kernel (:func:`~qubdoe.modal.step_response`) bounds its own
+state temporaries; the sweep blocks only its (powers, samples) records,
+at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats per record array.  The
+fit windows depend on the sample instants alone, so they are checked for
+every duration before any response is computed.
 """
 from __future__ import annotations
 
@@ -24,10 +30,10 @@ from .conductance import reference_H
 from .error_budget import (ErrorPolicy, MeasurementErrors, assemble_budget,
                            measurement_error, partials)
 from .exceptions import ModelError, NumericalError, QubdoeError
-from .modal import EigenBasis, eigendecompose
+from .modal import _BLOCK_ELEMENTS, EigenBasis, eigendecompose
 from .network import StateSpaceModel
-from .qub import (QubProtocol, _cancels, _protocol_setup, _sample_times,
-                  _two_pulse, _two_pulse_fits, estimate_H)
+from .qub import (QubProtocol, _cancels, _check_windows, _protocol_setup,
+                  _sample_times, _two_pulse, _two_pulse_fits, estimate_H)
 # the sweep no longer calls simulate_qub per cell, but bench/tracing.py still
 # wraps it under this module to count such calls, so the name stays here
 from .qub import simulate_qub  # noqa: F401
@@ -94,11 +100,6 @@ class DesignConstraints:
             raise ModelError("constraints must be positive")
 
 
-#: float64 elements per stacked temporary; sets how many powers of a row
-#: are evaluated together, and so bounds the sweep's working memory
-_BLOCK_ELEMENTS = 50_000
-
-
 def _held_mean(power, count: int):
     """Mean of ``count`` samples of a constant power, as the estimators
     read it from a record (the pairwise sum need not return the power
@@ -142,31 +143,42 @@ def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
     out["valid"][index] = True
 
 
-def _sweep_row(model: StateSpaceModel, basis: EigenBasis, template: QubProtocol,
-               setup, ph_values: np.ndarray, t_qub: float, H_ref: float,
-               errors: ErrorPolicy | MeasurementErrors
-               ) -> tuple[tuple[DoeCell, ...], ModelError | None]:
-    """The cells of one duration, and the error of its fit windows when
-    they are too short to fit at that duration (the row is then invalid,
-    its peak temperatures kept)."""
-    n_ph = ph_values.size
-    # the DoeCell fields after ph and t_qub, in their order
-    out = {name: np.full(n_ph, nan) for name in
-           ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max")}
-    out["valid"] = np.zeros(n_ph, dtype=bool)
-    window_error = None
+def _row_protocol(template: QubProtocol, t_qub: float
+                  ) -> tuple[QubProtocol | None, ModelError | None]:
+    """The protocol of one duration, None when the protocol rejects the
+    duration (the whole row is then invalid), and the error of its fit
+    windows when they are too short to fit at that duration."""
     sample_dt = template.sample_dt
     if sample_dt is not None and sample_dt > t_qub / 20.0:
         sample_dt = None
     try:
         protocol = replace(template, t_qub=t_qub, sample_dt=sample_dt)
     except QubdoeError:
-        pass  # a duration the protocol rejects voids the whole row
-    else:
+        return None, None
+    try:
+        _check_windows(_sample_times(protocol), t_qub, protocol.slope_window_fraction)
+    except ModelError as exc:
+        return protocol, exc
+    return protocol, None
+
+
+def _sweep_row(model: StateSpaceModel, basis: EigenBasis,
+               protocol: QubProtocol | None, setup, ph_values: np.ndarray,
+               t_qub: float, H_ref: float,
+               errors: ErrorPolicy | MeasurementErrors) -> tuple[DoeCell, ...]:
+    """The cells of one duration, all invalid when ``protocol`` is None.
+    A row whose fit windows are too short is evaluated all the same, so
+    its cells keep their peak temperatures."""
+    n_ph = ph_values.size
+    # the DoeCell fields after ph and t_qub, in their order
+    out = {name: np.full(n_ph, nan) for name in
+           ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max")}
+    out["valid"] = np.zeros(n_ph, dtype=bool)
+    if protocol is not None:
         rel = _sample_times(protocol)
         # cells with P_h <= P_c are invalid protocols, never simulated
         todo = np.flatnonzero(ph_values > protocol.P_c)
-        block = max(1, _BLOCK_ELEMENTS // (rel.size * model.n_states))
+        block = max(1, _BLOCK_ELEMENTS // rel.size)
         for first in range(0, todo.size, block):
             index = todo[first:first + block]
             try:
@@ -174,16 +186,9 @@ def _sweep_row(model: StateSpaceModel, basis: EigenBasis, template: QubProtocol,
                                 ph_values[index], H_ref, errors, out, index)
             except QubdoeError:
                 pass  # a fit window or an error policy no cell can satisfy
-        if not out["valid"].any():
-            # were the fit windows too short?  They depend on the sample
-            # instants alone, so any record sampled at them tells
-            try:
-                _two_pulse_fits(rel, t_qub, rel, rel[1:], protocol.slope_window_fraction)
-            except ModelError as exc:
-                window_error = exc
     columns = (column.tolist() for column in out.values())
     return tuple(DoeCell(ph, float(t_qub), *fields)
-                 for ph, *fields in zip(ph_values.tolist(), *columns)), window_error
+                 for ph, *fields in zip(ph_values.tolist(), *columns))
 
 
 def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
@@ -220,8 +225,8 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     ModelError
         On misuse that would void every cell: empty axes, malformed
         weights or boundary temperatures naming no temperature input of
-        the model (before any cell is evaluated), or a fit window too
-        short to fit at every duration.
+        the model, or a fit window too short to fit at every duration
+        (each before any cell is evaluated).
     NumericalError
         When the indoor temperature does not rise under the heaters, so
         there is no reference H.
@@ -235,12 +240,14 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
                             temp_weights, power_weights)
     H_ref = reference_H(model, temp_weights, power_weights)
     basis = eigendecompose(model)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows, window_errors = zip(*(
-            _sweep_row(model, basis, protocol_template, setup, ph_values, t,
-                       H_ref, errors) for t in t_values))
+    protocols, window_errors = zip(*(_row_protocol(protocol_template, t)
+                                     for t in t_values))
     if all(error is not None for error in window_errors):
         raise window_errors[0]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rows = tuple(_sweep_row(model, basis, protocol, setup, ph_values, t,
+                                H_ref, errors)
+                     for protocol, t in zip(protocols, t_values))
     return DoeGrid(ph_values=ph_values, t_values=t_values, cells=rows)
 
 

@@ -13,9 +13,16 @@ and y_ss is the stationary value.  This module computes those pieces
 exactly (no time stepping) and sorts every mode into the amplitude /
 time-constant classes used to judge how long a two-pulse experiment
 must run.
+
+Because the modal sum gives the response at any instant on its own,
+:func:`step_response` evaluates long time axes in blocks of rows and
+bounds its own temporaries by :data:`_BLOCK_ELEMENTS`: its working
+memory grows with the number of samples times the number of outputs,
+not times the number of states.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +47,10 @@ COND_LIMIT = 1e10
 
 #: |Im λ| / |Re λ| beyond which an eigenvalue is no longer considered real
 _REALNESS_TOL = 1e-9
+
+#: float64 elements per stacked (..., rows, n_states) temporary of
+#: :func:`step_response`; sets how many sample instants one block holds
+_BLOCK_ELEMENTS = 50_000
 
 
 @dataclass(frozen=True)
@@ -103,23 +114,42 @@ def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ v[..., None])[..., 0]
 
 
-def _state_trajectory(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
-                      times: np.ndarray, basis: EigenBasis) -> np.ndarray:
-    """States at the given times for a constant input:
-    x(t) = V [e^{Λt} V⁻¹x0 + Λ⁻¹(e^{Λt} - I) V⁻¹Bu].
+def _modal_coordinates(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
+                       basis: EigenBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Start state and input in the eigenbasis: V⁻¹x0 and V⁻¹Bu."""
+    return (_apply(basis.inv_vectors, x0),
+            _apply(basis.inv_vectors, _apply(model.B, u)))
 
-    ``u`` (..., n_inputs) and ``x0`` (..., n_states) may be stacks that
-    broadcast against each other; the result is (..., nt, n_states) and
-    every member equals the trajectory computed for it alone, bit for bit.
+
+def _state_trajectory(basis: EigenBasis, w0: np.ndarray, wu: np.ndarray,
+                      times: np.ndarray) -> np.ndarray:
+    """States at the given times for a constant input:
+    x(t) = V [e^{Λt} w0 + Λ⁻¹(e^{Λt} - I) wu] with w0 = V⁻¹x0, wu = V⁻¹Bu.
+
+    ``w0`` and ``wu`` (..., n_states) may be stacks that broadcast against
+    each other; the result is (..., nt, n_states) and every member equals
+    the trajectory computed for it alone, bit for bit.
     """
     lam = basis.eigenvalues
-    w0 = _apply(basis.inv_vectors, x0)
-    wu = _apply(basis.inv_vectors, _apply(model.B, u))
     phase = np.outer(times, lam)
-    growth = np.exp(phase) * w0[..., None, :]
+    # one stacked temporary besides the result: the forced part is added
+    # in place to the decay of the start state
+    states = np.empty(np.broadcast_shapes(w0.shape[:-1], wu.shape[:-1]) + phase.shape)
+    np.multiply(np.exp(phase), w0[..., None, :], out=states)
     # expm1 keeps t -> 0 and slow modes accurate
-    forced = (np.expm1(phase) / lam) * wu[..., None, :]
-    return (growth + forced) @ basis.vectors.T
+    states += (np.expm1(phase) / lam) * wu[..., None, :]
+    return states @ basis.vectors.T
+
+
+def _row_blocks(n_rows: int, rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of ``rows`` rows covering
+    ``n_rows``.  A one-row remainder joins the block before it: numpy
+    sends a one-row product down a different BLAS path, whose last bits
+    differ from the same row evaluated inside a block."""
+    bounds = list(range(0, n_rows, rows)) + [n_rows]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        del bounds[-2]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
@@ -145,15 +175,27 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     -------
     ndarray, shape (..., nt, n_outputs)
         y(t) = C[e^{At}x0 + A⁻¹(e^{At} - I)Bu] + Du, evaluated through
-        the eigenbasis, so accuracy is uniform in t.
+        the eigenbasis, so accuracy is uniform in t.  The instants are
+        evaluated in blocks whose state temporaries hold at most
+        :data:`_BLOCK_ELEMENTS` floats (two rows at the least); the
+        result is the same, bit for bit, whatever the block size.
     """
     u = np.asarray(u, dtype=float)
     x0 = np.asarray(x0, dtype=float)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if basis is None:
         basis = eigendecompose(model)
-    states = _state_trajectory(model, u, x0, times, basis)
-    return states @ model.C.T + _apply(model.D, u)[..., None, :]
+    w0, wu = _modal_coordinates(model, u, x0, basis)
+    feedthrough = _apply(model.D, u)[..., None, :]
+    stack = np.broadcast_shapes(w0.shape[:-1], wu.shape[:-1])
+    rows = max(2, _BLOCK_ELEMENTS // (math.prod(stack) * model.n_states))
+    if rows >= times.size:
+        return _state_trajectory(basis, w0, wu, times) @ model.C.T + feedthrough
+    out = np.empty(stack + (times.size, model.C.shape[0]))
+    for start, stop in _row_blocks(times.size, rows):
+        states = _state_trajectory(basis, w0, wu, times[start:stop])
+        np.add(states @ model.C.T, feedthrough, out=out[..., start:stop, :])
+    return out
 
 
 def state_at(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
@@ -164,7 +206,8 @@ def state_at(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     x0 = np.asarray(x0, dtype=float)
     if basis is None:
         basis = eigendecompose(model)
-    return _state_trajectory(model, u, x0, np.array([float(t)]), basis)[..., 0, :]
+    w0, wu = _modal_coordinates(model, u, x0, basis)
+    return _state_trajectory(basis, w0, wu, np.array([float(t)]))[..., 0, :]
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 
@@ -286,13 +287,13 @@ def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
     (k, n) rows, each identical to the run of that power alone.
     """
     u_heat = setup.inputs(P_h)
-    u_cool = setup.inputs(protocol.P_c)
     x0 = initial_state(model, setup.inputs(protocol.P0))
-    y_heat = step_response(model, u_heat, x0, rel, basis=basis)
+    # reduce each phase to its indoor mean at once: one phase's outputs live at a time
+    dT_heat = setup.indoor_mean(step_response(model, u_heat, x0, rel, basis=basis))
     x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
-    y_cool = step_response(model, u_cool, x_switch, rel[1:], basis=basis)
-    return (setup.indoor_mean(y_heat) - protocol.T_o,
-            setup.indoor_mean(y_cool) - protocol.T_o)
+    dT_cool = setup.indoor_mean(step_response(model, setup.inputs(protocol.P_c),
+                                              x_switch, rel[1:], basis=basis))
+    return dT_heat - protocol.T_o, dT_cool - protocol.T_o
 
 
 def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
@@ -358,20 +359,33 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _window(t_rel: np.ndarray, window_fraction: float, phase: str) -> np.ndarray:
+    """Mask of the trailing ``window_fraction`` of a phase sampled at
+    ``t_rel`` (from the phase start).  It depends on the sample instants
+    alone, so a sweep can check it before it simulates anything.
+
+    Raises
+    ------
+    ModelError
+        When the window holds fewer than three samples.
+    """
+    span = t_rel[-1]
+    # same selection rule in both phases => identical window geometry
+    selected = t_rel >= (1.0 - window_fraction) * span - 1e-9 * span
+    count = np.count_nonzero(selected)
+    if count < 3:
+        raise ModelError(f"{phase} window holds only {count} samples; need at least 3")
+    return selected
+
+
 def _fit_window(t_rel: np.ndarray, values: np.ndarray, window_fraction: float,
                 phase: str) -> SlopeFit:
     """Least-squares line over the trailing window of a phase sampled at
     ``t_rel`` (from the phase start).  ``values`` may be a stack (k, n) of
     records sharing those instants; alpha, dT0 and r2 are then (k,)
     arrays, each identical to the fit of that record alone."""
-    span = t_rel[-1]
-    # same selection rule in both phases => identical window geometry
-    selected = t_rel >= (1.0 - window_fraction) * span - 1e-9 * span
+    selected = _window(t_rel, window_fraction, phase)
     t_win = t_rel[selected]
-    if t_win.size < 3:
-        raise ModelError(
-            f"{phase} window holds only {t_win.size} samples; need at least 3"
-        )
     t_mean = t_win.mean()
     t_dev = t_win - t_mean
     t_var = float(t_dev @ t_dev)
@@ -390,15 +404,27 @@ def _fit_window(t_rel: np.ndarray, values: np.ndarray, window_fraction: float,
     return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=int(t_win.size))
 
 
+def _cooling_clock(rel: np.ndarray, t_qub: float) -> np.ndarray:
+    """Instants of the cooling samples of a :func:`_two_pulse` record,
+    on the clock :func:`fit_slope` reads them with: from the last
+    heating sample, rel[-1]."""
+    return (t_qub + rel[1:]) - rel[-1]
+
+
+def _check_windows(rel: np.ndarray, t_qub: float, window_fraction: float) -> None:
+    """Raise the ModelError of a heating or cooling fit window too short
+    to fit a :func:`_two_pulse` record sampled at ``rel``."""
+    _window(rel, window_fraction, _HEATING)
+    _window(_cooling_clock(rel, t_qub), window_fraction, _COOLING)
+
+
 def _two_pulse_fits(rel: np.ndarray, t_qub: float, dT_heat: np.ndarray,
                     dT_cool: np.ndarray, window_fraction: float
                     ) -> tuple[SlopeFit, SlopeFit]:
     """Both phase fits of (stacks of) :func:`_two_pulse` records, as
     :func:`fit_slope` makes them on the trace :func:`simulate_qub` builds."""
-    # the cooling clock starts at the last heating sample, rel[-1]
-    t_cool = (t_qub + rel[1:]) - rel[-1]
     return (_fit_window(rel, dT_heat, window_fraction, _HEATING),
-            _fit_window(t_cool, dT_cool, window_fraction, _COOLING))
+            _fit_window(_cooling_clock(rel, t_qub), dT_cool, window_fraction, _COOLING))
 
 
 def fit_slope(trace: QubTrace, phase: str,
@@ -582,49 +608,96 @@ def analytic_slopes(G: float, C: float, P_h: float, P_c: float,
 
 _TRACE_HEADER = "t_s,dT_K,power_W,phase"
 
+#: trace rows rendered into one string at a time
+_RENDER_ROWS = 4096
+
+#: characters of trace text split into lines at a time (cut after a newline)
+_PARSE_CHARS = 1 << 16
+
 
 def trace_to_csv(trace: QubTrace) -> str:
     """Render a trace as CSV (header ``t_s,dT_K,power_W,phase``).
 
     Floats use the shortest round-trip representation, so writing and
-    re-reading a trace is lossless and byte-deterministic.
+    re-reading a trace is lossless and byte-deterministic.  Rows are
+    rendered a chunk at a time, so the working memory beyond the text
+    itself stays bounded.
     """
-    lines = [_TRACE_HEADER]
     n = trace.n_heating
-    rows = zip(trace.times.tolist(), trace.delta_T.tolist(), trace.power.tolist())
-    for i, (t, dT, p) in enumerate(rows):
-        lines.append(f"{t!r},{dT!r},{p!r},{_HEATING if i < n else _COOLING}")
-    return "\n".join(lines) + "\n"
+    chunks = [_TRACE_HEADER + "\n"]
+    for start in range(0, trace.times.size, _RENDER_ROWS):
+        part = slice(start, start + _RENDER_ROWS)
+        rows = zip(trace.times[part].tolist(), trace.delta_T[part].tolist(),
+                   trace.power[part].tolist())
+        chunks.append("".join(
+            f"{t!r},{dT!r},{p!r},{_HEATING if i < n else _COOLING}\n"
+            for i, (t, dT, p) in enumerate(rows, start)))
+    return "".join(chunks)
+
+
+def _text_slices(text: str):
+    """Consecutive pieces of ``text`` of about ``_PARSE_CHARS`` characters,
+    each cut right after a newline, so their ``splitlines`` together are
+    those of the whole text."""
+    start = 0
+    while start < len(text):
+        stop = text.find("\n", start + _PARSE_CHARS)
+        stop = len(text) if stop < 0 else stop + 1
+        yield text[start:stop]
+        start = stop
 
 
 def trace_from_csv(text: str) -> QubTrace:
     """Parse a trace CSV produced by :func:`trace_to_csv`.
 
-    The phase column must hold only ``heating`` and ``cooling`` labels,
-    start with heating, end with cooling and switch exactly once.
+    Blank lines are skipped and not counted in the line numbers of
+    errors.  The phase column must hold only ``heating`` and ``cooling``
+    labels, start with heating, end with cooling and switch exactly once.
     """
-    lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or lines[0].strip() != _TRACE_HEADER:
-        raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
-    times, delta_T, power, phase = [], [], [], []
-    for i, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise SchemaError(f"trace line {i}: expected 4 fields, got {len(parts)}")
-        try:
-            times.append(float(parts[0]))
-            delta_T.append(float(parts[1]))
-            power.append(float(parts[2]))
-        except ValueError as exc:
-            raise SchemaError(f"trace line {i}: {exc}") from None
-        phase.append(parts[3].strip())
-    unknown = set(phase) - {_HEATING, _COOLING}
+    header_error = f"trace: first line must be '{_TRACE_HEADER}'"
+    times, delta_T, power = array("d"), array("d"), array("d")
+    number = 0                    # non-blank lines so far, header included
+    first = last = None           # phase labels of the first and latest row
+    switches = 0                  # label changes between consecutive rows
+    n_heating = None              # row index of the first cooling label
+    unknown = set()
+    for piece in _text_slices(text):
+        for line in piece.splitlines():
+            if not line.strip():
+                continue
+            number += 1
+            if number == 1:
+                if line.strip() != _TRACE_HEADER:
+                    raise SchemaError(header_error)
+                continue
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise SchemaError(f"trace line {number}: expected 4 fields, got {len(parts)}")
+            try:
+                times.append(float(parts[0]))
+                delta_T.append(float(parts[1]))
+                power.append(float(parts[2]))
+            except ValueError as exc:
+                raise SchemaError(f"trace line {number}: {exc}") from None
+            label = parts[3].strip()
+            if label != last:
+                if last is None:
+                    first = label
+                else:
+                    switches += 1
+                if label == _COOLING:
+                    if n_heating is None:
+                        n_heating = number - 2
+                elif label != _HEATING:
+                    unknown.add(label)
+                last = label
+    if number == 0:
+        raise SchemaError(header_error)
     if unknown:
         raise SchemaError(f"unknown phase label(s): {sorted(unknown)}")
-    if not phase or phase[0] != _HEATING or phase[-1] != _COOLING:
+    if first != _HEATING or last != _COOLING:
         raise SchemaError("trace must start with heating and end with cooling")
-    n_heating = phase.index(_COOLING)
-    if phase.count(_HEATING) != n_heating:
+    if switches != 1:
         raise SchemaError("phase must switch exactly once")
-    return QubTrace(times=np.array(times), delta_T=np.array(delta_T),
-                    power=np.array(power), n_heating=n_heating)
+    return QubTrace(times=np.frombuffer(times), delta_T=np.frombuffer(delta_T),
+                    power=np.frombuffer(power), n_heating=n_heating)

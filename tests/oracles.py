@@ -6,8 +6,9 @@ implicit Euler stepping instead of matrix exponentials, ``np.polyfit``
 instead of hand-rolled normal equations, the quadratic formula instead
 of a general eigensolver, brute-force Monte Carlo instead of
 first-order propagation, the two-zone aggregate H straight from the
-2x2 conductance matrix, and the design sweep's stacked rows of powers
-cell by cell through the public single-record chain.
+2x2 conductance matrix, the design sweep's stacked rows of powers
+cell by cell through the public single-record chain, and the trace CSV
+rendered and parsed one row at a time from whole lists.
 """
 from __future__ import annotations
 
@@ -268,3 +269,44 @@ def reference_sweep(model, template, ph_values, t_values, errors,
         for t in t_values)
     return q.DoeGrid(ph_values=np.asarray(ph_values, dtype=float),
                      t_values=np.asarray(t_values, dtype=float), cells=rows)
+
+
+def row_trace_to_csv(trace):
+    """Trace CSV built as one list of row strings."""
+    lines = ["t_s,dT_K,power_W,phase"]
+    n = trace.n_heating
+    rows = zip(trace.times.tolist(), trace.delta_T.tolist(), trace.power.tolist())
+    for i, (t, dT, p) in enumerate(rows):
+        lines.append(f"{t!r},{dT!r},{p!r},{'heating' if i < n else 'cooling'}")
+    return "\n".join(lines) + "\n"
+
+
+def row_trace_from_csv(text):
+    """Trace CSV parsed from the list of all its non-blank lines, with the
+    phase column validated on the list of all its labels."""
+    header = "t_s,dT_K,power_W,phase"
+    lines = [line for line in text.splitlines() if line.strip()]
+    if not lines or lines[0].strip() != header:
+        raise q.SchemaError(f"trace: first line must be '{header}'")
+    times, delta_T, power, phase = [], [], [], []
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise q.SchemaError(f"trace line {i}: expected 4 fields, got {len(parts)}")
+        try:
+            times.append(float(parts[0]))
+            delta_T.append(float(parts[1]))
+            power.append(float(parts[2]))
+        except ValueError as exc:
+            raise q.SchemaError(f"trace line {i}: {exc}") from None
+        phase.append(parts[3].strip())
+    unknown = set(phase) - {"heating", "cooling"}
+    if unknown:
+        raise q.SchemaError(f"unknown phase label(s): {sorted(unknown)}")
+    if not phase or phase[0] != "heating" or phase[-1] != "cooling":
+        raise q.SchemaError("trace must start with heating and end with cooling")
+    n_heating = phase.index("cooling")
+    if phase.count("heating") != n_heating:
+        raise q.SchemaError("phase must switch exactly once")
+    return q.QubTrace(times=np.array(times), delta_T=np.array(delta_T),
+                      power=np.array(power), n_heating=n_heating)

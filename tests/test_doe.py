@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
+import qubdoe.qub as qub
 from conftest import assert_matches_reference, make_first_order
 from oracles import reference_sweep
 
@@ -144,9 +145,9 @@ class TestAgainstPerCellReference:
             assert any(c.valid for row in grid.cells for c in row)
 
     def test_block_boundaries_do_not_matter(self, bungalow_model):
-        # more powers than one stacked block holds
+        # more powers than one stacked block holds (2881 samples a record)
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
-                                 t_qub=10800.0, sample_dt=30.0)
+                                 t_qub=10800.0, sample_dt=10.0)
         args = (bungalow_model, template, np.geomspace(60.0, 240.0, 40),
                 [28800.0], q.ErrorPolicy())
         assert_matches_reference(q.sweep(*args), reference_sweep(*args))
@@ -209,6 +210,18 @@ class TestStructuralMisuse:
         with pytest.raises(q.ModelError, match="window holds only"):
             q.sweep(bungalow_model, template, [1000.0], [3600.0, 43200.0],
                     q.ErrorPolicy())
+
+    def test_window_checked_before_any_response(self, bungalow_model, monkeypatch):
+        def no_response(*args, **kwargs):
+            raise AssertionError("a response was computed")
+
+        monkeypatch.setattr(qub, "step_response", no_response)
+        monkeypatch.setattr(qub, "state_at", no_response)
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
+                                 t_qub=10800.0, slope_window_fraction=1.0e-4)
+        with pytest.raises(q.ModelError, match="heating window holds only 1 samples"):
+            q.sweep(bungalow_model, template, np.geomspace(100.0, 400.0, 40),
+                    np.linspace(3600.0, 43200.0, 40), q.ErrorPolicy())
 
 
 class TestDeterminism:

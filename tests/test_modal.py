@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
+import qubdoe.modal as modal
 from conftest import make_bridged, make_ladder, rng
 from oracles import eig_2x2, implicit_euler_richardson
 
@@ -148,6 +149,32 @@ class TestTrajectories:
                   for uk, xk in zip(U, X)]),
             ):
                 assert np.array_equal(stacked, np.stack(lone))
+
+
+class TestTimeBlocks:
+    @pytest.mark.parametrize("name", ["bungalow", "house"])
+    @pytest.mark.parametrize("nt", [40, 43])
+    def test_blocks_equal_one_block(self, bundled_models, name, nt, monkeypatch):
+        model = bundled_models[name]
+        basis = q.eigendecompose(model)
+        r = rng(29)
+        n_in, n = len(model.input_names), model.n_states
+        times = np.linspace(0.0, 3.0e4, nt)
+        cases = {
+            "lone": (r.uniform(0.0, 900.0, n_in), r.uniform(-2.0, 2.0, n)),
+            "stacked inputs": (r.uniform(0.0, 900.0, (3, n_in)), r.uniform(-2.0, 2.0, n)),
+            "stacked states": (r.uniform(0.0, 900.0, n_in), r.uniform(-2.0, 2.0, (3, n))),
+        }
+        # the default block holds every instant: one block, no copy
+        whole = {case: q.step_response(model, u, x0, times, basis=basis)
+                 for case, (u, x0) in cases.items()}
+        # blocks of 7 rows for a lone record and of 2 rows for a stack of
+        # 3; 43 instants then leave a one-row remainder in both
+        monkeypatch.setattr(modal, "_BLOCK_ELEMENTS", 7 * n)
+        for case, (u, x0) in cases.items():
+            blocked = q.step_response(model, u, x0, times, basis=basis)
+            assert blocked.shape == whole[case].shape, case
+            assert np.array_equal(blocked, whole[case]), case
 
 
 class TestModalDecomposition:

@@ -8,7 +8,8 @@ import pytest
 
 import qubdoe as q
 from conftest import make_first_order, rng
-from oracles import first_order_delta_T, polyfit_slope
+from oracles import (first_order_delta_T, polyfit_slope, row_trace_from_csv,
+                     row_trace_to_csv)
 
 
 def proto(**kw):
@@ -19,6 +20,20 @@ def proto(**kw):
 
 def first_order_model(G=100.0, C=1.0e6):
     return q.to_state_space(make_first_order(G, C), ["air"])
+
+
+@pytest.fixture(scope="module")
+def long_trace(bungalow_model):
+    """The 1 s, 12 h bungalow record: 86,401 rows, many render chunks and
+    parse slices."""
+    return q.simulate_qub(bungalow_model, proto(P_h=1500.0, t_qub=43200.0,
+                                                sample_dt=1.0))
+
+
+def schema_error(parse, text):
+    with pytest.raises(q.SchemaError) as info:
+        parse(text)
+    return str(info.value)
 
 
 class TestProtocolValidation:
@@ -356,3 +371,47 @@ class TestTraceCsv:
         rows = "".join(f"{float(i)},0.0,0.0,{label}\n" for i, label in enumerate(labels))
         with pytest.raises(q.SchemaError, match=match):
             q.trace_from_csv("t_s,dT_K,power_W,phase\n" + rows)
+
+
+class TestTraceCsvChunks:
+    def test_long_trace_matches_row_oracle(self, long_trace):
+        text = q.trace_to_csv(long_trace)
+        assert text == row_trace_to_csv(long_trace)
+        parsed, reference = q.trace_from_csv(text), row_trace_from_csv(text)
+        for got in (parsed, reference):
+            assert got.n_heating == long_trace.n_heating == 43201
+            assert np.array_equal(got.times, long_trace.times)
+            assert np.array_equal(got.delta_T, long_trace.delta_T)
+            assert np.array_equal(got.power, long_trace.power)
+
+    def test_blank_lines_and_crlf(self, long_trace):
+        lines = q.trace_to_csv(long_trace).splitlines()
+        for k in range(0, len(lines), 997):
+            lines[k] += "\n  \n"
+        for text in ("\n".join(lines) + "\n", "\r\n".join(lines) + "\r\n",
+                     "\n\n" + "\n".join(lines)):
+            parsed, reference = q.trace_from_csv(text), row_trace_from_csv(text)
+            assert parsed.n_heating == reference.n_heating
+            assert np.array_equal(parsed.times, reference.times)
+            assert np.array_equal(parsed.delta_T, reference.delta_T)
+            assert np.array_equal(parsed.power, reference.power)
+
+    @pytest.mark.parametrize("bad", ["1.5,2.5,3.5", "1.5,2.5x,3.5,heating",
+                                     "1.5,2.5,3.5,cooling,5"])
+    def test_bad_line_past_first_slice(self, long_trace, bad):
+        lines = q.trace_to_csv(long_trace).splitlines()
+        lines[5] += "\n"  # a blank line, not counted in line numbers
+        lines[60_000] = bad
+        text = "\n".join(lines) + "\n"
+        message = schema_error(q.trace_from_csv, text)
+        assert message == schema_error(row_trace_from_csv, text)
+        assert message.startswith("trace line 60001: ")
+
+    def test_unknown_labels_reported_sorted(self, long_trace):
+        lines = q.trace_to_csv(long_trace).splitlines()
+        for k, label in ((70_000, "warming"), (30_000, "idle"), (30_001, "idle")):
+            lines[k] = lines[k].rsplit(",", 1)[0] + "," + label
+        text = "\n".join(lines) + "\n"
+        message = schema_error(q.trace_from_csv, text)
+        assert message == schema_error(row_trace_from_csv, text)
+        assert message == "unknown phase label(s): ['idle', 'warming']"
