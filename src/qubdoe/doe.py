@@ -144,29 +144,32 @@ def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
 
 
 def _row_protocol(template: QubProtocol, t_qub: float
-                  ) -> tuple[QubProtocol | None, ModelError | None]:
-    """The protocol of one duration, None when the protocol rejects the
-    duration (the whole row is then invalid), and the error of its fit
-    windows when they are too short to fit at that duration."""
+                  ) -> tuple[QubProtocol | None, np.ndarray | None, ModelError | None]:
+    """The protocol of one duration and its sample instants, both None
+    when the protocol rejects the duration (the whole row is then
+    invalid), and the error of its fit windows when they are too short
+    to fit at that duration."""
     sample_dt = template.sample_dt
     if sample_dt is not None and sample_dt > t_qub / 20.0:
         sample_dt = None
     try:
         protocol = replace(template, t_qub=t_qub, sample_dt=sample_dt)
     except QubdoeError:
-        return None, None
+        return None, None, None
+    rel = _sample_times(protocol)
     try:
-        _check_windows(_sample_times(protocol), t_qub, protocol.slope_window_fraction)
+        _check_windows(rel, t_qub, protocol.slope_window_fraction)
     except ModelError as exc:
-        return protocol, exc
-    return protocol, None
+        return protocol, rel, exc
+    return protocol, rel, None
 
 
 def _sweep_row(model: StateSpaceModel, basis: EigenBasis,
-               protocol: QubProtocol | None, setup, ph_values: np.ndarray,
-               t_qub: float, H_ref: float,
+               protocol: QubProtocol | None, rel: np.ndarray | None,
+               setup, ph_values: np.ndarray, t_qub: float, H_ref: float,
                errors: ErrorPolicy | MeasurementErrors) -> tuple[DoeCell, ...]:
-    """The cells of one duration, all invalid when ``protocol`` is None.
+    """The cells of one duration, sampled at the instants ``rel``; all
+    invalid when ``protocol`` is None.
     A row whose fit windows are too short is evaluated all the same, so
     its cells keep their peak temperatures."""
     n_ph = ph_values.size
@@ -175,7 +178,6 @@ def _sweep_row(model: StateSpaceModel, basis: EigenBasis,
            ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max")}
     out["valid"] = np.zeros(n_ph, dtype=bool)
     if protocol is not None:
-        rel = _sample_times(protocol)
         # cells with P_h <= P_c are invalid protocols, never simulated
         todo = np.flatnonzero(ph_values > protocol.P_c)
         block = max(1, _BLOCK_ELEMENTS // rel.size)
@@ -240,14 +242,14 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
                             temp_weights, power_weights)
     H_ref = reference_H(model, temp_weights, power_weights)
     basis = eigendecompose(model)
-    protocols, window_errors = zip(*(_row_protocol(protocol_template, t)
-                                     for t in t_values))
+    protocols, instants, window_errors = zip(*(_row_protocol(protocol_template, t)
+                                               for t in t_values))
     if all(error is not None for error in window_errors):
         raise window_errors[0]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = tuple(_sweep_row(model, basis, protocol, setup, ph_values, t,
+        rows = tuple(_sweep_row(model, basis, protocol, rel, setup, ph_values, t,
                                 H_ref, errors)
-                     for protocol, t in zip(protocols, t_values))
+                     for protocol, rel, t in zip(protocols, instants, t_values))
     return DoeGrid(ph_values=ph_values, t_values=t_values, cells=rows)
 
 

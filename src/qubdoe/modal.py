@@ -188,9 +188,7 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     w0, wu = _modal_coordinates(model, u, x0, basis)
     feedthrough = _apply(model.D, u)[..., None, :]
     stack = np.broadcast_shapes(w0.shape[:-1], wu.shape[:-1])
-    rows = max(2, _BLOCK_ELEMENTS // (math.prod(stack) * model.n_states))
-    if rows >= times.size:
-        return _state_trajectory(basis, w0, wu, times) @ model.C.T + feedthrough
+    rows = max(2, _BLOCK_ELEMENTS // (max(1, math.prod(stack)) * model.n_states))
     out = np.empty(stack + (times.size, model.C.shape[0]))
     for start, stop in _row_blocks(times.size, rows):
         states = _state_trajectory(basis, w0, wu, times[start:stop])

@@ -165,7 +165,7 @@ class TestTimeBlocks:
             "stacked inputs": (r.uniform(0.0, 900.0, (3, n_in)), r.uniform(-2.0, 2.0, n)),
             "stacked states": (r.uniform(0.0, 900.0, n_in), r.uniform(-2.0, 2.0, (3, n))),
         }
-        # the default block holds every instant: one block, no copy
+        # the default block holds every instant
         whole = {case: q.step_response(model, u, x0, times, basis=basis)
                  for case, (u, x0) in cases.items()}
         # blocks of 7 rows for a lone record and of 2 rows for a stack of
@@ -175,6 +175,14 @@ class TestTimeBlocks:
             blocked = q.step_response(model, u, x0, times, basis=basis)
             assert blocked.shape == whole[case].shape, case
             assert np.array_equal(blocked, whole[case]), case
+
+    @pytest.mark.parametrize("u_stack, x0_stack", [((0,), ()), ((), (0,)), ((0,), (0,))])
+    def test_empty_stack(self, u_stack, x0_stack):
+        model = two_state_model(3)
+        u = np.zeros(u_stack + (len(model.input_names),))
+        x0 = np.zeros(x0_stack + (model.n_states,))
+        y = q.step_response(model, u, x0, np.linspace(0.0, 100.0, 11))
+        assert y.shape == (0, 11, model.C.shape[0])
 
 
 class TestModalDecomposition:
