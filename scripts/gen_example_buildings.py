@@ -30,11 +30,12 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from qubdoe import (ClassThresholds, QubProtocol, ThermalCircuit,
-                    circuit_to_json, classify_modes, eigendecompose,
-                    estimate_from_trace, initial_state, modal_decomposition,
-                    parse_building, reference_H, simulate_qub, to_state_space)
+from qubdoe import (QubProtocol, ThermalCircuit, circuit_to_json,
+                    classify_modes, eigendecompose, estimate_from_trace,
+                    initial_state, modal_decomposition, parse_building,
+                    reference_H, simulate_qub, to_state_space)
 from qubdoe.network import Branch, FlowSource, Node, Zone
+from qubdoe.qub import _protocol_setup
 
 DATA_DIR = pathlib.Path(__file__).resolve().parents[1] / "src" / "qubdoe" / "data"
 
@@ -235,15 +236,12 @@ def report(circuit: ThermalCircuit) -> None:
     taus = basis.time_constants
     print("   tau (h):", " ".join(f"{t / 3600.0:.3f}" for t in sorted(taus)))
 
-    # mode classes for a three-hour pulse
+    # mode classes for a three-hour, 1 kW pulse split evenly across the heaters
     t_qub = 3.0 * 3600.0
-    temps = {name: 0.0 for name in model.temperature_inputs}
-    u0 = model.input_vector({**temps, **{n: 0.0 for n in model.flow_inputs}})
-    heat = {n: 0.0 for n in model.flow_inputs}
-    heat[model.flow_inputs[0]] = 1000.0
-    u_h = model.input_vector({**temps, **heat})
-    decomp = modal_decomposition(model, u_h, initial_state(model, u0))
-    labels = classify_modes(decomp, t_qub, ClassThresholds())
+    setup = _protocol_setup(model, 0.0, {}, None, None)
+    decomp = modal_decomposition(model, setup.inputs(1000.0),
+                                 initial_state(model, setup.inputs(0.0)))
+    labels = classify_modes(decomp, t_qub)
     amp = decomp.mode_amplitudes()
     by_class: dict[str, list[int]] = {}
     for idx, label in labels:

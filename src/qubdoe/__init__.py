@@ -9,26 +9,22 @@ budget to the estimate, and sweeps power/duration grids to find the
 design with the smallest expected error.
 """
 from .buildings import bungalow_json, house_json, load_bungalow, load_house
-from .conductance import degree_day_H, reference_H, static_gains
+from .conductance import reference_H, static_gains
 from .doe import (GRID_HEADER, DesignConstraints, DoeCell, DoeGrid,
-                  default_axes, export_grid, grid_to_csv, select_optimum,
-                  sweep)
+                  default_axes, grid_to_csv, select_optimum, sweep)
 from .error_budget import (ErrorBudget, ErrorPolicy, MeasurementErrors,
-                           QubPartials, assemble_budget, intrinsic_error,
-                           measurement_error, partials, slope_standard_error,
-                           total_error)
+                           QubPartials, assemble_budget, measurement_error,
+                           partials, slope_standard_error)
 from .exceptions import ModelError, NumericalError, QubdoeError, SchemaError
-from .modal import (ClassThresholds, EigenBasis, ModalDecomposition,
-                    classify_modes, eigendecompose, initial_state,
-                    modal_decomposition, state_at, step_response)
+from .modal import (EigenBasis, ModalDecomposition, classify_modes,
+                    eigendecompose, initial_state, modal_decomposition,
+                    state_at, step_response)
 from .network import (Branch, FlowSource, Node, StateSpaceModel,
-                      ThermalCircuit, Zone, circuit_to_json,
-                      nodal_conductance_matrix, parse_building, steady_state,
+                      ThermalCircuit, Zone, circuit_to_json, parse_building,
                       to_state_space)
-from .qub import (QubEstimate, QubProtocol, QubTrace, SlopeFit,
-                  analytic_slopes, estimate_C, estimate_H,
-                  estimate_from_trace, first_order_response, fit_slope,
-                  recover_C, simulate_qub, trace_from_csv, trace_to_csv)
+from .qub import (QubEstimate, QubProtocol, QubTrace, SlopeFit, estimate_C,
+                  estimate_H, estimate_from_trace, fit_slope, recover_C,
+                  simulate_qub, trace_from_csv, trace_to_csv)
 
 __version__ = "0.1.0"
 
@@ -38,27 +34,24 @@ __all__ = [
     "QubdoeError", "SchemaError", "ModelError", "NumericalError",
     # network
     "Node", "Branch", "FlowSource", "Zone", "ThermalCircuit",
-    "parse_building", "circuit_to_json", "steady_state",
-    "nodal_conductance_matrix", "StateSpaceModel",
-    "to_state_space",
+    "parse_building", "circuit_to_json", "StateSpaceModel", "to_state_space",
     # modal
     "EigenBasis", "eigendecompose", "initial_state", "state_at",
     "step_response", "ModalDecomposition", "modal_decomposition",
-    "ClassThresholds", "classify_modes",
+    "classify_modes",
     # conductance
-    "static_gains", "reference_H", "degree_day_H",
+    "static_gains", "reference_H",
     # qub
     "QubProtocol", "QubTrace", "SlopeFit", "QubEstimate", "simulate_qub",
     "fit_slope", "estimate_H", "estimate_C", "recover_C",
-    "estimate_from_trace", "first_order_response", "analytic_slopes",
-    "trace_to_csv", "trace_from_csv",
+    "estimate_from_trace", "trace_to_csv", "trace_from_csv",
     # error budget
     "MeasurementErrors", "ErrorPolicy", "slope_standard_error",
-    "QubPartials", "partials", "intrinsic_error", "measurement_error",
-    "total_error", "ErrorBudget", "assemble_budget",
+    "QubPartials", "partials", "measurement_error", "ErrorBudget",
+    "assemble_budget",
     # doe
     "GRID_HEADER", "DoeCell", "DoeGrid", "DesignConstraints", "sweep",
-    "select_optimum", "default_axes", "grid_to_csv", "export_grid",
+    "select_optimum", "default_axes", "grid_to_csv",
     # bundled models
     "bungalow_json", "house_json", "load_bungalow", "load_house",
 ]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage, 3 malformed input, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 
@@ -18,21 +19,14 @@ import numpy as np
 
 from . import __version__
 from .conductance import reference_H, static_gains
-from .doe import (DesignConstraints, default_axes, grid_to_csv, select_optimum,
-                  sweep)
+from .doe import (DesignConstraints, _fmt, default_axes, grid_to_csv,
+                  select_optimum, sweep)
 from .error_budget import ErrorPolicy
 from .exceptions import ModelError, NumericalError, SchemaError
 from .modal import classify_modes, initial_state, modal_decomposition
 from .network import StateSpaceModel, ThermalCircuit, parse_building, to_state_space
 from .qub import (QubProtocol, _protocol_setup, estimate_from_trace, simulate_qub,
                   trace_from_csv, trace_to_csv)
-
-_R = repr  # shortest round-trip float rendering
-
-
-def _fmt(x: float) -> str:
-    return _R(float(x))
-
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -231,21 +225,22 @@ def _axes(args, model: StateSpaceModel, temp_weights,
         theta0 = float(setup.indoor_mean(static_gains(model) @ setup.inputs(args.p0)))
         H_ref = reference_H(model, temp_weights, power_weights)
         ph_default, t_default = default_axes(H_ref, H_ref * (theta0 - args.to))
-    if args.ph_range is not None:
-        lo, hi, n = args.ph_range
-        if lo <= 0.0:
-            raise ModelError("--ph-range: powers must be positive (log spacing)")
-        ph_values = np.geomspace(lo, hi, n)
-    else:
-        ph_values = ph_default
-    if args.t_range is not None:
-        lo, hi, n = args.t_range
-        if lo <= 0.0:
-            raise ModelError("--t-range: durations must be positive")
-        t_values = np.linspace(lo, hi, n)
-    else:
-        t_values = t_default
+    ph_values = (_axis(args.ph_range, "--ph-range", "powers", np.geomspace)
+                 if args.ph_range is not None else ph_default)
+    t_values = (_axis(args.t_range, "--t-range", "durations", np.linspace)
+                if args.t_range is not None else t_default)
     return ph_values, t_values
+
+
+def _axis(spec: tuple[float, float, int], flag: str, what: str,
+          spacing) -> np.ndarray:
+    """The ``spacing`` points of an A:B:N range whose ends must both be
+    finite and positive."""
+    lo, hi, n = spec
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf):
+        raise ModelError(f"{flag}: {what} must be finite and positive, "
+                         f"got {lo!r} to {hi!r}")
+    return spacing(lo, hi, n)
 
 
 def _run_sweep(args):

@@ -8,21 +8,19 @@ the steady K/W rise at the output, whose reciprocal is the overall heat
 transfer coefficient H.  :func:`reference_H` reduces a many-node model
 to the single H (W/K) of one experiment: the power split across the
 heaters and the weighting of the indoor temperature are those the
-experiment uses, because H depends on both.  The degree-day quotient
-gives the long-horizon integral estimate used by meter-based methods.
+experiment uses, because H depends on both.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import ModelError, NumericalError
+from .exceptions import NumericalError
 from .network import StateSpaceModel
 from .qub import _protocol_setup
 
 __all__ = [
     "static_gains",
     "reference_H",
-    "degree_day_H",
 ]
 
 
@@ -58,26 +56,3 @@ def reference_H(model: StateSpaceModel, temp_weights=None,
             "no meaningful heat transfer coefficient"
         )
     return 1.0 / rise
-
-
-def degree_day_H(times: np.ndarray, powers: np.ndarray,
-                 delta_T: np.ndarray) -> float:
-    """Long-horizon integral estimate H = ∫P dt / ∫ΔT dt (trapezoid).
-
-    The quotient equals the true H only when the series is (quasi-)
-    stationary; transients bias it by roughly the ratio of the mean
-    residence time to the horizon.
-    """
-    times = np.asarray(times, dtype=float)
-    powers = np.asarray(powers, dtype=float)
-    delta_T = np.asarray(delta_T, dtype=float)
-    if times.ndim != 1 or times.size < 2:
-        raise ModelError("need at least two samples")
-    if powers.shape != times.shape or delta_T.shape != times.shape:
-        raise ModelError("times, powers, delta_T must align")
-    if np.any(np.diff(times) <= 0.0):
-        raise ModelError("times must be strictly increasing")
-    denom = np.trapezoid(delta_T, times)
-    if denom == 0.0:
-        raise NumericalError("integrated temperature difference is zero")
-    return float(np.trapezoid(powers, times) / denom)

@@ -45,7 +45,6 @@ __all__ = [
     "sweep",
     "select_optimum",
     "grid_to_csv",
-    "export_grid",
     "default_axes",
     "GRID_HEADER",
 ]
@@ -88,7 +87,8 @@ class DesignConstraints:
 
     ``max_total_duration`` bounds the whole experiment (both pulses,
     i.e. 2·t_qub); ``max_indoor_temperature`` bounds the peak of the
-    simulated indoor temperature (°C); ``max_power`` the heater (W).
+    simulated indoor temperature (°C), ``inf`` for no limit;
+    ``max_power`` the heater (W).
     """
 
     max_power: float
@@ -98,6 +98,8 @@ class DesignConstraints:
     def __post_init__(self) -> None:
         if not (self.max_power > 0.0 and self.max_total_duration > 0.0):
             raise ModelError("constraints must be positive")
+        if np.isnan(self.max_indoor_temperature):
+            raise ModelError("max_indoor_temperature must not be nan")
 
 
 def _held_mean(power, count: int):
@@ -312,6 +314,7 @@ def default_axes(H_ref: float, maintenance_power: float,
 
 
 def _fmt(x: float) -> str:
+    """Shortest round-trip rendering of a float, as every CSV here uses."""
     return repr(float(x))
 
 
@@ -328,11 +331,3 @@ def grid_to_csv(grid: DoeGrid) -> str:
                 "1" if cell.valid else "0",
             )))
     return "\n".join(lines) + "\n"
-
-
-def export_grid(grid: DoeGrid, path) -> None:
-    """Write the grid CSV; the file appears only after the full render
-    succeeds, never truncated."""
-    text = grid_to_csv(grid)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

@@ -28,9 +28,7 @@ __all__ = [
     "QubPartials",
     "ErrorBudget",
     "partials",
-    "intrinsic_error",
     "measurement_error",
-    "total_error",
     "assemble_budget",
     "slope_standard_error",
 ]
@@ -62,7 +60,7 @@ class ErrorPolicy:
     Defaults: 0.5 K on temperature differences, 1% of the heating power
     on the power readings, and the regression standard error of the
     slope (worse phase) unless an explicit value is forced.  Every value
-    given must be >= 0.
+    given must be finite and >= 0.
     """
 
     eps_dT: float = 0.5
@@ -73,8 +71,8 @@ class ErrorPolicy:
     def __post_init__(self) -> None:
         for name in ("eps_dT", "eps_P_rel", "eps_P_abs", "eps_alpha"):
             value = getattr(self, name)
-            if value is not None and not value >= 0.0:
-                raise ModelError(f"{name} must be >= 0, got {value}")
+            if value is not None and not 0.0 <= value < np.inf:
+                raise ModelError(f"{name} must be finite and >= 0, got {value}")
 
     def resolve(self, P_h: float, fit_h: SlopeFit | None = None,
                 fit_c: SlopeFit | None = None) -> MeasurementErrors:
@@ -142,18 +140,6 @@ def partials(alpha_h: float, alpha_c: float, P_h: float, P_c: float,
     )
 
 
-def intrinsic_error(H_qub: float, H_ref: float) -> tuple[float, float]:
-    """Estimator bias against the model reference: (W/K, percent).
-
-    The sign is kept: a positive value means the experiment would
-    overestimate the heat loss.
-    """
-    if not H_ref > 0.0:
-        raise ModelError(f"H_ref must be positive, got {H_ref}")
-    eps = H_qub - H_ref
-    return eps, 100.0 * eps / H_ref
-
-
 def measurement_error(p: QubPartials, errors: MeasurementErrors) -> float:
     """Root-sum-square propagated instrument uncertainty on H (W/K)."""
     return np.sqrt(
@@ -164,14 +150,6 @@ def measurement_error(p: QubPartials, errors: MeasurementErrors) -> float:
         + np.square(errors.eps_dT * p.dH_ddT_h)
         + np.square(errors.eps_dT * p.dH_ddT_c)
     )
-
-
-def total_error(eps_qub: float, eps_Hm: float, H_ref: float) -> tuple[float, float]:
-    """Combine bias and measurement scatter: (W/K, percent of H_ref)."""
-    if not H_ref > 0.0:
-        raise ModelError(f"H_ref must be positive, got {H_ref}")
-    eps = np.hypot(eps_qub, eps_Hm)
-    return eps, 100.0 * eps / H_ref
 
 
 @dataclass(frozen=True)
@@ -191,8 +169,16 @@ class ErrorBudget:
 
 def assemble_budget(H_qub: float, H_ref: float, eps_Hm: float) -> ErrorBudget:
     """Build the budget from an estimate, its reference, and the
-    propagated measurement error."""
-    eps_qub, eps_qub_pct = intrinsic_error(H_qub, H_ref)
-    eps_H, eps_H_pct = total_error(eps_qub, eps_Hm, H_ref)
-    return ErrorBudget(eps_qub=eps_qub, eps_qub_pct=eps_qub_pct,
-                       eps_Hm=eps_Hm, eps_H=eps_H, eps_H_pct=eps_H_pct)
+    propagated measurement error.
+
+    The intrinsic error ``eps_qub`` is the estimator bias H_qub − H_ref
+    with its sign kept (positive: the experiment overestimates the heat
+    loss); the total ``eps_H`` is the root-sum-square of bias and
+    measurement scatter.  Both percentages are of H_ref.
+    """
+    if not H_ref > 0.0:
+        raise ModelError(f"H_ref must be positive, got {H_ref}")
+    eps_qub = H_qub - H_ref
+    eps_H = np.hypot(eps_qub, eps_Hm)
+    return ErrorBudget(eps_qub=eps_qub, eps_qub_pct=100.0 * eps_qub / H_ref,
+                       eps_Hm=eps_Hm, eps_H=eps_H, eps_H_pct=100.0 * eps_H / H_ref)

@@ -33,7 +33,6 @@ from .network import StateSpaceModel
 __all__ = [
     "EigenBasis",
     "ModalDecomposition",
-    "ClassThresholds",
     "eigendecompose",
     "initial_state",
     "state_at",
@@ -51,6 +50,13 @@ _REALNESS_TOL = 1e-9
 #: float64 elements per stacked (..., rows, n_states) temporary of
 #: :func:`step_response`; sets how many sample instants one block holds
 _BLOCK_ELEMENTS = 50_000
+
+# mode-class boundaries of :func:`classify_modes`
+_AMPLITUDE_CUTOFF = 0.01  # negligible below this fraction of the largest coefficient
+_SETTLE_FACTOR = 4.0      # time constants until a mode has settled
+_FAST_FRACTION = 0.2      # fast: settled within this fraction of t_qub
+_SLOW_MULTIPLE = 4.0      # slow: still alive after this multiple of t_qub
+_SPLIT_MULTIPLE = 2.0     # negligible medium modes: b up to this multiple, d beyond
 
 
 @dataclass(frozen=True)
@@ -224,13 +230,6 @@ class ModalDecomposition:
     steady_value: np.ndarray         # (n_outputs,)
     output_names: tuple[str, ...]
 
-    def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """Reconstruct y(t) from the modal sum; shape (nt, n_outputs)."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        decay = np.exp(np.outer(times, self.eigenvalues))
-        coeff = self.init_amplitudes + self.input_amplitudes
-        return decay @ coeff.T + self.steady_value[None, :]
-
     def mode_amplitudes(self) -> np.ndarray:
         """|initial + input| coefficient of each mode, worst output."""
         return np.max(np.abs(self.init_amplitudes + self.input_amplitudes), axis=0)
@@ -265,28 +264,14 @@ def modal_decomposition(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     )
 
 
-@dataclass(frozen=True)
-class ClassThresholds:
-    """Tunable boundaries of the mode classes (multiples of t_qub).
-
-    A mode settles after ``settle_factor`` time constants.  It is fast
-    when it settles within ``fast_fraction``·t_qub, slow when it is
-    still alive after ``slow_multiple``·t_qub, medium in between.
-    Modes whose coefficient falls below ``amplitude_cutoff`` of the
-    largest are insignificant; insignificant non-slow modes split at
-    ``split_multiple``·t_qub into the quick (b) and sluggish (d) bins.
-    """
-
-    amplitude_cutoff: float = 0.01
-    settle_factor: float = 4.0
-    fast_fraction: float = 0.2
-    slow_multiple: float = 4.0
-    split_multiple: float = 2.0
-
-
-def classify_modes(decomposition: ModalDecomposition, t_qub: float,
-                   thresholds: ClassThresholds = ClassThresholds()) -> list[tuple[int, str]]:
+def classify_modes(decomposition: ModalDecomposition,
+                   t_qub: float) -> list[tuple[int, str]]:
     """Assign each mode one of the design classes a-e.
+
+    A mode settles after four time constants.  It is fast when it
+    settles within 0.2·t_qub, slow when it is still alive after
+    4·t_qub, medium in between.  Its coefficient is negligible below 1%
+    of the largest; negligible medium modes split at 2·t_qub.
 
     a : settles early in the pulse and shapes the response — harmless.
     b : quick but with a negligible coefficient.
@@ -306,18 +291,18 @@ def classify_modes(decomposition: ModalDecomposition, t_qub: float,
                              "classes are undefined")
     amps = decomposition.mode_amplitudes()
     largest = amps.max(initial=0.0)
-    cut = thresholds.amplitude_cutoff * largest
+    cut = _AMPLITUDE_CUTOFF * largest
     labels: list[tuple[int, str]] = []
     for i, tau in enumerate(taus):
-        settle = thresholds.settle_factor * tau
+        settle = _SETTLE_FACTOR * tau
         significant = largest > 0.0 and amps[i] >= cut
-        if settle > thresholds.slow_multiple * t_qub:
+        if settle > _SLOW_MULTIPLE * t_qub:
             label = "e"
-        elif settle <= thresholds.fast_fraction * t_qub:
+        elif settle <= _FAST_FRACTION * t_qub:
             label = "a" if significant else "b"
         elif significant:
             label = "c"
         else:
-            label = "b" if settle <= thresholds.split_multiple * t_qub else "d"
+            label = "b" if settle <= _SPLIT_MULTIPLE * t_qub else "d"
         labels.append((i, label))
     return labels

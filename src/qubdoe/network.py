@@ -27,7 +27,7 @@ through a nonzero direct-transmission ``D``).
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +37,6 @@ from .exceptions import ModelError, NumericalError, SchemaError
 REF = "REF"
 
 __all__ = [
-    "REF",
     "Node",
     "Branch",
     "FlowSource",
@@ -46,9 +45,7 @@ __all__ = [
     "StateSpaceModel",
     "parse_building",
     "circuit_to_json",
-    "steady_state",
     "to_state_space",
-    "nodal_conductance_matrix",
 ]
 
 
@@ -472,72 +469,6 @@ def _assemble(circuit: ThermalCircuit) -> tuple[np.ndarray, np.ndarray]:
     return K, np.hstack([W_temp, W_flow])
 
 
-def _source_vector(circuit: ThermalCircuit, source_values: Mapping[str, float]) -> np.ndarray:
-    declared = circuit.source_names
-    missing = [name for name in declared if name not in source_values]
-    if missing:
-        raise ModelError("unassigned source(s): " + ", ".join(missing))
-    unknown = [name for name in source_values if name not in declared]
-    if unknown:
-        raise ModelError("unknown source(s): " + ", ".join(sorted(unknown)))
-    return np.array([float(source_values[name]) for name in declared])
-
-
-def steady_state(circuit: ThermalCircuit,
-                 source_values: Mapping[str, float]) -> dict[str, float]:
-    """Solve the stationary energy balance 0 = -Kθ + Wu.
-
-    Parameters
-    ----------
-    circuit : ThermalCircuit
-    source_values : mapping
-        A value for every declared temperature source (°C) and flow
-        source (W); no extras, no omissions.
-
-    Returns
-    -------
-    dict
-        Node id -> temperature (°C), for every node including the
-        massless ones.
-    """
-    K, W = _assemble(circuit)
-    u = _source_vector(circuit, source_values)
-    try:
-        theta = np.linalg.solve(K, W @ u)
-    except np.linalg.LinAlgError:
-        raise NumericalError(
-            "stationary balance is singular despite a connected circuit; "
-            "check for vanishing conductances"
-        ) from None
-    return {node.id: float(theta[i]) for i, node in enumerate(circuit.nodes)}
-
-
-def nodal_conductance_matrix(circuit: ThermalCircuit,
-                             keep: Sequence[str]) -> np.ndarray:
-    """Exact conductance matrix between ``keep`` nodes and the datum.
-
-    Eliminates every other node from K = AᵀGA (temperature sources held
-    at the datum), returning the symmetric Schur complement.  Row/column
-    order follows ``keep``.  This is the small matrix relating steady
-    injected powers to steady node temperatures: K_kept θ_kept = f.
-    """
-    index = circuit.node_index
-    unknown = [name for name in keep if name not in index]
-    if unknown:
-        raise ModelError("unknown node(s): " + ", ".join(unknown))
-    if len(set(keep)) != len(keep):
-        raise ModelError("keep: node ids must be distinct")
-    K, _ = _assemble(circuit)
-    kept = [index[name] for name in keep]
-    others = [i for i in range(len(circuit.nodes)) if i not in set(kept)]
-    if not others:
-        return K[np.ix_(kept, kept)]
-    K_kk = K[np.ix_(kept, kept)]
-    K_ko = K[np.ix_(kept, others)]
-    K_oo = K[np.ix_(others, others)]
-    return K_kk - K_ko @ np.linalg.solve(K_oo, K_ko.T)
-
-
 # ---------------------------------------------------------------------------
 # state-space reduction
 # ---------------------------------------------------------------------------
@@ -611,16 +542,6 @@ class StateSpaceModel:
     def flow_inputs(self) -> tuple[str, ...]:
         return tuple(name for name, kind in zip(self.input_names, self.input_kinds)
                      if kind == "flow")
-
-    def input_vector(self, source_values: Mapping[str, float]) -> np.ndarray:
-        """Stack a source->value mapping into the model's input order."""
-        missing = [name for name in self.input_names if name not in source_values]
-        if missing:
-            raise ModelError("unassigned source(s): " + ", ".join(missing))
-        unknown = [name for name in source_values if name not in self.input_names]
-        if unknown:
-            raise ModelError("unknown source(s): " + ", ".join(sorted(unknown)))
-        return np.array([float(source_values[name]) for name in self.input_names])
 
 
 def to_state_space(circuit: ThermalCircuit,

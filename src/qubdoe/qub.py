@@ -42,8 +42,6 @@ __all__ = [
     "estimate_C",
     "recover_C",
     "estimate_from_trace",
-    "first_order_response",
-    "analytic_slopes",
     "trace_to_csv",
     "trace_from_csv",
 ]
@@ -65,7 +63,8 @@ class QubProtocol:
     pulses ``P_h`` then ``P_c`` each last ``t_qub`` seconds.  Sampling
     uses ``sample_dt`` (snapped to an integer divisor of ``t_qub`` so
     the phase switch lands exactly on a sample); the slope fits use the
-    trailing ``slope_window_fraction`` of each phase.
+    trailing ``slope_window_fraction`` of each phase.  Every temperature,
+    power and duration must be finite.
     """
 
     T_o: float
@@ -78,6 +77,14 @@ class QubProtocol:
     boundary_temperatures: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        for name in ("T_o", "P0", "P_h", "P_c", "t_qub"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise SchemaError(f"{name} must be finite, got {value}")
+        for name, value in self.boundary_temperatures.items():
+            if not math.isfinite(value):
+                raise SchemaError(
+                    f"boundary_temperatures[{name!r}] must be finite, got {value}")
         if not self.t_qub > 0.0:
             raise SchemaError(f"t_qub must be positive, got {self.t_qub}")
         if self.P_c < 0.0:
@@ -569,37 +576,6 @@ def estimate_from_trace(trace: QubTrace,
         t0_h=fit_h.t0, t0_c=fit_c.t0,
         r2_h=fit_h.r2, r2_c=fit_c.r2,
     )
-
-
-# ---------------------------------------------------------------------------
-# first-order closed forms
-# ---------------------------------------------------------------------------
-
-def first_order_response(G: float, C: float, dT0: float, P: float,
-                         times) -> np.ndarray:
-    """ΔT(t) of the one-node building: ΔT0·e^(−t/τ) + (P/G)(1 − e^(−t/τ))."""
-    if not (G > 0.0 and C > 0.0):
-        raise ModelError("G and C must be positive")
-    t = np.asarray(times, dtype=float)
-    decay = np.exp(-t * (G / C))
-    return dT0 * decay + (P / G) * -np.expm1(-t * (G / C))
-
-
-def analytic_slopes(G: float, C: float, P_h: float, P_c: float,
-                    dT0_h: float, dT0_c: float, t0: float) -> tuple[float, float]:
-    """Tangent slopes of the one-node building at time t0 of each phase.
-
-    α_h = e^(−t0·G/C)·(P_h − ΔT0_h·G)/C and likewise for cooling with
-    (P_c, ΔT0_c); ΔT0 are the phase-start temperature differences.
-    """
-    if not (G > 0.0 and C > 0.0):
-        raise ModelError("G and C must be positive")
-    if t0 < 0.0:
-        raise ModelError(f"t0 must be >= 0, got {t0}")
-    decay = math.exp(-t0 * G / C)
-    alpha_h = decay * (P_h - dT0_h * G) / C
-    alpha_c = decay * (P_c - dT0_c * G) / C
-    return alpha_h, alpha_c
 
 
 # ---------------------------------------------------------------------------

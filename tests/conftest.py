@@ -126,5 +126,10 @@ def bundled_models(bungalow_model, house_model):
     return {"bungalow": bungalow_model, "house": house_model}
 
 
+def input_vector(model, values):
+    """A name -> value mapping stacked in the model's input order."""
+    return np.array([float(values[name]) for name in model.input_names])
+
+
 def rng(seed=0):
     return np.random.default_rng(seed)

@@ -6,7 +6,10 @@ implicit Euler stepping instead of matrix exponentials, ``np.polyfit``
 instead of hand-rolled normal equations, the quadratic formula instead
 of a general eigensolver, brute-force Monte Carlo instead of
 first-order propagation, the two-zone aggregate H straight from the
-2x2 conductance matrix, the design sweep's stacked rows of powers
+2x2 conductance matrix, the kept-node conductance matrix as a Schur
+complement of the stamped one, the modal sum re-added one mode at a
+time, one-node slopes and degree-day integrals in closed form or by a
+hand-summed trapezoid rule, the design sweep's stacked rows of powers
 cell by cell through the public single-record chain, and the trace CSV
 rendered and parsed one row at a time from whole lists.
 """
@@ -88,6 +91,30 @@ def stamped_matrices(circuit):
         W[index[fs.node], col[fs.source_name]] += 1.0
     C_diag = np.array([node.capacity for node in circuit.nodes])
     return K, W, C_diag, [node.id for node in circuit.nodes], inputs
+
+
+def nodal_conductance_matrix(circuit, keep):
+    """Conductance matrix between the ``keep`` nodes and the datum: every
+    other node of the stamped K eliminated by its Schur complement
+    (temperature sources at the datum).  Row/column order follows
+    ``keep``; K_kept θ_kept = f relates steady injected powers to steady
+    temperatures."""
+    K, _, _, node_ids, _ = stamped_matrices(circuit)
+    kept = [node_ids.index(name) for name in keep]
+    others = [i for i in range(len(node_ids)) if i not in kept]
+    K_ko = K[np.ix_(kept, others)]
+    return K[np.ix_(kept, kept)] - K_ko @ np.linalg.solve(K[np.ix_(others, others)], K_ko.T)
+
+
+def modal_sum(decomp, times):
+    """y(t) of a ModalDecomposition re-added one mode at a time onto the
+    steady value; shape (nt, n_outputs)."""
+    times = np.asarray(times, dtype=float)
+    coeff = decomp.init_amplitudes + decomp.input_amplitudes
+    y = np.tile(decomp.steady_value, (times.size, 1))
+    for lam, c in zip(decomp.eigenvalues, coeff.T):
+        y += np.exp(lam * times)[:, None] * c[None, :]
+    return y
 
 
 def implicit_euler(A, B, u, x0, dt, n_steps):
@@ -183,6 +210,31 @@ def first_order_delta_T(G, C, P, t, dT_start=0.0):
     constant power: ΔT(t) = P/G + (ΔT₀ − P/G)·e^(−Gt/C)."""
     tau = C / G
     return P / G + (dT_start - P / G) * np.exp(-np.asarray(t) / tau)
+
+
+def analytic_slopes(G, C, P_h, P_c, dT0_h, dT0_c, t0):
+    """Tangent slopes (α_h, α_c) at time t0 of each phase of the one-node
+    building: the derivative of :func:`first_order_delta_T` from the
+    phase-start rises ΔT0_h, ΔT0_c."""
+    tau = C / G
+
+    def slope(P, dT_start):
+        return -(dT_start - P / G) / tau * np.exp(-t0 / tau)
+
+    return slope(P_h, dT0_h), slope(P_c, dT0_c)
+
+
+def degree_day_H(times, powers, delta_T):
+    """Long-horizon integral estimate H = ∫P dt / ∫ΔT dt, each integral a
+    hand-summed trapezoid rule.  It equals the true H only on a
+    (quasi-)stationary series."""
+    dt = np.diff(np.asarray(times, dtype=float))
+
+    def integral(y):
+        y = np.asarray(y, dtype=float)
+        return float(np.sum(dt * (y[1:] + y[:-1]) / 2.0))
+
+    return integral(powers) / integral(delta_T)
 
 
 def first_order_degree_day_integrals(G, C, P, horizon, dT_start=0.0):

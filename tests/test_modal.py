@@ -6,8 +6,8 @@ import pytest
 
 import qubdoe as q
 import qubdoe.modal as modal
-from conftest import make_bridged, make_ladder, rng
-from oracles import eig_2x2, implicit_euler_richardson
+from conftest import input_vector, make_bridged, make_ladder, rng
+from oracles import eig_2x2, implicit_euler_richardson, modal_sum
 
 
 def two_state_model(seed=1):
@@ -101,9 +101,9 @@ class TestTrajectories:
         circuit = make()
         outputs = [n.id for n in circuit.nodes if n.capacity > 0.0]
         model = q.to_state_space(circuit, outputs)
-        u = model.input_vector({name: (3.0 if kind == "temperature" else 900.0)
-                                for name, kind in zip(model.input_names,
-                                                      model.input_kinds)})
+        u = input_vector(model, {name: (3.0 if kind == "temperature" else 900.0)
+                                 for name, kind in zip(model.input_names,
+                                                       model.input_kinds)})
         basis = q.eigendecompose(model)
         tau_min = basis.time_constants.min()
         dt = tau_min / 100.0
@@ -189,14 +189,14 @@ class TestModalDecomposition:
     def test_reconstructs_step_response(self, bundled_models):
         r = rng(17)
         for model in bundled_models.values():
-            u = model.input_vector({name: (0.0 if kind == "temperature" else 800.0)
-                                    for name, kind in zip(model.input_names,
-                                                          model.input_kinds)})
+            u = input_vector(model, {name: (0.0 if kind == "temperature" else 800.0)
+                                     for name, kind in zip(model.input_names,
+                                                           model.input_kinds)})
             x0 = r.uniform(-2.0, 2.0, model.n_states)
             decomp = q.modal_decomposition(model, u, x0)
             times = r.uniform(0.0, 8.0e4, 10)
             want = q.step_response(model, u, x0, times)
-            got = decomp.evaluate(times)
+            got = modal_sum(decomp, times)
             scale = max(np.abs(want).max(), 1.0)
             assert np.abs(got - want).max() <= 1e-8 * scale
 
@@ -265,11 +265,18 @@ class TestClassification:
         labels = dict(q.classify_modes(decomp, t_qub))
         assert labels == {0: "a", 1: "b", 2: "d"}
 
-    def test_thresholds_are_adjustable(self):
-        decomp = synthetic_decomposition([120.0, 2900.0], [5.0, 2.0])
-        strict = q.ClassThresholds(fast_fraction=0.001)
-        labels = dict(q.classify_modes(decomp, 10800.0, strict))
-        assert labels[0] == "c"  # no longer counts as fast
+    def test_fixed_boundaries(self):
+        """At t_qub = 3 h a mode settles in four time constants: fast up to
+        τ = 540 s, slow beyond τ = t_qub; a coefficient below 1% of the
+        largest is negligible, and negligible medium modes split at
+        τ = 5400 s."""
+        decomp = synthetic_decomposition(
+            taus=[539.0, 541.0, 10799.0, 10801.0, 5399.0, 5401.0, 3000.0, 3000.0],
+            amps=[100.0, 100.0, 100.0, 100.0, 0.99, 0.99, 1.0, 0.99],
+        )
+        labels = dict(q.classify_modes(decomp, 10800.0))
+        assert labels == {0: "a", 1: "c", 2: "c", 3: "e", 4: "b", 5: "d",
+                          6: "c", 7: "b"}
 
     def test_bad_t_qub(self):
         decomp = synthetic_decomposition([100.0], [1.0])
@@ -278,8 +285,8 @@ class TestClassification:
 
     def test_bungalow_has_all_classes_at_three_hours(self, bungalow_model):
         model = bungalow_model
-        u0 = model.input_vector({"T_o": 0.0, "P_heat": 0.0})
-        u_h = model.input_vector({"T_o": 0.0, "P_heat": 1000.0})
+        u0 = input_vector(model, {"T_o": 0.0, "P_heat": 0.0})
+        u_h = input_vector(model, {"T_o": 0.0, "P_heat": 1000.0})
         decomp = q.modal_decomposition(model, u_h, q.initial_state(model, u0))
         labels = dict(q.classify_modes(decomp, 3.0 * 3600.0))
         assert set(labels.values()) == {"a", "b", "c", "d", "e"}

@@ -8,8 +8,8 @@ import pytest
 
 import qubdoe as q
 from conftest import make_first_order, rng
-from oracles import (first_order_delta_T, polyfit_slope, row_trace_from_csv,
-                     row_trace_to_csv)
+from oracles import (analytic_slopes, first_order_delta_T, polyfit_slope,
+                     row_trace_from_csv, row_trace_to_csv)
 
 
 def proto(**kw):
@@ -57,6 +57,18 @@ class TestProtocolValidation:
     def test_rejects(self, kw):
         with pytest.raises(q.SchemaError):
             proto(**kw)
+
+    @pytest.mark.parametrize("field", ["T_o", "P0", "P_h", "P_c", "t_qub"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(q.SchemaError, match=f"{field} must be finite"):
+            proto(**{field: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_boundary_temperature(self, value):
+        with pytest.raises(q.SchemaError,
+                           match=r"boundary_temperatures\['T_g'\] must be finite"):
+            proto(boundary_temperatures={"T_g": value})
 
 
 class TestSimulate:
@@ -239,13 +251,13 @@ class TestEstimators:
         assert recovered == pytest.approx(C, rel=1e-8)
 
     def test_analytic_slopes_helper(self):
-        """The helper's tangents equal the derivative of the closed-form
+        """The oracle's tangents equal the derivative of the closed-form
         response at t0 of each phase."""
         G, C = 100.0, 1.0e6
         P_h, P_c, t_qub, t0 = 1000.0, 100.0, 8000.0, 2500.0
         tau = C / G
         dT_sw = first_order_delta_T(G, C, P_h, t_qub)
-        alpha_h, alpha_c = q.analytic_slopes(G, C, P_h, P_c, 0.0, dT_sw, t0)
+        alpha_h, alpha_c = analytic_slopes(G, C, P_h, P_c, 0.0, dT_sw, t0)
         # derivative of ΔT(t) = P/G + (ΔT0 − P/G)e^(−t/τ) at t0
         want_h = -(0.0 - P_h / G) / tau * np.exp(-t0 / tau)
         want_c = -(dT_sw - P_c / G) / tau * np.exp(-t0 / tau)
@@ -253,9 +265,12 @@ class TestEstimators:
         assert alpha_c == pytest.approx(want_c, rel=1e-12)
 
     def test_first_order_response_helper(self):
+        """The one-node response from a warm start, through the general
+        step response, is the closed form."""
         G, C, P = 100.0, 1.0e6, 1000.0
+        model = first_order_model(G, C)
         t = np.linspace(0.0, 3.0e4, 7)
-        got = q.first_order_response(G, C, 2.0, P, t)
+        got = q.step_response(model, np.array([0.0, P]), np.array([2.0]), t)[:, 0]
         assert got == pytest.approx(first_order_delta_T(G, C, P, t, 2.0),
                                     rel=1e-12)
 
