@@ -1,10 +1,12 @@
 """Command-line front end.
 
-Every subcommand reads a building document (or a trace CSV), computes,
-and only then writes its full output — to stdout or to ``--out`` — so a
-failing run never leaves a partial file behind.  All output is plain
-CSV/text with shortest-round-trip floats: identical arguments and
-inputs give byte-identical output.
+Every subcommand reads a building document (or a trace CSV) and runs
+its simulation, sweep or fit to the end before it writes anything — to
+stdout or to ``--out`` — so a run that fails on its input or its
+numerics never leaves a file behind.  The output is then written in
+pieces: a trace CSV a chunk of rows at a time, never as one string.
+All output is plain CSV/text with shortest-round-trip floats: identical
+arguments and inputs give byte-identical output.
 
 Exit codes: 0 success, 2 usage, 3 malformed input, 4 numerical failure.
 """
@@ -12,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections import Counter
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,8 +29,8 @@ from .error_budget import ErrorPolicy
 from .exceptions import ModelError, NumericalError, SchemaError
 from .modal import classify_modes, initial_state, modal_decomposition
 from .network import StateSpaceModel, ThermalCircuit, parse_building, to_state_space
-from .qub import (QubProtocol, _protocol_setup, estimate_from_trace, simulate_qub,
-                  trace_from_csv, trace_to_csv)
+from .qub import (QubProtocol, _check_P0, _csv_chunks, _protocol_setup,
+                  estimate_from_trace, simulate_qub, trace_from_csv)
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -169,13 +173,9 @@ def build_parser() -> argparse.ArgumentParser:
 # shared model assembly
 # ---------------------------------------------------------------------------
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_circuit(path: str) -> ThermalCircuit:
-    return parse_building(_read_text(path))
+    with open(path, "r", encoding="utf-8") as fh:
+        return parse_building(fh.read())
 
 
 def _indoor_model(circuit: ThermalCircuit):
@@ -243,26 +243,31 @@ def _axis(spec: tuple[float, float, int], flag: str, what: str,
     return spacing(lo, hi, n)
 
 
-def _run_sweep(args):
+def _sweep_job(args):
+    """The axes of the sweep ``args`` ask for, and the sweep itself as a
+    call to make once the caller has checked what depends on the axes.
+    Every other input is validated before this returns."""
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
-    ph_values, t_values = _axes(args, model, temp_weights, power_weights)
     policy = ErrorPolicy(eps_dT=args.eps_dt, eps_P_rel=args.eps_p_rel,
                          eps_alpha=args.eps_alpha)
-    return sweep(model, _protocol(args), ph_values, t_values, policy,
-                 temp_weights=temp_weights, power_weights=power_weights)
+    protocol = _protocol(args)
+    ph_values, t_values = _axes(args, model, temp_weights, power_weights)
+    return ph_values, t_values, lambda: sweep(
+        model, protocol, ph_values, t_values, policy,
+        temp_weights=temp_weights, power_weights=power_weights)
 
 
 # ---------------------------------------------------------------------------
-# subcommands (each returns the full output text)
+# subcommands (each returns its output as text pieces)
 # ---------------------------------------------------------------------------
 
-def _cmd_check(args) -> str:
+def _cmd_check(args) -> Iterable[str]:
     circuit = _load_circuit(args.building)
-    return f"OK: {len(circuit.nodes)} nodes, {len(circuit.branches)} branches\n"
+    return [f"OK: {len(circuit.nodes)} nodes, {len(circuit.branches)} branches\n"]
 
 
-def _cmd_eig(args) -> str:
+def _cmd_eig(args) -> Iterable[str]:
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
     protocol = QubProtocol(T_o=args.to, P0=args.p0, P_h=args.ph, P_c=0.0,
@@ -279,12 +284,13 @@ def _cmd_eig(args) -> str:
             str(i), _fmt(decomp.time_constants[i]), _fmt(lam),
             _fmt(init_eq[i]), _fmt(input_eq[i]), labels[i],
         )))
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_gains(args) -> str:
+def _cmd_gains(args) -> Iterable[str]:
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
+    _check_P0(args.p0)
     setup = _setup(args, model, temp_weights, power_weights)
     gains = static_gains(model)
     H = reference_H(model, temp_weights, power_weights)
@@ -302,43 +308,45 @@ def _cmd_gains(args) -> str:
     if circuit.zones:
         steady = gains @ setup.inputs(args.p0)
         lines.append(f"mean_temperature,,,{_fmt(setup.indoor_mean(steady))}")
-    return "\n".join(lines) + "\n"
+    return ["\n".join(lines) + "\n"]
 
 
-def _cmd_simulate(args) -> str:
+def _cmd_simulate(args) -> Iterable[str]:
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
     trace = simulate_qub(model, _protocol(args), temp_weights=temp_weights,
                          power_weights=power_weights)
-    return trace_to_csv(trace)
+    return _csv_chunks(trace)
 
 
-def _cmd_estimate(args) -> str:
-    trace = trace_from_csv(_read_text(args.trace))
+def _cmd_estimate(args) -> Iterable[str]:
+    with open(args.trace, "r", encoding="utf-8") as fh:
+        trace = trace_from_csv(fh)
     est = estimate_from_trace(trace, window_fraction=args.window)
     header = "H_qub_W_per_K,C_star_J_per_K,C_J_per_K,alpha_h,alpha_c,r2_h,r2_c"
     row = ",".join(_fmt(v) for v in (est.H_qub, est.C_star, est.C,
                                      est.alpha_h, est.alpha_c, est.r2_h, est.r2_c))
-    return header + "\n" + row + "\n"
+    return [header + "\n" + row + "\n"]
 
 
-def _cmd_sweep(args) -> str:
-    return grid_to_csv(_run_sweep(args))
+def _cmd_sweep(args) -> Iterable[str]:
+    *_, run = _sweep_job(args)
+    return [grid_to_csv(run())]
 
 
-def _cmd_optimum(args) -> str:
-    grid = _run_sweep(args)
+def _cmd_optimum(args) -> Iterable[str]:
+    ph_values, t_values, run = _sweep_job(args)
     constraints = DesignConstraints(
         max_power=(args.max_power if args.max_power is not None
-                   else float(np.max(grid.ph_values))),
+                   else float(np.max(ph_values))),
         max_indoor_temperature=(args.max_temp if args.max_temp is not None
                                 else float("inf")),
         max_total_duration=(args.max_duration if args.max_duration is not None
-                            else 2.0 * float(np.max(grid.t_values))),
+                            else 2.0 * float(np.max(t_values))),
     )
-    best = select_optimum(grid, constraints)
-    return (f"ph_W={_fmt(best.ph)} t_qub_s={_fmt(best.t_qub)} "
-            f"eps_H_pct={_fmt(best.eps_H_pct)}\n")
+    best = select_optimum(run(), constraints)
+    return [f"ph_W={_fmt(best.ph)} t_qub_s={_fmt(best.t_qub)} "
+            f"eps_H_pct={_fmt(best.eps_H_pct)}\n"]
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +357,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.func(args)
+        pieces = args.func(args)
         out = getattr(args, "out", None)
         if out is None:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # the reader stopped early (`| head`) and wants no more;
+                # point stdout at devnull so the exit flush cannot fail
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, sys.stdout.fileno())
+                os.close(devnull)
         else:
-            # full text is ready before the file is touched
+            # the result is computed before the file is touched
             with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-    except (SchemaError, ModelError) as exc:
-        print(f"error: input: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+                fh.writelines(pieces)
+    except (SchemaError, ModelError, OSError, UnicodeDecodeError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:

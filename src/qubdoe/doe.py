@@ -96,8 +96,10 @@ class DesignConstraints:
     max_total_duration: float
 
     def __post_init__(self) -> None:
-        if not (self.max_power > 0.0 and self.max_total_duration > 0.0):
-            raise ModelError("constraints must be positive")
+        for name in ("max_power", "max_total_duration"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ModelError(f"{name} must be positive, got {value}")
         if np.isnan(self.max_indoor_temperature):
             raise ModelError("max_indoor_temperature must not be nan")
 

@@ -24,6 +24,7 @@ import warnings
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -53,6 +54,24 @@ _COOLING = "cooling"
 _DEGENERACY_TOL = 1e-12
 
 
+def _check_temperatures(T_o: float, boundary_temperatures: Mapping[str, float]) -> None:
+    """Reject a non-finite outdoor or boundary temperature."""
+    if not math.isfinite(T_o):
+        raise SchemaError(f"T_o must be finite, got {T_o}")
+    for name, value in boundary_temperatures.items():
+        if not math.isfinite(value):
+            raise SchemaError(
+                f"boundary_temperatures[{name!r}] must be finite, got {value}")
+
+
+def _check_P0(P0: float) -> None:
+    """Reject a pre-experiment power that is not finite and >= 0."""
+    if not math.isfinite(P0):
+        raise SchemaError(f"P0 must be finite, got {P0}")
+    if P0 < 0.0:
+        raise SchemaError(f"P0 must be >= 0, got {P0}")
+
+
 @dataclass(frozen=True)
 class QubProtocol:
     """Parameters of one two-pulse run.
@@ -77,14 +96,12 @@ class QubProtocol:
     boundary_temperatures: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for name in ("T_o", "P0", "P_h", "P_c", "t_qub"):
+        _check_temperatures(self.T_o, self.boundary_temperatures)
+        _check_P0(self.P0)
+        for name in ("P_h", "P_c", "t_qub"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise SchemaError(f"{name} must be finite, got {value}")
-        for name, value in self.boundary_temperatures.items():
-            if not math.isfinite(value):
-                raise SchemaError(
-                    f"boundary_temperatures[{name!r}] must be finite, got {value}")
         if not self.t_qub > 0.0:
             raise SchemaError(f"t_qub must be positive, got {self.t_qub}")
         if self.P_c < 0.0:
@@ -93,8 +110,6 @@ class QubProtocol:
             raise SchemaError(
                 f"P_h must exceed P_c, got P_h={self.P_h}, P_c={self.P_c}"
             )
-        if self.P0 < 0.0:
-            raise SchemaError(f"P0 must be >= 0, got {self.P0}")
         if not 0.0 < self.slope_window_fraction <= 1.0:
             raise SchemaError("slope_window_fraction must lie in (0, 1]")
         if self.sample_dt is not None and not (
@@ -259,6 +274,8 @@ def _protocol_setup(model: StateSpaceModel, T_o: float,
     ModelError
         On structural misuse: no heat-flow input, malformed weights, or
         boundary temperatures naming no temperature input of the model.
+    SchemaError
+        When ``T_o`` or a boundary temperature is not finite.
     """
     n_flow = len(model.flow_inputs)
     if n_flow == 0:
@@ -272,6 +289,7 @@ def _protocol_setup(model: StateSpaceModel, T_o: float,
             "boundary_temperatures: not temperature inputs of the model: "
             + ", ".join(sorted(unknown))
         )
+    _check_temperatures(T_o, extra)
     temps = np.array([float(extra.get(name, T_o))
                       for name in model.temperature_inputs])
     return _ExperimentSetup(temp_weights=w_temp, temperatures=temps,
@@ -591,6 +609,20 @@ _RENDER_ROWS = 4096
 _PARSE_CHARS = 1 << 16
 
 
+def _csv_chunks(trace: QubTrace):
+    """The CSV text of ``trace``: the header, then ``_RENDER_ROWS`` rows
+    per piece."""
+    n = trace.n_heating
+    yield _TRACE_HEADER + "\n"
+    for start in range(0, trace.times.size, _RENDER_ROWS):
+        part = slice(start, start + _RENDER_ROWS)
+        rows = zip(trace.times[part].tolist(), trace.delta_T[part].tolist(),
+                   trace.power[part].tolist())
+        yield "".join(
+            f"{t!r},{dT!r},{p!r},{_HEATING if i < n else _COOLING}\n"
+            for i, (t, dT, p) in enumerate(rows, start))
+
+
 def trace_to_csv(trace: QubTrace) -> str:
     """Render a trace as CSV (header ``t_s,dT_K,power_W,phase``).
 
@@ -599,16 +631,7 @@ def trace_to_csv(trace: QubTrace) -> str:
     rendered a chunk at a time, so the working memory beyond the text
     itself stays bounded.
     """
-    n = trace.n_heating
-    chunks = [_TRACE_HEADER + "\n"]
-    for start in range(0, trace.times.size, _RENDER_ROWS):
-        part = slice(start, start + _RENDER_ROWS)
-        rows = zip(trace.times[part].tolist(), trace.delta_T[part].tolist(),
-                   trace.power[part].tolist())
-        chunks.append("".join(
-            f"{t!r},{dT!r},{p!r},{_HEATING if i < n else _COOLING}\n"
-            for i, (t, dT, p) in enumerate(rows, start)))
-    return "".join(chunks)
+    return "".join(_csv_chunks(trace))
 
 
 def _text_slices(text: str):
@@ -623,12 +646,31 @@ def _text_slices(text: str):
         start = stop
 
 
-def trace_from_csv(text: str) -> QubTrace:
+def _file_slices(fh):
+    """Like :func:`_text_slices`, read from an open text file
+    ``_PARSE_CHARS`` characters at a time; the part after a read's last
+    newline is carried over into the next piece."""
+    carry = ""
+    while block := fh.read(_PARSE_CHARS):
+        cut = block.rfind("\n") + 1
+        if cut:
+            yield carry + block[:cut]
+            carry = block[cut:]
+        else:
+            carry += block
+    if carry:
+        yield carry
+
+
+def trace_from_csv(source: str | TextIO) -> QubTrace:
     """Parse a trace CSV produced by :func:`trace_to_csv`.
 
-    Blank lines are skipped and not counted in the line numbers of
-    errors.  The phase column must hold only ``heating`` and ``cooling``
-    labels, start with heating, end with cooling and switch exactly once.
+    ``source`` is the text itself or an open text file, which is read
+    ``_PARSE_CHARS`` characters at a time, never whole; both give the
+    same trace or the same error.  Blank lines are skipped and not
+    counted in the line numbers of errors.  The phase column must hold
+    only ``heating`` and ``cooling`` labels, start with heating, end with
+    cooling and switch exactly once.
     """
     header_error = f"trace: first line must be '{_TRACE_HEADER}'"
     times, delta_T, power = array("d"), array("d"), array("d")
@@ -637,7 +679,8 @@ def trace_from_csv(text: str) -> QubTrace:
     switches = 0                  # label changes between consecutive rows
     n_heating = None              # row index of the first cooling label
     unknown = set()
-    for piece in _text_slices(text):
+    pieces = _text_slices(source) if isinstance(source, str) else _file_slices(source)
+    for piece in pieces:
         for line in piece.splitlines():
             if not line.strip():
                 continue

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
+from qubdoe import cli, qub
 from qubdoe.cli import main
 
 
@@ -54,6 +55,13 @@ class TestCheck:
         code, out, err = run_main(["check", str(bad)], capsys)
         assert code == 3 and err.startswith("error: input:")
 
+    def test_non_utf8_document_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(q.bungalow_json().encode("utf-8").replace(b"{", b"{\xff", 1))
+        code, out, err = run_main(["check", str(bad)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "can't decode byte 0xff" in err
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -80,6 +88,12 @@ class TestEig:
         _, out, _ = run_main(["eig", bungalow_path, "--tqub", "10800"], capsys)
         classes = {row.split(",")[5] for row in out.splitlines()[1:]}
         assert classes == set("abcde")
+
+    def test_non_finite_boundary_exits_3(self, bungalow_path, capsys):
+        code, out, err = run_main(["eig", bungalow_path, "--set", "T_o=nan"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:")
+        assert "boundary_temperatures['T_o'] must be finite" in err
 
 
 class TestGains:
@@ -122,6 +136,18 @@ class TestGains:
 
         assert mean_temperature([]) == 0.0
         assert 0.0 < mean_temperature(["--set", "T_g=14"]) < 14.0
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--to", "nan"], "T_o must be finite"),
+        (["--to=-inf"], "T_o must be finite"),
+        (["--p0", "inf"], "P0 must be finite"),
+        (["--p0", "-1"], "P0 must be >= 0"),
+        (["--set", "T_g=nan"], "boundary_temperatures['T_g'] must be finite"),
+    ])
+    def test_bad_setting_exits_3(self, house_path, argv, message, capsys):
+        code, out, err = run_main(["gains", house_path] + argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and message in err
 
 
 class TestCliSurface:
@@ -173,6 +199,46 @@ class TestSimulateEstimate:
         code, out, err = run_main(["estimate", "--trace", str(bad)], capsys)
         assert code == 3 and err.startswith("error: input:")
 
+    @pytest.mark.parametrize("offset", [0, 200_000], ids=["first-read", "later-read"])
+    def test_non_utf8_trace_exits_3(self, bungalow_path, tmp_path, offset, capsys):
+        path = tmp_path / "trace.csv"
+        code, *_ = run_main(["simulate", bungalow_path, "--tqub", "43200", "--dt", "10",
+                             "--out", str(path)], capsys)
+        assert code == 0
+        data = path.read_bytes()
+        assert len(data) > offset + 1000
+        path.write_bytes(data[:offset] + b"\xff" + data[offset:])
+        code, out, err = run_main(["estimate", "--trace", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "can't decode byte 0xff" in err
+
+    def test_crlf_trace_file_estimates_the_same(self, bungalow_path, tmp_path, capsys):
+        trace = run_main(["simulate", bungalow_path] + SHORT, capsys)[1]
+        lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+        lf.write_bytes(trace.encode("utf-8"))
+        crlf.write_bytes(trace.replace("\n", "\r\n").encode("utf-8"))
+        expected = run_main(["estimate", "--trace", str(lf)], capsys)
+        assert expected[0] == 0
+        assert run_main(["estimate", "--trace", str(crlf)], capsys) == expected
+
+    def test_stdout_out_file_and_library_agree(self, bungalow, bungalow_model,
+                                               bungalow_path, tmp_path,
+                                               monkeypatch, capsys):
+        # small render chunks, so the trace is written in many pieces
+        monkeypatch.setattr(qub, "_RENDER_ROWS", 7)
+        code, stdout_text, _ = run_main(["simulate", bungalow_path] + SHORT, capsys)
+        assert code == 0
+        path = tmp_path / "trace.csv"
+        code, out, _ = run_main(["simulate", bungalow_path, "--out", str(path)] + SHORT,
+                                capsys)
+        assert code == 0 and out == ""
+        masses = [z.air_mass for z in bungalow.zones]
+        protocol = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=5400.0,
+                                 sample_dt=60.0)
+        library = q.trace_to_csv(q.simulate_qub(bungalow_model, protocol,
+                                                temp_weights=masses, power_weights=masses))
+        assert path.read_bytes() == stdout_text.encode("utf-8") == library.encode("utf-8")
+
     def test_boundary_override_changes_output(self, house_path, capsys):
         base = run_main(["simulate", house_path] + SHORT, capsys)[1]
         warm = run_main(["simulate", house_path, "--set", "T_g=14"] + SHORT,
@@ -218,6 +284,20 @@ class TestSweepOptimum:
             ["sweep", bungalow_path, "--out", str(path)] + self.RANGES, capsys)
         assert code == 0 and out == ""
         assert path.read_bytes().decode("utf-8") == stdout_text
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--max-power", "0", "max_power must be positive, got 0.0"),
+        ("--max-duration", "-5", "max_total_duration must be positive, got -5.0"),
+    ])
+    def test_bad_constraint_named_before_the_sweep(self, bungalow_path, flag, value,
+                                                   field, monkeypatch, capsys):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the constraints were checked")
+
+        monkeypatch.setattr(cli, "sweep", no_sweep)
+        code, out, err = run_main(["optimum", bungalow_path, flag, value], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and field in err
 
     def test_optimum_line(self, bungalow_path, capsys):
         code, out, _ = run_main(["optimum", bungalow_path] + self.RANGES, capsys)
@@ -388,6 +468,20 @@ class TestConsoleScript:
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.startswith("OK: ")
+
+    def test_reader_closing_the_pipe_early_is_not_an_error(self, bungalow_path):
+        # 8,641 rows: far more than a pipe holds, so writes are still
+        # pending when the reader goes away
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qubdoe.cli", "simulate", bungalow_path,
+             "--tqub", "43200", "--dt", "10"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.read(10) == b"t_s,dT_K,p"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == b""
 
     def test_version_flag(self):
         result = subprocess.run(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
+from qubdoe import qub
 from conftest import make_first_order, rng
 from oracles import (analytic_slopes, first_order_delta_T, polyfit_slope,
                      row_trace_from_csv, row_trace_to_csv)
@@ -389,10 +390,15 @@ class TestTraceCsv:
 
 
 class TestTraceCsvChunks:
+    """Parsing a trace given as a string, cut into ``_PARSE_CHARS`` slices."""
+
+    def parse(self, text):
+        return q.trace_from_csv(text)
+
     def test_long_trace_matches_row_oracle(self, long_trace):
         text = q.trace_to_csv(long_trace)
         assert text == row_trace_to_csv(long_trace)
-        parsed, reference = q.trace_from_csv(text), row_trace_from_csv(text)
+        parsed, reference = self.parse(text), row_trace_from_csv(text)
         for got in (parsed, reference):
             assert got.n_heating == long_trace.n_heating == 43201
             assert np.array_equal(got.times, long_trace.times)
@@ -405,7 +411,7 @@ class TestTraceCsvChunks:
             lines[k] += "\n  \n"
         for text in ("\n".join(lines) + "\n", "\r\n".join(lines) + "\r\n",
                      "\n\n" + "\n".join(lines)):
-            parsed, reference = q.trace_from_csv(text), row_trace_from_csv(text)
+            parsed, reference = self.parse(text), row_trace_from_csv(text)
             assert parsed.n_heating == reference.n_heating
             assert np.array_equal(parsed.times, reference.times)
             assert np.array_equal(parsed.delta_T, reference.delta_T)
@@ -418,7 +424,7 @@ class TestTraceCsvChunks:
         lines[5] += "\n"  # a blank line, not counted in line numbers
         lines[60_000] = bad
         text = "\n".join(lines) + "\n"
-        message = schema_error(q.trace_from_csv, text)
+        message = schema_error(self.parse, text)
         assert message == schema_error(row_trace_from_csv, text)
         assert message.startswith("trace line 60001: ")
 
@@ -427,6 +433,23 @@ class TestTraceCsvChunks:
         for k, label in ((70_000, "warming"), (30_000, "idle"), (30_001, "idle")):
             lines[k] = lines[k].rsplit(",", 1)[0] + "," + label
         text = "\n".join(lines) + "\n"
-        message = schema_error(q.trace_from_csv, text)
+        message = schema_error(self.parse, text)
         assert message == schema_error(row_trace_from_csv, text)
         assert message == "unknown phase label(s): ['idle', 'warming']"
+
+
+class TestTraceCsvChunksFromFile(TestTraceCsvChunks):
+    """The same cases read from an open file 7 characters at a time, so
+    reads cut inside rows and inside ``\\r\\n`` pairs.  The file is opened
+    with ``newline=""``, so the parser sees exactly the string's
+    characters, and must give the same traces, messages and line numbers."""
+
+    @pytest.fixture(autouse=True)
+    def small_reads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qub, "_PARSE_CHARS", 7)
+        self.path = tmp_path / "trace.csv"
+
+    def parse(self, text):
+        self.path.write_text(text, encoding="utf-8", newline="")
+        with open(self.path, "r", encoding="utf-8", newline="") as fh:
+            return q.trace_from_csv(fh)
