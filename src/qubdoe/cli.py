@@ -3,7 +3,9 @@
 Every subcommand reads a building document (or a trace CSV) and runs
 its simulation, sweep or fit to the end before it writes anything — to
 stdout or to ``--out`` — so a run that fails on its input or its
-numerics never leaves a file behind.  The output is then written in
+numerics never leaves a file behind.  An ``--out`` whose directory is
+missing or not writable, or that names a directory, fails before the
+work starts.  The output is then written in
 pieces: a trace CSV a chunk of rows at a time, never as one string.
 All output is plain CSV/text with shortest-round-trip floats: identical
 arguments and inputs give byte-identical output.
@@ -13,6 +15,8 @@ Exit codes: 0 success, 2 usage, 3 malformed input, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import functools
 import math
 import os
 import sys
@@ -29,8 +33,9 @@ from .error_budget import ErrorPolicy
 from .exceptions import ModelError, NumericalError, SchemaError
 from .modal import classify_modes, initial_state, modal_decomposition
 from .network import StateSpaceModel, ThermalCircuit, parse_building, to_state_space
-from .qub import (QubProtocol, _check_P0, _csv_chunks, _protocol_setup,
-                  estimate_from_trace, simulate_qub, trace_from_csv)
+from .qub import (_WINDOW_FRACTION, QubProtocol, _check_P0, _csv_chunks,
+                  _protocol_setup, estimate_from_trace, simulate_qub,
+                  trace_from_csv)
 
 # ---------------------------------------------------------------------------
 # argument plumbing
@@ -70,7 +75,7 @@ _PROTOCOL_FLAGS = {
                  help="cooling-phase power (default 0)"),
     "--tqub": dict(type=float, default=10800.0, metavar="S",
                    help="duration of each phase in seconds (default 10800)"),
-    "--window": dict(type=float, default=1.0 / 3.0, metavar="F",
+    "--window": dict(type=float, default=_WINDOW_FRACTION, metavar="F",
                      help="trailing fraction of each phase fitted (default 1/3)"),
     "--dt": dict(type=float, default=None, metavar="S",
                  help="sampling step (default t_qub/120)"),
@@ -81,9 +86,12 @@ _PROTOCOL_FLAGS = {
 }
 
 
+# a sweep sets P_h and t_qub per cell from its axes
+_SWEEP_FLAGS = ("--to", "--p0", "--pc", "--window", "--dt", "--set")
+
+
 def _add_protocol_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    """Add the named protocol flags, or all of them when none are named."""
-    for name in names or _PROTOCOL_FLAGS:
+    for name in names:
         p.add_argument(name, **_PROTOCOL_FLAGS[name])
 
 
@@ -108,7 +116,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "network models.",
     )
     parser.add_argument("--version", action="version", version=f"qubdoe {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # whole flag names only, so that `sweep --ph` is not read as `--ph-range`
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
 
     p = sub.add_parser("check", help="validate a building document")
     p.add_argument("building", help="building JSON document")
@@ -128,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run the two-pulse protocol, emit a trace CSV")
     p.add_argument("building")
-    _add_protocol_flags(p)
+    _add_protocol_flags(p, "--to", "--p0", "--ph", "--pc", "--tqub", "--dt", "--set")
     _add_out_flag(p)
     p.set_defaults(func=_cmd_simulate)
 
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="error map over a (P_h x t_qub) grid")
     p.add_argument("building")
-    _add_protocol_flags(p)
+    _add_protocol_flags(p, *_SWEEP_FLAGS)
     _add_error_flags(p)
     p.add_argument("--ph-range", type=_range_spec, default=None, metavar="A:B:N",
                    help="heating powers, N log-spaced points over [A, B] W "
@@ -153,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimum", help="best admissible design of a sweep")
     p.add_argument("building")
-    _add_protocol_flags(p)
+    _add_protocol_flags(p, *_SWEEP_FLAGS)
     _add_error_flags(p)
     p.add_argument("--ph-range", type=_range_spec, default=None, metavar="A:B:N")
     p.add_argument("--t-range", type=_range_spec, default=None, metavar="A:B:N")
@@ -204,11 +215,10 @@ def _indoor_model(circuit: ThermalCircuit):
     return model, temp_weights, power_weights
 
 
-def _protocol(args) -> QubProtocol:
+def _protocol(args, P_h: float, t_qub: float) -> QubProtocol:
     return QubProtocol(
-        T_o=args.to, P0=args.p0, P_h=args.ph, P_c=args.pc, t_qub=args.tqub,
-        slope_window_fraction=args.window, sample_dt=args.dt,
-        boundary_temperatures=dict(args.boundary),
+        T_o=args.to, P0=args.p0, P_h=P_h, P_c=args.pc, t_qub=t_qub,
+        sample_dt=args.dt, boundary_temperatures=dict(args.boundary),
     )
 
 
@@ -246,16 +256,23 @@ def _axis(spec: tuple[float, float, int], flag: str, what: str,
 def _sweep_job(args):
     """The axes of the sweep ``args`` ask for, and the sweep itself as a
     call to make once the caller has checked what depends on the axes.
-    Every other input is validated before this returns."""
+    Every other input is validated before this returns.
+
+    The protocol template sits at the grid's largest power and duration,
+    so it rejects only a setting that voids every cell: ``--pc`` at or
+    above every power, or ``--dt`` above every duration/20."""
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
     policy = ErrorPolicy(eps_dT=args.eps_dt, eps_P_rel=args.eps_p_rel,
                          eps_alpha=args.eps_alpha)
-    protocol = _protocol(args)
+    # the default axes start from the steady state under --p0
+    _check_P0(args.p0)
     ph_values, t_values = _axes(args, model, temp_weights, power_weights)
+    template = _protocol(args, float(ph_values.max()), float(t_values.max()))
     return ph_values, t_values, lambda: sweep(
-        model, protocol, ph_values, t_values, policy,
-        temp_weights=temp_weights, power_weights=power_weights)
+        model, template, ph_values, t_values, policy,
+        temp_weights=temp_weights, power_weights=power_weights,
+        window_fraction=args.window)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +331,8 @@ def _cmd_gains(args) -> Iterable[str]:
 def _cmd_simulate(args) -> Iterable[str]:
     circuit = _load_circuit(args.building)
     model, temp_weights, power_weights = _indoor_model(circuit)
-    trace = simulate_qub(model, _protocol(args), temp_weights=temp_weights,
-                         power_weights=power_weights)
+    trace = simulate_qub(model, _protocol(args, args.ph, args.tqub),
+                         temp_weights=temp_weights, power_weights=power_weights)
     return _csv_chunks(trace)
 
 
@@ -353,12 +370,27 @@ def _cmd_optimum(args) -> Iterable[str]:
 # entry point
 # ---------------------------------------------------------------------------
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing ``path`` would meet in its directory,
+    without creating the file, so a bad ``--out`` fails before the work."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    # abspath would turn an empty path, which names no file, into the working directory
+    parent = os.path.dirname(os.path.abspath(path)) if path else path
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), parent)
+    if not os.access(parent, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), parent)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        pieces = args.func(args)
         out = getattr(args, "out", None)
+        if out is not None:
+            _check_out(out)
+        pieces = args.func(args)
         if out is None:
             try:
                 sys.stdout.writelines(pieces)

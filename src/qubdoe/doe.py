@@ -27,13 +27,13 @@ from collections.abc import Sequence
 import numpy as np
 
 from .conductance import reference_H
-from .error_budget import (ErrorPolicy, MeasurementErrors, assemble_budget,
-                           measurement_error, partials)
-from .exceptions import ModelError, NumericalError, QubdoeError
+from .error_budget import ErrorPolicy, assemble_budget, measurement_error, partials
+from .exceptions import ModelError, NumericalError
 from .modal import _BLOCK_ELEMENTS, EigenBasis, eigendecompose
 from .network import StateSpaceModel
-from .qub import (QubProtocol, _cancels, _check_windows, _protocol_setup,
-                  _sample_times, _two_pulse, _two_pulse_fits, estimate_H)
+from .qub import (_WINDOW_FRACTION, QubProtocol, _cancels, _check_windows,
+                  _protocol_setup, _sample_times, _two_pulse, _two_pulse_fits,
+                  estimate_H)
 # the sweep no longer calls simulate_qub per cell, but bench/tracing.py still
 # wraps it under this module to count such calls, so the name stays here
 from .qub import simulate_qub  # noqa: F401
@@ -114,17 +114,21 @@ def _held_mean(power, count: int):
 
 def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
                     protocol: QubProtocol, setup, rel: np.ndarray,
-                    ph: np.ndarray, H_ref: float,
-                    errors: ErrorPolicy | MeasurementErrors, out: dict,
+                    ph: np.ndarray, H_ref: float, policy: ErrorPolicy,
+                    window_fraction: float | None, out: dict,
                     index: np.ndarray) -> None:
-    """Fill ``out`` at ``index`` for the powers ``ph`` of one duration."""
+    """Fill ``out`` at ``index`` for the powers ``ph`` of one duration;
+    only their peak temperatures when ``window_fraction`` is None (the
+    fit windows of this duration hold too few samples)."""
     dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, ph, rel)
     finite = np.isfinite(dT_heat).all(axis=-1) & np.isfinite(dT_cool).all(axis=-1)
     ph, index, dT_heat, dT_cool = ph[finite], index[finite], dT_heat[finite], dT_cool[finite]
     out["theta_max"][index] = protocol.T_o + np.maximum(dT_heat.max(axis=-1),
                                                         dT_cool.max(axis=-1))
+    if window_fraction is None:
+        return
     fit_h, fit_c = _two_pulse_fits(rel, protocol.t_qub, dT_heat, dT_cool,
-                                   protocol.slope_window_fraction)
+                                   window_fraction)
     keep = ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha)
     fit_h, fit_c = (replace(f, alpha=f.alpha[keep], dT0=f.dT0[keep], r2=f.r2[keep])
                     for f in (fit_h, fit_c))
@@ -132,11 +136,8 @@ def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
     P_c = float(_held_mean(protocol.P_c, rel.size - 1))
     H_qub = estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
     sens = partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
-    if isinstance(errors, MeasurementErrors):
-        resolved = errors
-    else:
-        resolved = errors.resolve(P_h, fit_h, fit_c)
-    budget = assemble_budget(H_qub, H_ref, measurement_error(sens, resolved))
+    errors = policy.resolve(P_h, fit_h, fit_c)
+    budget = assemble_budget(H_qub, H_ref, measurement_error(sens, errors))
     # a budget that over- or underflowed says nothing about the design
     finite = np.isfinite(budget.eps_Hm) & np.isfinite(budget.eps_H_pct)
     index = index[keep][finite]
@@ -147,77 +148,71 @@ def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
     out["valid"][index] = True
 
 
-def _row_protocol(template: QubProtocol, t_qub: float
-                  ) -> tuple[QubProtocol | None, np.ndarray | None, ModelError | None]:
-    """The protocol of one duration and its sample instants, both None
-    when the protocol rejects the duration (the whole row is then
-    invalid), and the error of its fit windows when they are too short
-    to fit at that duration."""
+def _row_protocol(template: QubProtocol, t_qub: float, window_fraction: float
+                  ) -> tuple[QubProtocol, np.ndarray, ModelError | None]:
+    """The protocol of one duration, its sample instants, and the error
+    of its fit windows when they cannot fit at that duration."""
     sample_dt = template.sample_dt
     if sample_dt is not None and sample_dt > t_qub / 20.0:
         sample_dt = None
-    try:
-        protocol = replace(template, t_qub=t_qub, sample_dt=sample_dt)
-    except QubdoeError:
-        return None, None, None
+    protocol = replace(template, t_qub=t_qub, sample_dt=sample_dt)
     rel = _sample_times(protocol)
     try:
-        _check_windows(rel, t_qub, protocol.slope_window_fraction)
+        _check_windows(rel, t_qub, window_fraction)
     except ModelError as exc:
         return protocol, rel, exc
     return protocol, rel, None
 
 
-def _sweep_row(model: StateSpaceModel, basis: EigenBasis,
-               protocol: QubProtocol | None, rel: np.ndarray | None,
-               setup, ph_values: np.ndarray, t_qub: float, H_ref: float,
-               errors: ErrorPolicy | MeasurementErrors) -> tuple[DoeCell, ...]:
-    """The cells of one duration, sampled at the instants ``rel``; all
-    invalid when ``protocol`` is None.
-    A row whose fit windows are too short is evaluated all the same, so
-    its cells keep their peak temperatures."""
+def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
+               rel: np.ndarray, setup, ph_values: np.ndarray, H_ref: float,
+               policy: ErrorPolicy, window_fraction: float | None
+               ) -> tuple[DoeCell, ...]:
+    """The cells of one duration, sampled at the instants ``rel``.  With
+    ``window_fraction`` None (windows too short to fit) the row is still
+    simulated, so its cells keep their peak temperatures."""
     n_ph = ph_values.size
     # the DoeCell fields after ph and t_qub, in their order
     out = {name: np.full(n_ph, nan) for name in
            ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max")}
     out["valid"] = np.zeros(n_ph, dtype=bool)
-    if protocol is not None:
-        # cells with P_h <= P_c are invalid protocols, never simulated
-        todo = np.flatnonzero(ph_values > protocol.P_c)
-        block = max(1, _BLOCK_ELEMENTS // rel.size)
-        for first in range(0, todo.size, block):
-            index = todo[first:first + block]
-            try:
-                _evaluate_block(model, basis, protocol, setup, rel,
-                                ph_values[index], H_ref, errors, out, index)
-            except QubdoeError:
-                pass  # a fit window or an error policy no cell can satisfy
+    # cells with P_h <= P_c are invalid protocols, never simulated
+    todo = np.flatnonzero(ph_values > protocol.P_c)
+    block = max(1, _BLOCK_ELEMENTS // rel.size)
+    for first in range(0, todo.size, block):
+        index = todo[first:first + block]
+        _evaluate_block(model, basis, protocol, setup, rel, ph_values[index],
+                        H_ref, policy, window_fraction, out, index)
     columns = (column.tolist() for column in out.values())
-    return tuple(DoeCell(ph, float(t_qub), *fields)
+    return tuple(DoeCell(ph, float(protocol.t_qub), *fields)
                  for ph, *fields in zip(ph_values.tolist(), *columns))
 
 
 def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
           ph_values: Sequence[float], t_values: Sequence[float],
-          errors: ErrorPolicy | MeasurementErrors,
-          temp_weights=None, power_weights=None) -> DoeGrid:
+          policy: ErrorPolicy, temp_weights=None, power_weights=None,
+          window_fraction: float = _WINDOW_FRACTION) -> DoeGrid:
     """Evaluate the error budget over a (P_h × t_qub) grid.
 
     Parameters
     ----------
     model, protocol_template
-        The template's P_h and t_qub are overridden per cell; its
+        The template's P_h and t_qub are overridden per cell, so any
+        valid pair will do (the CLI uses the grid's largest cell); its
         sampling step is dropped for cells it would undersample.
     ph_values, t_values
         Grid axes (W, s); kept in the given order.
-    errors
-        Fixed :class:`MeasurementErrors`, or an :class:`ErrorPolicy`
-        resolved per cell (power-relative eps_P, slope error from the
-        fit's own r²).
+    policy
+        Measurement uncertainties, resolved per cell (power-relative
+        eps_P, slope error from the fit's own r², unless fixed values
+        are set).
     temp_weights, power_weights
         As for :func:`~qubdoe.qub.simulate_qub`; the intrinsic error is
         measured against :func:`~qubdoe.conductance.reference_H` of the
         model with the same weights.
+    window_fraction
+        Trailing fraction of each phase fitted, in (0, 1], as for
+        :func:`~qubdoe.qub.fit_slope`.
 
     Returns
     -------
@@ -231,8 +226,12 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     ModelError
         On misuse that would void every cell: empty axes, malformed
         weights or boundary temperatures naming no temperature input of
-        the model, or a fit window too short to fit at every duration
-        (each before any cell is evaluated).
+        the model, a window fraction outside (0, 1], or a fit window too
+        short to fit at every duration (each before any cell is
+        evaluated).
+    SchemaError
+        On a duration the protocol rejects (not finite and positive),
+        before any cell is evaluated.
     NumericalError
         When the indoor temperature does not rise under the heaters, so
         there is no reference H.
@@ -246,15 +245,14 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
                             temp_weights, power_weights)
     H_ref = reference_H(model, temp_weights, power_weights)
     basis = eigendecompose(model)
-    protocols, instants, window_errors = zip(*(_row_protocol(protocol_template, t)
-                                               for t in t_values))
-    if all(error is not None for error in window_errors):
-        raise window_errors[0]
+    rows = [_row_protocol(protocol_template, t, window_fraction) for t in t_values]
+    if all(error is not None for *_, error in rows):
+        raise rows[0][2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        rows = tuple(_sweep_row(model, basis, protocol, rel, setup, ph_values, t,
-                                H_ref, errors)
-                     for protocol, rel, t in zip(protocols, instants, t_values))
-    return DoeGrid(ph_values=ph_values, t_values=t_values, cells=rows)
+        cells = tuple(_sweep_row(model, basis, protocol, rel, setup, ph_values, H_ref,
+                                 policy, window_fraction if error is None else None)
+                      for protocol, rel, error in rows)
+    return DoeGrid(ph_values=ph_values, t_values=t_values, cells=cells)
 
 
 def select_optimum(grid: DoeGrid, constraints: DesignConstraints) -> DoeCell:
@@ -298,10 +296,13 @@ def select_optimum(grid: DoeGrid, constraints: DesignConstraints) -> DoeCell:
     return best
 
 
-def default_axes(H_ref: float, maintenance_power: float,
-                 n_ph: int = 40, n_t: int = 40) -> tuple[np.ndarray, np.ndarray]:
-    """Default grid: powers log-spaced from the maintenance power to
-    four times it, durations linear from 1 h to 12 h.
+#: points on each axis of the default grid
+_DEFAULT_POINTS = 40
+
+
+def default_axes(H_ref: float, maintenance_power: float) -> tuple[np.ndarray, np.ndarray]:
+    """Default grid: 40 powers log-spaced from the maintenance power to
+    four times it, 40 durations linear from 1 h to 12 h.
 
     When the maintenance power is not positive (experiment starting at
     the outdoor temperature), the power axis spans the power holding a
@@ -310,8 +311,8 @@ def default_axes(H_ref: float, maintenance_power: float,
     if not H_ref > 0.0:
         raise ModelError(f"H_ref must be positive, got {H_ref}")
     base = maintenance_power if maintenance_power > 0.0 else H_ref
-    ph_values = np.geomspace(base, 4.0 * base, n_ph)
-    t_values = np.linspace(3600.0, 12.0 * 3600.0, n_t)
+    ph_values = np.geomspace(base, 4.0 * base, _DEFAULT_POINTS)
+    t_values = np.linspace(3600.0, 12.0 * 3600.0, _DEFAULT_POINTS)
     return ph_values, t_values
 
 

@@ -74,17 +74,16 @@ class ErrorPolicy:
             if value is not None and not 0.0 <= value < np.inf:
                 raise ModelError(f"{name} must be finite and >= 0, got {value}")
 
-    def resolve(self, P_h: float, fit_h: SlopeFit | None = None,
-                fit_c: SlopeFit | None = None) -> MeasurementErrors:
+    def resolve(self, P_h: float, fit_h: SlopeFit, fit_c: SlopeFit) -> MeasurementErrors:
+        """The uncertainties of a run at heating power ``P_h`` whose
+        phases were fitted as ``fit_h`` and ``fit_c``."""
         eps_P = self.eps_P_abs if self.eps_P_abs is not None else self.eps_P_rel * abs(P_h)
         if self.eps_alpha is not None:
             eps_alpha = self.eps_alpha
         else:
-            fits = [f for f in (fit_h, fit_c) if f is not None]
-            if not fits:
-                raise ModelError("eps_alpha not set and no slope fits to derive it from")
-            eps_alpha = np.maximum.reduce(
-                [slope_standard_error(f.alpha, f.r2, f.n_samples) for f in fits])
+            eps_alpha = np.maximum(
+                slope_standard_error(fit_h.alpha, fit_h.r2, fit_h.n_samples),
+                slope_standard_error(fit_c.alpha, fit_c.r2, fit_c.n_samples))
         return MeasurementErrors(eps_alpha=eps_alpha, eps_P=eps_P, eps_dT=self.eps_dT)
 
 

@@ -53,6 +53,9 @@ _COOLING = "cooling"
 #: relative magnitude below which the estimator denominators count as zero
 _DEGENERACY_TOL = 1e-12
 
+#: trailing fraction of each phase that the slope fits use by default
+_WINDOW_FRACTION = 1.0 / 3.0
+
 
 def _check_temperatures(T_o: float, boundary_temperatures: Mapping[str, float]) -> None:
     """Reject a non-finite outdoor or boundary temperature."""
@@ -81,9 +84,9 @@ class QubProtocol:
     is the pre-experiment power defining the initial steady state; the
     pulses ``P_h`` then ``P_c`` each last ``t_qub`` seconds.  Sampling
     uses ``sample_dt`` (snapped to an integer divisor of ``t_qub`` so
-    the phase switch lands exactly on a sample); the slope fits use the
-    trailing ``slope_window_fraction`` of each phase.  Every temperature,
-    power and duration must be finite.
+    the phase switch lands exactly on a sample).  Every temperature,
+    power and duration must be finite.  The fit window is not part of
+    the run: :func:`fit_slope` and its callers take it.
     """
 
     T_o: float
@@ -91,7 +94,6 @@ class QubProtocol:
     P_h: float
     P_c: float
     t_qub: float
-    slope_window_fraction: float = 1.0 / 3.0
     sample_dt: float | None = None
     boundary_temperatures: Mapping[str, float] = field(default_factory=dict)
 
@@ -110,8 +112,6 @@ class QubProtocol:
             raise SchemaError(
                 f"P_h must exceed P_c, got P_h={self.P_h}, P_c={self.P_c}"
             )
-        if not 0.0 < self.slope_window_fraction <= 1.0:
-            raise SchemaError("slope_window_fraction must lie in (0, 1]")
         if self.sample_dt is not None and not (
             0.0 < self.sample_dt <= self.t_qub / 20.0
         ):
@@ -392,8 +392,11 @@ def _window(t_rel: np.ndarray, window_fraction: float, phase: str) -> np.ndarray
     Raises
     ------
     ModelError
-        When the window holds fewer than three samples.
+        When ``window_fraction`` is outside (0, 1] or the window holds
+        fewer than three samples.
     """
+    if not 0.0 < window_fraction <= 1.0:
+        raise ModelError("window_fraction must lie in (0, 1]")
     span = t_rel[-1]
     # same selection rule in both phases => identical window geometry
     selected = t_rel >= (1.0 - window_fraction) * span - 1e-9 * span
@@ -453,7 +456,7 @@ def _two_pulse_fits(rel: np.ndarray, t_qub: float, dT_heat: np.ndarray,
 
 
 def fit_slope(trace: QubTrace, phase: str,
-              window_fraction: float = 1.0 / 3.0) -> SlopeFit:
+              window_fraction: float = _WINDOW_FRACTION) -> SlopeFit:
     """Ordinary least-squares line over the trailing part of one phase.
 
     Parameters
@@ -470,13 +473,12 @@ def fit_slope(trace: QubTrace, phase: str,
     Raises
     ------
     ModelError
-        On an unknown phase label, a window with fewer than three
-        samples, or a degenerate (zero-time-variance) window.
+        On an unknown phase label, a window fraction outside (0, 1], a
+        window with fewer than three samples, or a degenerate
+        (zero-time-variance) window.
     """
     if phase not in (_HEATING, _COOLING):
         raise ModelError(f"phase must be '{_HEATING}' or '{_COOLING}', got {phase!r}")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ModelError("window_fraction must lie in (0, 1]")
     part = trace.heating if phase == _HEATING else trace.cooling
     start = 0.0 if phase == _HEATING else trace.t_qub
     fit = _fit_window(trace.times[part] - start, trace.delta_T[part],
@@ -572,7 +574,7 @@ def recover_C(C_star: float, H: float, t0: float) -> float:
 
 
 def estimate_from_trace(trace: QubTrace,
-                        window_fraction: float = 1.0 / 3.0) -> QubEstimate:
+                        window_fraction: float = _WINDOW_FRACTION) -> QubEstimate:
     """Fit both phases of a record and evaluate the two-phase estimators.
 
     The powers are read from the record (mean over each phase).  The

@@ -22,6 +22,7 @@ from math import nan
 import numpy as np
 
 import qubdoe as q
+from qubdoe.qub import _WINDOW_FRACTION
 
 
 def stamped_steady_state(circuit, source_values):
@@ -268,8 +269,9 @@ def H_from_K(K, masses, temperatures):
     return float(flux / mean)
 
 
-def evaluate_cell(model, basis, template, ph, t_qub, H_ref, errors,
-                  temp_weights=None, power_weights=None):
+def evaluate_cell(model, basis, template, ph, t_qub, H_ref, policy,
+                  temp_weights=None, power_weights=None,
+                  window_fraction=_WINDOW_FRACTION):
     """One design-sweep cell through the public single-record chain:
     simulate_qub → fit_slope → estimate_H → partials → error policy →
     measurement_error → assemble_budget, any QubdoeError or a non-finite
@@ -286,18 +288,14 @@ def evaluate_cell(model, basis, template, ph, t_qub, H_ref, errors,
             trace = q.simulate_qub(model, protocol, temp_weights=temp_weights,
                                    power_weights=power_weights, basis=basis)
         theta_max = protocol.T_o + float(trace.delta_T.max())
-        window = protocol.slope_window_fraction
-        fit_h = q.fit_slope(trace, "heating", window)
-        fit_c = q.fit_slope(trace, "cooling", window)
+        fit_h = q.fit_slope(trace, "heating", window_fraction)
+        fit_c = q.fit_slope(trace, "cooling", window_fraction)
         P_h = float(trace.power[trace.heating].mean())
         P_c = float(trace.power[trace.cooling].mean())
         H_qub = q.estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
         sens = q.partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
-        if isinstance(errors, q.MeasurementErrors):
-            resolved = errors
-        else:
-            resolved = errors.resolve(P_h, fit_h, fit_c)
-        budget = q.assemble_budget(H_qub, H_ref, q.measurement_error(sens, resolved))
+        errors = policy.resolve(P_h, fit_h, fit_c)
+        budget = q.assemble_budget(H_qub, H_ref, q.measurement_error(sens, errors))
         if not (np.isfinite(budget.eps_Hm) and np.isfinite(budget.eps_H_pct)):
             raise q.NumericalError("error budget is not finite")
         return q.DoeCell(ph=ph, t_qub=t_qub, H_qub=H_qub,
@@ -308,15 +306,16 @@ def evaluate_cell(model, basis, template, ph, t_qub, H_ref, errors,
                          eps_Hm=nan, eps_H_pct=nan, theta_max=theta_max, valid=False)
 
 
-def reference_sweep(model, template, ph_values, t_values, errors,
-                    temp_weights=None, power_weights=None):
+def reference_sweep(model, template, ph_values, t_values, policy,
+                    temp_weights=None, power_weights=None,
+                    window_fraction=_WINDOW_FRACTION):
     """The sweep grid evaluated one cell at a time by :func:`evaluate_cell`,
     against the reference H of the same weights."""
     H_ref = q.reference_H(model, temp_weights, power_weights)
     basis = q.eigendecompose(model)
     rows = tuple(
         tuple(evaluate_cell(model, basis, template, float(ph), float(t), H_ref,
-                            errors, temp_weights, power_weights)
+                            policy, temp_weights, power_weights, window_fraction)
               for ph in ph_values)
         for t in t_values)
     return q.DoeGrid(ph_values=np.asarray(ph_values, dtype=float),

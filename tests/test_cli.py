@@ -157,10 +157,21 @@ class TestCliSurface:
         ("eig", "--pc"), ("eig", "--window"), ("eig", "--dt"),
         ("gains", "--ph"), ("gains", "--pc"), ("gains", "--tqub"),
         ("gains", "--window"), ("gains", "--dt"),
+        ("simulate", "--window"),
+        # a sweep takes P_h and t_qub from its axes
+        ("sweep", "--ph"), ("sweep", "--tqub"),
+        ("optimum", "--ph"), ("optimum", "--tqub"),
     ])
     def test_unused_flag_is_a_usage_error(self, command, flag, bungalow_path):
         with pytest.raises(SystemExit) as exc:
             main([command, bungalow_path, flag, "60"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    def test_flag_prefix_is_not_an_abbreviation(self, command, bungalow_path):
+        # --ph is a prefix of --ph-range, whose value this would be
+        with pytest.raises(SystemExit) as exc:
+            main([command, bungalow_path, "--ph", "500:2000:2"])
         assert exc.value.code == 2
 
 
@@ -342,6 +353,48 @@ class TestSweepOptimum:
         assert code == 3 and out == ""
         assert err.startswith("error: input:") and "window holds only" in err
 
+    @pytest.mark.parametrize("window", ["0", "1.1"])
+    @pytest.mark.parametrize("command", ["sweep", "estimate"])
+    def test_window_fraction_out_of_range_exits_3(self, command, window,
+                                                  bungalow_path, tmp_path, capsys):
+        if command == "estimate":
+            trace = tmp_path / "trace.csv"
+            assert main(["simulate", bungalow_path, "--out", str(trace)] + SHORT) == 0
+            argv = ["estimate", "--trace", str(trace)]
+        else:
+            argv = ["sweep", bungalow_path] + self.RANGES
+        code, out, err = run_main(argv + ["--window", window], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "window_fraction" in err
+
+    @pytest.mark.parametrize("command, argv", [
+        ("sweep", ["--pc", "2000", "--ph-range", "2500:5000:3",
+                   "--t-range", "3600:7200:2"]),
+        ("optimum", ["--dt", "1000", "--ph-range", "2500:5000:2",
+                     "--t-range", "3600:72000:3"]),
+    ])
+    def test_settings_every_cell_can_run_are_accepted(self, command, argv,
+                                                      bungalow_path, capsys):
+        # --pc above 1000 W and --dt above 10800 s/20, settings that fit
+        # every cell of these grids
+        code, out, err = run_main([command, bungalow_path] + argv, capsys)
+        assert code == 0 and err == ""
+        if command == "sweep":
+            assert out.count(",1\n") == 6
+        else:
+            assert out.startswith("ph_W=")
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--pc", "3200"], "P_h must exceed P_c"),
+        (["--dt", "1081"], "sample_dt must lie in (0, t_qub/20]"),
+    ])
+    def test_setting_that_voids_every_cell_exits_3(self, command, argv, message,
+                                                   bungalow_path, capsys):
+        code, out, err = run_main([command, bungalow_path] + argv + self.RANGES, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and message in err
+
     def test_bad_range_spec_exits_2(self, bungalow_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", bungalow_path, "--ph-range", "10:20"])
@@ -380,9 +433,9 @@ class TestSweepOptimum:
         (["--eps-alpha", "inf"], "eps_alpha"),
         (["--to", "nan"], "T_o"),
         (["--p0", "inf"], "P0"),
-        (["--ph", "inf"], "P_h"),
+        (["--pc", "inf"], "P_c"),
         (["--pc", "nan"], "P_c"),
-        (["--tqub", "inf"], "t_qub"),
+        (["--set", "T_o=inf"], "boundary_temperatures['T_o']"),
         (["--set", "T_o=nan"], "boundary_temperatures['T_o']"),
     ])
     def test_non_finite_setting_exits_3(self, command, argv, field,
@@ -458,6 +511,51 @@ class TestReference:
         assert split.delta_T == pytest.approx(twin.delta_T, rel=1e-12, abs=1e-12)
         code, out, _ = run_main(["sweep", str(path)] + TestSweepOptimum.RANGES, capsys)
         assert code == 0 and out.count(",1\n") > 0
+
+
+class TestOutFailsFast:
+    """A bad ``--out`` is reported before the simulation or sweep starts,
+    and no file is created."""
+
+    @pytest.fixture(autouse=True)
+    def no_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the work started")
+
+        monkeypatch.setattr(cli, "simulate_qub", refuse)
+        monkeypatch.setattr(cli, "sweep", refuse)
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_missing_directory(self, command, bungalow_path, tmp_path, capsys):
+        path = tmp_path / "missing" / "out.csv"
+        code, out, err = run_main([command, bungalow_path, "--out", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "No such file or directory" in err
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_empty_path(self, command, bungalow_path, capsys):
+        code, out, err = run_main([command, bungalow_path, "--out", ""], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "No such file or directory" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_directory(self, command, bungalow_path, tmp_path, capsys):
+        code, out, err = run_main([command, bungalow_path, "--out", str(tmp_path)],
+                                  capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "Is a directory" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_unwritable_directory(self, command, bungalow_path, tmp_path,
+                                  monkeypatch, capsys):
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        path = tmp_path / "out.csv"
+        code, out, err = run_main([command, bungalow_path, "--out", str(path)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "Permission denied" in err
+        assert not path.exists()
 
 
 class TestConsoleScript:

@@ -10,19 +10,19 @@ import pytest
 
 import qubdoe as q
 import qubdoe.qub as qub
-from qubdoe.cli import main
+from qubdoe.cli import _indoor_model, main
 from conftest import assert_matches_reference, make_first_order
 from oracles import reference_sweep
 
 
 def small_sweep(ph=(500.0, 1000.0, 2000.0), t=(4000.0, 8000.0),
-                P_c=0.0, errors=None):
+                P_c=0.0, policy=None):
     circuit = make_first_order(G=100.0, C=1.0e6)
     model = q.to_state_space(circuit, ["air"])
     template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=P_c, t_qub=6000.0)
-    if errors is None:
-        errors = q.MeasurementErrors(eps_alpha=1.0e-6, eps_P=10.0, eps_dT=0.5)
-    return q.sweep(model, template, ph, t, errors)
+    if policy is None:
+        policy = q.ErrorPolicy(eps_dT=0.5, eps_P_abs=10.0, eps_alpha=1.0e-6)
+    return q.sweep(model, template, ph, t, policy)
 
 
 def hand_cell(ph, t, eps=1.0, theta=30.0, valid=True):
@@ -69,10 +69,10 @@ class TestSweep:
         assert sub.cells[0][1] == full.cells[1][2]
 
     def test_policy_and_fixed_errors_agree_on_eps_dT_only(self):
-        fixed = q.MeasurementErrors(eps_alpha=0.0, eps_P=0.0, eps_dT=0.5)
-        policy = q.ErrorPolicy(eps_dT=0.5, eps_P_rel=0.0, eps_alpha=0.0)
-        g1 = small_sweep(errors=fixed)
-        g2 = small_sweep(errors=policy)
+        fixed = q.ErrorPolicy(eps_dT=0.5, eps_P_abs=0.0, eps_alpha=0.0)
+        relative = q.ErrorPolicy(eps_dT=0.5, eps_P_rel=0.0, eps_alpha=0.0)
+        g1 = small_sweep(policy=fixed)
+        g2 = small_sweep(policy=relative)
         assert q.grid_to_csv(g1) == q.grid_to_csv(g2)
 
     def test_bad_reference_and_empty_axes(self):
@@ -91,53 +91,44 @@ class TestSweep:
         blind = q.to_state_space(q.parse_building(json.dumps(doc)), ["air"])
         model = q.to_state_space(make_first_order(), ["air"])
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=6000.0)
-        errors = q.MeasurementErrors(eps_alpha=0.0, eps_P=0.0, eps_dT=0.5)
+        policy = q.ErrorPolicy(eps_dT=0.5, eps_P_abs=0.0, eps_alpha=0.0)
         with pytest.raises(q.NumericalError, match="rise"):
-            q.sweep(blind, template, [1000.0], [4000.0], errors)
+            q.sweep(blind, template, [1000.0], [4000.0], policy)
         with pytest.raises(q.ModelError):
-            q.sweep(model, template, [], [4000.0], errors)
+            q.sweep(model, template, [], [4000.0], policy)
 
 
-def zone_weights(circuit):
-    """Temperature and power weights the CLI derives from zone air masses
-    (for buildings with one heater per zone, as both bundled ones)."""
-    temp = np.array([z.air_mass for z in circuit.zones])
-    mass_at = {z.air_node: z.air_mass for z in circuit.zones}
-    power = np.array([mass_at.get(fs.node, 0.0) for fs in circuit.flow_sources])
-    return temp, power
-
-
-# (building, template fields, error model): warm starts off T_o = 0,
-# cooling power above some heating powers, a second boundary temperature,
-# a sampling step kept for long and dropped for short pulses, a window too
-# short to fit at the shorter durations, and every way of setting the
-# measurement errors
+# (building, template fields, error policy, sweep keywords): warm starts
+# off T_o = 0, cooling power above some heating powers, a second boundary
+# temperature, a sampling step kept for long and dropped for short pulses,
+# a window too short to fit at the shorter durations, and every way of
+# setting the measurement errors
 REFERENCE_CASES = {
-    "warm-start": ("bungalow", dict(T_o=5.0, P0=400.0), q.ErrorPolicy()),
-    "cooling-power": ("bungalow", dict(P_c=300.0), q.ErrorPolicy(eps_alpha=2.0e-6)),
+    "warm-start": ("bungalow", dict(T_o=5.0, P0=400.0), q.ErrorPolicy(), {}),
+    "cooling-power": ("bungalow", dict(P_c=300.0), q.ErrorPolicy(eps_alpha=2.0e-6), {}),
     "ground-14": ("house", dict(P_c=150.0, sample_dt=600.0,
                                 boundary_temperatures={"T_g": 14.0}),
-                  q.ErrorPolicy(eps_P_abs=5.0)),
+                  q.ErrorPolicy(eps_P_abs=5.0), {}),
     "house-fixed": ("house", dict(T_o=-3.0, P0=200.0, sample_dt=60.0),
-                    q.MeasurementErrors(eps_alpha=1.0e-6, eps_P=10.0, eps_dT=0.5)),
-    "short-window": ("bungalow", dict(slope_window_fraction=0.01, sample_dt=60.0),
-                     q.ErrorPolicy()),
+                    q.ErrorPolicy(eps_dT=0.5, eps_P_abs=10.0, eps_alpha=1.0e-6), {}),
+    "short-window": ("bungalow", dict(sample_dt=60.0), q.ErrorPolicy(),
+                     dict(window_fraction=0.01)),
 }
 
 
 class TestAgainstPerCellReference:
     @pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
     def test_bundled_buildings(self, case, bungalow, house):
-        name, fields, errors = REFERENCE_CASES[case]
+        name, fields, policy, sweep_kw = REFERENCE_CASES[case]
         circuit = {"bungalow": bungalow, "house": house}[name]
-        model = q.to_state_space(circuit, [z.air_node for z in circuit.zones])
-        temp_weights, power_weights = zone_weights(circuit)
+        # the model and zone weights the CLI sweeps
+        model, temp_weights, power_weights = _indoor_model(circuit)
         template = q.QubProtocol(**{"T_o": 0.0, "P0": 0.0, "P_h": 1000.0,
                                     "P_c": 0.0, "t_qub": 43200.0, **fields})
         args = (model, template, np.geomspace(100.0, 3000.0, 7),
-                np.linspace(1800.0, 28800.0, 4), errors, temp_weights, power_weights)
-        grid = q.sweep(*args)
-        assert_matches_reference(grid, reference_sweep(*args))
+                np.linspace(1800.0, 28800.0, 4), policy, temp_weights, power_weights)
+        grid = q.sweep(*args, **sweep_kw)
+        assert_matches_reference(grid, reference_sweep(*args, **sweep_kw))
         if case == "short-window":
             # the windows of the two shortest durations hold < 3 samples
             assert [any(c.valid for c in row) for row in grid.cells] == [
@@ -184,6 +175,10 @@ class TestNoWarnings:
         assert grid.cells[0][1].theta_max == pytest.approx(2.0 + 500.0 / 100.0)
 
 
+def no_response(*args, **kwargs):
+    raise AssertionError("a response was computed")
+
+
 class TestStructuralMisuse:
     def test_unknown_boundary_raises_before_the_grid(self, bungalow_model):
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
@@ -207,22 +202,45 @@ class TestStructuralMisuse:
 
     def test_window_too_short_for_every_duration(self, bungalow_model):
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
-                                 t_qub=10800.0, slope_window_fraction=1.0e-4)
+                                 t_qub=10800.0)
         with pytest.raises(q.ModelError, match="window holds only"):
             q.sweep(bungalow_model, template, [1000.0], [3600.0, 43200.0],
-                    q.ErrorPolicy())
+                    q.ErrorPolicy(), window_fraction=1.0e-4)
 
     def test_window_checked_before_any_response(self, bungalow_model, monkeypatch):
-        def no_response(*args, **kwargs):
-            raise AssertionError("a response was computed")
-
         monkeypatch.setattr(qub, "step_response", no_response)
         monkeypatch.setattr(qub, "state_at", no_response)
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
-                                 t_qub=10800.0, slope_window_fraction=1.0e-4)
+                                 t_qub=10800.0)
         with pytest.raises(q.ModelError, match="heating window holds only 1 samples"):
             q.sweep(bungalow_model, template, np.geomspace(100.0, 400.0, 40),
-                    np.linspace(3600.0, 43200.0, 40), q.ErrorPolicy())
+                    np.linspace(3600.0, 43200.0, 40), q.ErrorPolicy(),
+                    window_fraction=1.0e-4)
+
+    @pytest.mark.parametrize("window", [0.0, 1.1])
+    def test_window_fraction_out_of_range(self, bungalow_model, window, monkeypatch):
+        monkeypatch.setattr(qub, "step_response", no_response)
+        monkeypatch.setattr(qub, "state_at", no_response)
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
+                                 t_qub=10800.0)
+        with pytest.raises(q.ModelError, match=r"window_fraction must lie in \(0, 1\]"):
+            q.sweep(bungalow_model, template, [1000.0], [3600.0, 43200.0],
+                    q.ErrorPolicy(), window_fraction=window)
+
+    @pytest.mark.parametrize("t_qub, message", [
+        (0.0, "t_qub must be positive"),
+        (-3600.0, "t_qub must be positive"),
+        (math.nan, "t_qub must be finite"),
+    ])
+    def test_bad_duration_raises_before_any_response(self, bungalow_model, t_qub,
+                                                     message, monkeypatch):
+        monkeypatch.setattr(qub, "step_response", no_response)
+        monkeypatch.setattr(qub, "state_at", no_response)
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
+                                 t_qub=10800.0, sample_dt=60.0)
+        with pytest.raises(q.SchemaError, match=message):
+            q.sweep(bungalow_model, template, [1000.0], [7200.0, t_qub],
+                    q.ErrorPolicy())
 
 
 class TestDeterminism:
@@ -333,8 +351,8 @@ class TestDefaultAxes:
         assert np.allclose(np.diff(t), t[1] - t[0])
 
     def test_cold_start_branch(self):
-        ph, t = q.default_axes(H_ref=50.0, maintenance_power=0.0, n_ph=7, n_t=5)
-        assert ph.shape == (7,) and t.shape == (5,)
+        ph, t = q.default_axes(H_ref=50.0, maintenance_power=0.0)
+        assert ph.shape == (40,) and t.shape == (40,)
         assert ph[0] == pytest.approx(50.0)    # 1 K steady rise
         assert ph[-1] == pytest.approx(200.0)  # 4 K steady rise
 

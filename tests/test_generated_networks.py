@@ -91,12 +91,13 @@ def test_trace_is_affine_in_heating_power(model, fields, power, step):
 
 @PROPERTY_SETTINGS
 @given(model=networks(), fields=protocols,
-       errors=st.sampled_from([q.ErrorPolicy(), q.ErrorPolicy(eps_alpha=1.0e-6),
-                               q.MeasurementErrors(1.0e-6, 5.0, 0.2)]))
-def test_sweep_matches_per_cell_reference(model, fields, errors):
+       policy=st.sampled_from([q.ErrorPolicy(), q.ErrorPolicy(eps_alpha=1.0e-6),
+                               q.ErrorPolicy(eps_dT=0.2, eps_P_abs=5.0,
+                                             eps_alpha=1.0e-6)]))
+def test_sweep_matches_per_cell_reference(model, fields, policy):
     usable(model)
     template = q.QubProtocol(P_h=fields["P_c"] + 1000.0, **fields)
-    args = (model, template, [50.0, 400.0, 1500.0], [3600.0, 14400.0], errors)
+    args = (model, template, [50.0, 400.0, 1500.0], [3600.0, 14400.0], policy)
     assert_matches_reference(q.sweep(*args), reference_sweep(*args))
 
 

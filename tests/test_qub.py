@@ -40,7 +40,6 @@ def schema_error(parse, text):
 class TestProtocolValidation:
     def test_defaults(self):
         p = proto()
-        assert p.slope_window_fraction == pytest.approx(1.0 / 3.0)
         assert p.effective_sample_dt == pytest.approx(10_000.0 / 120.0)
 
     @pytest.mark.parametrize("kw", [
@@ -50,8 +49,8 @@ class TestProtocolValidation:
         dict(P_h=500.0, P_c=600.0),
         dict(P_c=-1.0),
         dict(P0=-1.0),
-        dict(slope_window_fraction=0.0),
-        dict(slope_window_fraction=1.1),
+        dict(sample_dt=0.0),
+        dict(sample_dt=501.0),       # just above t_qub/20
         dict(sample_dt=-1.0),
         dict(sample_dt=600.0),       # coarser than t_qub/20
     ])
@@ -182,6 +181,13 @@ class TestFitSlope:
         trace = q.simulate_qub(first_order_model(), proto())
         with pytest.raises(q.ModelError):
             q.fit_slope(trace, "heating", window_fraction=1e-6)
+
+    @pytest.mark.parametrize("phase", ["heating", "cooling"])
+    @pytest.mark.parametrize("window", [0.0, 1.1])
+    def test_window_fraction_out_of_range(self, phase, window):
+        trace = q.simulate_qub(first_order_model(), proto())
+        with pytest.raises(q.ModelError, match=r"window_fraction must lie in \(0, 1\]"):
+            q.fit_slope(trace, phase, window_fraction=window)
 
     def test_unknown_phase(self):
         trace = q.simulate_qub(first_order_model(), proto())
