@@ -223,12 +223,10 @@ def build_house() -> ThermalCircuit:
 # ---------------------------------------------------------------------------
 
 def report(circuit: ThermalCircuit) -> None:
-    outputs = [z.air_node for z in circuit.zones]
-    model = to_state_space(circuit, outputs)
+    model = to_state_space(circuit)
     print(f"== {circuit.name}: {model.n_states} states, "
           f"inputs {model.input_names}")
 
-    # uniform weights, as in the simulations below
     H = reference_H(model)
     print(f"   H_ref = {H:.2f} W/K")
 
@@ -236,9 +234,9 @@ def report(circuit: ThermalCircuit) -> None:
     taus = basis.time_constants
     print("   tau (h):", " ".join(f"{t / 3600.0:.3f}" for t in sorted(taus)))
 
-    # mode classes for a three-hour, 1 kW pulse split evenly across the heaters
+    # mode classes for a three-hour, 1 kW pulse split across the heaters
     t_qub = 3.0 * 3600.0
-    setup = _protocol_setup(model, 0.0, {}, None, None)
+    setup = _protocol_setup(model, 0.0, {})
     decomp = modal_decomposition(model, setup.inputs(1000.0),
                                  initial_state(model, setup.inputs(0.0)))
     labels = classify_modes(decomp, t_qub)

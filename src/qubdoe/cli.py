@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import sys
-from collections import Counter
 from collections.abc import Iterable
 
 import numpy as np
@@ -189,32 +188,6 @@ def _load_circuit(path: str) -> ThermalCircuit:
         return parse_building(fh.read())
 
 
-def _indoor_model(circuit: ThermalCircuit):
-    """Model with indoor-temperature outputs plus the averaging and
-    power-split weights (zone air masses when zones are declared, each
-    zone's share split evenly among the heaters at its air node)."""
-    if circuit.zones:
-        outputs = [z.air_node for z in circuit.zones]
-        temp_weights = np.array([z.air_mass for z in circuit.zones])
-        mass_at = {z.air_node: z.air_mass for z in circuit.zones}
-        heaters_at = Counter(fs.node for fs in circuit.flow_sources)
-        power_weights = np.array([mass_at.get(fs.node, 0.0) / heaters_at[fs.node]
-                                  for fs in circuit.flow_sources])
-        if power_weights.sum() <= 0.0:
-            power_weights = None
-    else:
-        nodes_with_heat = []
-        for fs in circuit.flow_sources:
-            if fs.node not in nodes_with_heat:
-                nodes_with_heat.append(fs.node)
-        capacitive = [n.id for n in circuit.nodes if n.capacity > 0.0]
-        outputs = nodes_with_heat or capacitive[:1]
-        temp_weights = None
-        power_weights = None
-    model = to_state_space(circuit, outputs)
-    return model, temp_weights, power_weights
-
-
 def _protocol(args, P_h: float, t_qub: float) -> QubProtocol:
     return QubProtocol(
         T_o=args.to, P0=args.p0, P_h=P_h, P_c=args.pc, t_qub=t_qub,
@@ -222,18 +195,16 @@ def _protocol(args, P_h: float, t_qub: float) -> QubProtocol:
     )
 
 
-def _setup(args, model: StateSpaceModel, temp_weights, power_weights):
-    return _protocol_setup(model, args.to, dict(args.boundary),
-                           temp_weights, power_weights)
+def _setup(args, model: StateSpaceModel):
+    return _protocol_setup(model, args.to, dict(args.boundary))
 
 
-def _axes(args, model: StateSpaceModel, temp_weights,
-          power_weights) -> tuple[np.ndarray, np.ndarray]:
+def _axes(args, model: StateSpaceModel) -> tuple[np.ndarray, np.ndarray]:
     if args.ph_range is None or args.t_range is None:
         # mean indoor temperature of the pre-experiment steady state
-        setup = _setup(args, model, temp_weights, power_weights)
+        setup = _setup(args, model)
         theta0 = float(setup.indoor_mean(static_gains(model) @ setup.inputs(args.p0)))
-        H_ref = reference_H(model, temp_weights, power_weights)
+        H_ref = reference_H(model)
         ph_default, t_default = default_axes(H_ref, H_ref * (theta0 - args.to))
     ph_values = (_axis(args.ph_range, "--ph-range", "powers", np.geomspace)
                  if args.ph_range is not None else ph_default)
@@ -261,18 +232,15 @@ def _sweep_job(args):
     The protocol template sits at the grid's largest power and duration,
     so it rejects only a setting that voids every cell: ``--pc`` at or
     above every power, or ``--dt`` above every duration/20."""
-    circuit = _load_circuit(args.building)
-    model, temp_weights, power_weights = _indoor_model(circuit)
+    model = to_state_space(_load_circuit(args.building))
     policy = ErrorPolicy(eps_dT=args.eps_dt, eps_P_rel=args.eps_p_rel,
                          eps_alpha=args.eps_alpha)
     # the default axes start from the steady state under --p0
     _check_P0(args.p0)
-    ph_values, t_values = _axes(args, model, temp_weights, power_weights)
+    ph_values, t_values = _axes(args, model)
     template = _protocol(args, float(ph_values.max()), float(t_values.max()))
     return ph_values, t_values, lambda: sweep(
-        model, template, ph_values, t_values, policy,
-        temp_weights=temp_weights, power_weights=power_weights,
-        window_fraction=args.window)
+        model, template, ph_values, t_values, policy, window_fraction=args.window)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +253,10 @@ def _cmd_check(args) -> Iterable[str]:
 
 
 def _cmd_eig(args) -> Iterable[str]:
-    circuit = _load_circuit(args.building)
-    model, temp_weights, power_weights = _indoor_model(circuit)
+    model = to_state_space(_load_circuit(args.building))
     protocol = QubProtocol(T_o=args.to, P0=args.p0, P_h=args.ph, P_c=0.0,
                            t_qub=args.tqub)
-    setup = _setup(args, model, temp_weights, power_weights)
+    setup = _setup(args, model)
     decomp = modal_decomposition(model, setup.inputs(protocol.P_h),
                                  initial_state(model, setup.inputs(protocol.P0)))
     labels = dict(classify_modes(decomp, protocol.t_qub))
@@ -306,11 +273,11 @@ def _cmd_eig(args) -> Iterable[str]:
 
 def _cmd_gains(args) -> Iterable[str]:
     circuit = _load_circuit(args.building)
-    model, temp_weights, power_weights = _indoor_model(circuit)
+    model = to_state_space(circuit)
     _check_P0(args.p0)
-    setup = _setup(args, model, temp_weights, power_weights)
+    setup = _setup(args, model)
     gains = static_gains(model)
-    H = reference_H(model, temp_weights, power_weights)
+    H = reference_H(model)
     temp_cols = [j for j, kind in enumerate(model.input_kinds) if kind == "temperature"]
     temp_sums = gains[:, temp_cols].sum(axis=1)
     lines = ["record,output,input,value"]
@@ -329,10 +296,8 @@ def _cmd_gains(args) -> Iterable[str]:
 
 
 def _cmd_simulate(args) -> Iterable[str]:
-    circuit = _load_circuit(args.building)
-    model, temp_weights, power_weights = _indoor_model(circuit)
-    trace = simulate_qub(model, _protocol(args, args.ph, args.tqub),
-                         temp_weights=temp_weights, power_weights=power_weights)
+    model = to_state_space(_load_circuit(args.building))
+    trace = simulate_qub(model, _protocol(args, args.ph, args.tqub))
     return _csv_chunks(trace)
 
 

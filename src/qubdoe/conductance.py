@@ -7,8 +7,8 @@ form a partition of unity on each output; the gain of a heat input is
 the steady K/W rise at the output, whose reciprocal is the overall heat
 transfer coefficient H.  :func:`reference_H` reduces a many-node model
 to the single H (W/K) of one experiment: the power split across the
-heaters and the weighting of the indoor temperature are those the
-experiment uses, because H depends on both.
+heaters and the weighting of the indoor temperature are the model's
+own, the ones the experiment uses, because H depends on both.
 """
 from __future__ import annotations
 
@@ -29,26 +29,25 @@ def static_gains(model: StateSpaceModel) -> np.ndarray:
     return -model.C @ np.linalg.solve(model.A, model.B) + model.D
 
 
-def reference_H(model: StateSpaceModel, temp_weights=None,
-                power_weights=None) -> float:
+def reference_H(model: StateSpaceModel) -> float:
     """Steady heat transfer coefficient H (W/K) of the experiment that
-    :func:`~qubdoe.qub.simulate_qub` runs with the same weights.
+    :func:`~qubdoe.qub.simulate_qub` runs on the model.
 
-    One watt split across the flow inputs by ``power_weights``, every
-    temperature input at zero: H is the reciprocal of the steady indoor
-    rise, the outputs averaged by ``temp_weights`` (each uniform when
-    None).  With every boundary at one temperature, this is the value a
-    two-pulse estimate converges to on long pulses, so the intrinsic
-    error of a design is measured against it.
+    One watt split across the flow inputs by the model's
+    ``flow_weights``, every temperature input at zero: H is the
+    reciprocal of the steady indoor rise, the outputs averaged by the
+    model's ``output_weights``.  With every boundary at one temperature,
+    this is the value a two-pulse estimate converges to on long pulses,
+    so the intrinsic error of a design is measured against it.
 
     Raises
     ------
     ModelError
-        On a model without heat input or malformed weights.
+        On a model without heat input.
     NumericalError
         When the indoor temperature does not rise under the heaters.
     """
-    setup = _protocol_setup(model, 0.0, {}, temp_weights, power_weights)
+    setup = _protocol_setup(model, 0.0, {})
     rise = float(setup.indoor_mean(static_gains(model) @ setup.inputs(1.0)))
     if not rise > 0.0:
         raise NumericalError(

@@ -190,26 +190,26 @@ def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
 
 def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
           ph_values: Sequence[float], t_values: Sequence[float],
-          policy: ErrorPolicy, temp_weights=None, power_weights=None,
+          policy: ErrorPolicy, *,
           window_fraction: float = _WINDOW_FRACTION) -> DoeGrid:
     """Evaluate the error budget over a (P_h × t_qub) grid.
 
     Parameters
     ----------
     model, protocol_template
-        The template's P_h and t_qub are overridden per cell, so any
-        valid pair will do (the CLI uses the grid's largest cell); its
-        sampling step is dropped for cells it would undersample.
+        The model's weights average the indoor temperature and split
+        the power, as for :func:`~qubdoe.qub.simulate_qub`; the
+        intrinsic error is measured against its
+        :func:`~qubdoe.conductance.reference_H`.  The template's P_h and
+        t_qub are overridden per cell, so any valid pair will do (the
+        CLI uses the grid's largest cell); its sampling step is dropped
+        for cells it would undersample.
     ph_values, t_values
         Grid axes (W, s); kept in the given order.
     policy
         Measurement uncertainties, resolved per cell (power-relative
         eps_P, slope error from the fit's own r², unless fixed values
         are set).
-    temp_weights, power_weights
-        As for :func:`~qubdoe.qub.simulate_qub`; the intrinsic error is
-        measured against :func:`~qubdoe.conductance.reference_H` of the
-        model with the same weights.
     window_fraction
         Trailing fraction of each phase fitted, in (0, 1], as for
         :func:`~qubdoe.qub.fit_slope`.
@@ -224,11 +224,10 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     Raises
     ------
     ModelError
-        On misuse that would void every cell: empty axes, malformed
-        weights or boundary temperatures naming no temperature input of
-        the model, a window fraction outside (0, 1], or a fit window too
-        short to fit at every duration (each before any cell is
-        evaluated).
+        On misuse that would void every cell: empty axes, boundary
+        temperatures naming no temperature input of the model, a window
+        fraction outside (0, 1], or a fit window too short to fit at
+        every duration (each before any cell is evaluated).
     SchemaError
         On a duration the protocol rejects (not finite and positive),
         before any cell is evaluated.
@@ -241,9 +240,8 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     if ph_values.ndim != 1 or t_values.ndim != 1 or not ph_values.size or not t_values.size:
         raise ModelError("ph_values and t_values must be non-empty 1-d sequences")
     setup = _protocol_setup(model, protocol_template.T_o,
-                            protocol_template.boundary_temperatures,
-                            temp_weights, power_weights)
-    H_ref = reference_H(model, temp_weights, power_weights)
+                            protocol_template.boundary_temperatures)
+    H_ref = reference_H(model)
     basis = eigendecompose(model)
     rows = [_row_protocol(protocol_template, t, window_fraction) for t in t_values]
     if all(error is not None for *_, error in rows):

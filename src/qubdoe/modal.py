@@ -224,7 +224,6 @@ class ModalDecomposition:
 
     eigenvalues: np.ndarray          # (n,)
     time_constants: np.ndarray       # (n,)
-    eigenvectors: np.ndarray         # (n, n)
     init_amplitudes: np.ndarray      # (n_outputs, n)
     input_amplitudes: np.ndarray     # (n_outputs, n)
     steady_value: np.ndarray         # (n_outputs,)
@@ -256,7 +255,6 @@ def modal_decomposition(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     return ModalDecomposition(
         eigenvalues=basis.eigenvalues,
         time_constants=basis.time_constants,
-        eigenvectors=V,
         init_amplitudes=CV * w0[None, :],
         input_amplitudes=CAinvV * wu[None, :],
         steady_value=steady,

@@ -27,6 +27,7 @@ through a nonzero direct-transmission ``D``).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -481,6 +482,19 @@ def _frozen_array(values, shape=None) -> np.ndarray:
     return arr
 
 
+def _weights(weights, count: int, what: str) -> np.ndarray:
+    """Validated read-only relative weights: ``count`` ones when None,
+    else ``count`` non-negative values with a positive sum."""
+    if weights is None:
+        return _frozen_array(np.ones(count))
+    w = _frozen_array(weights)
+    if w.shape != (count,):
+        raise ModelError(f"{what}: expected {count} weights, got shape {w.shape}")
+    if np.any(w < 0.0) or w.sum() <= 0.0:
+        raise ModelError(f"{what}: weights must be non-negative with positive sum")
+    return w
+
+
 @dataclass(frozen=True)
 class StateSpaceModel:
     """Linear model dx/dt = A x + B u, y = C x + D u.
@@ -492,6 +506,11 @@ class StateSpaceModel:
     ``state_capacities`` keeps the nodal heat capacities (J/K): the
     matrix diag(c)·(-A) is symmetric positive definite, which is what
     makes the spectrum real and stable.
+
+    The model carries the weights of the experiments run on it:
+    ``output_weights`` average the outputs into the indoor temperature,
+    ``flow_weights`` split a total power across the flow inputs.  Only
+    their ratios matter; each is all ones when not given.
     """
 
     A: np.ndarray
@@ -503,6 +522,8 @@ class StateSpaceModel:
     input_kinds: tuple[str, ...]
     output_names: tuple[str, ...]
     state_capacities: np.ndarray | None = None
+    output_weights: np.ndarray | None = None
+    flow_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         n = len(self.state_names)
@@ -523,6 +544,12 @@ class StateSpaceModel:
                 raise ModelError(f"unknown input kind '{kind}'")
         if n == 0:
             raise ModelError("model has no state (no capacitive node)")
+        if p == 0:
+            raise ModelError("model has no output")
+        object.__setattr__(self, "output_weights",
+                           _weights(self.output_weights, p, "output_weights"))
+        object.__setattr__(self, "flow_weights", _weights(
+            self.flow_weights, len(self.flow_inputs), "flow_weights"))
         # every transient and steady formula below divides by A
         if not np.all(np.isfinite(self.A)):
             raise NumericalError("state matrix contains non-finite entries")
@@ -544,8 +571,24 @@ class StateSpaceModel:
                      if kind == "flow")
 
 
+def _indoor_weights(circuit: ThermalCircuit
+                    ) -> tuple[list[str], np.ndarray | None, np.ndarray | None]:
+    """The indoor outputs of a circuit and their output and flow weights
+    (None for uniform), as :func:`to_state_space` picks them."""
+    if not circuit.zones:
+        heated = list(dict.fromkeys(fs.node for fs in circuit.flow_sources))
+        capacitive = [n.id for n in circuit.nodes if n.capacity > 0.0]
+        return heated or capacitive[:1], None, None
+    mass_at = {z.air_node: z.air_mass for z in circuit.zones}
+    heaters_at = Counter(fs.node for fs in circuit.flow_sources)
+    flow_weights = np.array([mass_at.get(fs.node, 0.0) / heaters_at[fs.node]
+                             for fs in circuit.flow_sources])
+    return (list(mass_at), np.array(list(mass_at.values())),
+            flow_weights if flow_weights.sum() > 0.0 else None)
+
+
 def to_state_space(circuit: ThermalCircuit,
-                   outputs: Sequence[str]) -> StateSpaceModel:
+                   outputs: Sequence[str] | None = None) -> StateSpaceModel:
     """Reduce a circuit to a state-space model with the given output nodes.
 
     Massless nodes are eliminated through the Schur complement of the
@@ -555,15 +598,26 @@ def to_state_space(circuit: ThermalCircuit,
     Parameters
     ----------
     circuit : ThermalCircuit
-    outputs : sequence of node ids
+    outputs : sequence of node ids, optional
         May include massless nodes; those outputs gain a direct
-        input-to-output term in ``D``.
+        input-to-output term in ``D``.  Given outputs, and the power
+        split across the heaters, are weighted uniformly.  When omitted,
+        the outputs are the zone air nodes weighted by air mass, each
+        zone's share of the power split evenly among the heaters at its
+        air node (a zone without a heater gets none; with no heater at a
+        zone air node, every heater gets an even share).  Without zones
+        they are the heated nodes, or else the first capacitive node,
+        weighted uniformly.
 
     Raises
     ------
     ModelError
-        If no node carries capacity, or an output id is unknown.
+        If no node carries capacity, there is no output, or an output
+        id is unknown.
     """
+    output_weights = flow_weights = None
+    if outputs is None:
+        outputs, output_weights, flow_weights = _indoor_weights(circuit)
     index = circuit.node_index
     unknown = [name for name in outputs if name not in index]
     if unknown:
@@ -627,4 +681,6 @@ def to_state_space(circuit: ThermalCircuit,
         input_kinds=kinds,
         output_names=tuple(outputs),
         state_capacities=capacities[state_idx],
+        output_weights=output_weights,
+        flow_weights=flow_weights,
     )

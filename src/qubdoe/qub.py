@@ -225,32 +225,21 @@ class QubEstimate:
 # simulation
 # ---------------------------------------------------------------------------
 
-def _normalized_weights(weights, count: int, what: str) -> np.ndarray:
-    if weights is None:
-        return np.full(count, 1.0 / count)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (count,):
-        raise ModelError(f"{what}: expected {count} weights, got shape {w.shape}")
-    if np.any(w < 0.0) or w.sum() <= 0.0:
-        raise ModelError(f"{what}: weights must be non-negative with positive sum")
-    return w / w.sum()
-
-
 @dataclass(frozen=True)
 class _ExperimentSetup:
-    """How an experiment drives a model: the normalised output weights of
-    the indoor temperature, the boundary temperatures in input order, and
-    the normalised split of the total power across the flow inputs."""
+    """How an experiment drives a model: the boundary temperatures in
+    input order, with the model's own weights for the indoor temperature
+    and the split of the total power across the flow inputs."""
 
-    temp_weights: np.ndarray
+    model: StateSpaceModel
     temperatures: np.ndarray
-    power_weights: np.ndarray
 
     def inputs(self, total_power) -> np.ndarray:
         """Inputs holding the boundary temperatures with ``total_power``
         split across the flow inputs; a (k,) array of powers gives
         (k, n_inputs)."""
-        power = np.asarray(total_power, dtype=float)[..., None] * self.power_weights
+        split = self.model.flow_weights
+        power = np.asarray(total_power, dtype=float)[..., None] * (split / split.sum())
         temps = self.temperatures
         return np.concatenate(
             [np.broadcast_to(temps, power.shape[:-1] + temps.shape), power], axis=-1)
@@ -258,30 +247,25 @@ class _ExperimentSetup:
     def indoor_mean(self, outputs: np.ndarray) -> np.ndarray:
         """Weighted mean indoor temperature of output vectors (outputs on
         the last axis)."""
-        return outputs @ self.temp_weights
+        weights = self.model.output_weights
+        return outputs @ (weights / weights.sum())
 
 
 def _protocol_setup(model: StateSpaceModel, T_o: float,
-                    boundary_temperatures: Mapping[str, float],
-                    temp_weights, power_weights) -> _ExperimentSetup:
+                    boundary_temperatures: Mapping[str, float]) -> _ExperimentSetup:
     """The setup of an experiment on a model: temperature inputs held at
-    ``T_o`` unless named in ``boundary_temperatures``, outputs averaged
-    with ``temp_weights`` and power split by ``power_weights`` (each
-    uniform when None).
+    ``T_o`` unless named in ``boundary_temperatures``.
 
     Raises
     ------
     ModelError
-        On structural misuse: no heat-flow input, malformed weights, or
-        boundary temperatures naming no temperature input of the model.
+        On structural misuse: no heat-flow input, or boundary
+        temperatures naming no temperature input of the model.
     SchemaError
         When ``T_o`` or a boundary temperature is not finite.
     """
-    n_flow = len(model.flow_inputs)
-    if n_flow == 0:
+    if not model.flow_inputs:
         raise ModelError("model has no heat-flow input to pulse")
-    w_temp = _normalized_weights(temp_weights, len(model.output_names), "temp_weights")
-    w_power = _normalized_weights(power_weights, n_flow, "power_weights")
     extra = dict(boundary_temperatures)
     unknown = set(extra) - set(model.temperature_inputs)
     if unknown:
@@ -292,8 +276,7 @@ def _protocol_setup(model: StateSpaceModel, T_o: float,
     _check_temperatures(T_o, extra)
     temps = np.array([float(extra.get(name, T_o))
                       for name in model.temperature_inputs])
-    return _ExperimentSetup(temp_weights=w_temp, temperatures=temps,
-                            power_weights=w_power)
+    return _ExperimentSetup(model=model, temperatures=temps)
 
 
 def _sample_times(protocol: QubProtocol) -> np.ndarray:
@@ -321,23 +304,19 @@ def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
     return dT_heat - protocol.T_o, dT_cool - protocol.T_o
 
 
-def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
-                 temp_weights=None, power_weights=None,
+def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
                  basis: EigenBasis | None = None) -> QubTrace:
     """Run the two-pulse protocol on a model, exactly.
 
     Parameters
     ----------
     model : StateSpaceModel
-        Outputs must be the indoor (zone air) temperatures.
+        Outputs must be the indoor (zone air) temperatures.  The model's
+        ``output_weights`` average them into the recorded indoor
+        temperature and its ``flow_weights`` split the protocol's power
+        across the heaters; ``to_state_space(circuit)`` sets both from
+        the building's zones.
     protocol : QubProtocol
-    temp_weights : array-like, optional
-        Averaging weights over the outputs for the equivalent indoor
-        temperature (zone air masses for a multizone building);
-        defaults to uniform.
-    power_weights : array-like, optional
-        Split of the total power across the model's flow inputs
-        (defaults to uniform).
     basis : EigenBasis, optional
         Reused eigendecomposition for sweep loops.
 
@@ -355,8 +334,7 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol,
         maintenance power), in which case the record is degenerate for
         estimation but still returned.
     """
-    setup = _protocol_setup(model, protocol.T_o, protocol.boundary_temperatures,
-                            temp_weights, power_weights)
+    setup = _protocol_setup(model, protocol.T_o, protocol.boundary_temperatures)
     if basis is None:
         basis = eigendecompose(model)
     rel = _sample_times(protocol)

@@ -270,7 +270,6 @@ def H_from_K(K, masses, temperatures):
 
 
 def evaluate_cell(model, basis, template, ph, t_qub, H_ref, policy,
-                  temp_weights=None, power_weights=None,
                   window_fraction=_WINDOW_FRACTION):
     """One design-sweep cell through the public single-record chain:
     simulate_qub → fit_slope → estimate_H → partials → error policy →
@@ -285,8 +284,7 @@ def evaluate_cell(model, basis, template, ph, t_qub, H_ref, policy,
         protocol = replace(template, P_h=ph, t_qub=t_qub, sample_dt=sample_dt)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # sub-maintenance cells are expected
-            trace = q.simulate_qub(model, protocol, temp_weights=temp_weights,
-                                   power_weights=power_weights, basis=basis)
+            trace = q.simulate_qub(model, protocol, basis=basis)
         theta_max = protocol.T_o + float(trace.delta_T.max())
         fit_h = q.fit_slope(trace, "heating", window_fraction)
         fit_c = q.fit_slope(trace, "cooling", window_fraction)
@@ -307,15 +305,14 @@ def evaluate_cell(model, basis, template, ph, t_qub, H_ref, policy,
 
 
 def reference_sweep(model, template, ph_values, t_values, policy,
-                    temp_weights=None, power_weights=None,
                     window_fraction=_WINDOW_FRACTION):
     """The sweep grid evaluated one cell at a time by :func:`evaluate_cell`,
-    against the reference H of the same weights."""
-    H_ref = q.reference_H(model, temp_weights, power_weights)
+    against the reference H of the same model."""
+    H_ref = q.reference_H(model)
     basis = q.eigendecompose(model)
     rows = tuple(
         tuple(evaluate_cell(model, basis, template, float(ph), float(t), H_ref,
-                            policy, temp_weights, power_weights, window_fraction)
+                            policy, window_fraction)
               for ph in ph_values)
         for t in t_values)
     return q.DoeGrid(ph_values=np.asarray(ph_values, dtype=float),

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ def test_acceptance_10_conductance_cross_checks(bungalow, house):
     shares = total_P * masses / masses.sum()
     powers = {z.id: float(p) for z, p in zip(house.zones, shares)}
 
-    H_house = q.reference_H(model, masses, masses)
+    H_house = q.reference_H(replace(model, output_weights=masses, flow_weights=masses))
 
     heater_at = {fs.node: fs.source_name for fs in house.flow_sources}
     sources = {name: 0.0 for name in house.temperature_sources}

@@ -6,6 +6,7 @@ import math
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,7 +125,8 @@ class TestGains:
         assert code == 0
         (H,) = [float(r.split(",")[3]) for r in out.splitlines() if r.startswith("H,")]
         masses = [z.air_mass for z in house.zones]
-        assert H == q.reference_H(house_model, masses, masses)
+        assert H == q.reference_H(replace(house_model, output_weights=masses,
+                                          flow_weights=masses))
         assert H == pytest.approx(113.8295918592700, rel=1e-12)
 
     def test_boundary_override_moves_mean_temperature(self, house_path, capsys):
@@ -244,10 +246,10 @@ class TestSimulateEstimate:
                                 capsys)
         assert code == 0 and out == ""
         masses = [z.air_mass for z in bungalow.zones]
+        model = replace(bungalow_model, output_weights=masses, flow_weights=masses)
         protocol = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=5400.0,
                                  sample_dt=60.0)
-        library = q.trace_to_csv(q.simulate_qub(bungalow_model, protocol,
-                                                temp_weights=masses, power_weights=masses))
+        library = q.trace_to_csv(q.simulate_qub(model, protocol))
         assert path.read_bytes() == stdout_text.encode("utf-8") == library.encode("utf-8")
 
     def test_boundary_override_changes_output(self, house_path, capsys):
@@ -511,6 +513,64 @@ class TestReference:
         assert split.delta_T == pytest.approx(twin.delta_T, rel=1e-12, abs=1e-12)
         code, out, _ = run_main(["sweep", str(path)] + TestSweepOptimum.RANGES, capsys)
         assert code == 0 and out.count(",1\n") > 0
+
+
+def unequal_house(tmp_path, heaters_on_air=True):
+    """The bundled house with zone 1's air mass raised to 900 kg; with
+    ``heaters_on_air`` False each zone's heater moves from its air node
+    to its internal mass."""
+    doc = json.loads(q.house_json())
+    doc["zones"][0]["air_mass"] = 900.0
+    if not heaters_on_air:
+        for source in doc["flow_sources"]:
+            source["node"] = source["node"].replace("air_", "mass_")
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path), q.parse_building(json.dumps(doc))
+
+
+class TestLibraryAgreesWithCli:
+    """``to_state_space(circuit)`` is the model every subcommand runs on:
+    the library reproduces the CLI's bytes on zones of unequal mass."""
+
+    @pytest.mark.parametrize("heaters_on_air", [True, False],
+                             ids=["zone-heaters", "heaters-off-air"])
+    def test_gains_H(self, heaters_on_air, tmp_path, capsys):
+        path, circuit = unequal_house(tmp_path, heaters_on_air)
+        code, out, _ = run_main(["gains", path], capsys)
+        assert code == 0
+        (H,) = [float(r.split(",")[3]) for r in out.splitlines() if r.startswith("H,")]
+        model = q.to_state_space(circuit)
+        assert H == q.reference_H(model)
+        if heaters_on_air:
+            assert H == 109.98075800976868
+        else:
+            # no heater at a zone air node: the power splits evenly
+            assert model.flow_weights.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("heaters_on_air", [True, False],
+                             ids=["zone-heaters", "heaters-off-air"])
+    def test_simulate_bytes(self, heaters_on_air, tmp_path, capsys):
+        path, circuit = unequal_house(tmp_path, heaters_on_air)
+        code, out, _ = run_main(["simulate", path] + SHORT, capsys)
+        assert code == 0
+        protocol = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=5400.0,
+                                 sample_dt=60.0)
+        trace = q.simulate_qub(q.to_state_space(circuit), protocol)
+        assert q.trace_to_csv(trace) == out
+
+    def test_sweep_bytes(self, tmp_path, capsys):
+        path, circuit = unequal_house(tmp_path)
+        out_path = tmp_path / "grid.csv"
+        code, _, _ = run_main(["sweep", path, "--out", str(out_path)]
+                              + TestSweepOptimum.RANGES, capsys)
+        assert code == 0
+        # the CLI's template sits at the grid's largest power and duration
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=3200.0, P_c=0.0, t_qub=21600.0)
+        grid = q.sweep(q.to_state_space(circuit), template,
+                       np.geomspace(800.0, 3200.0, 4), np.linspace(7200.0, 21600.0, 3),
+                       q.ErrorPolicy())
+        assert q.grid_to_csv(grid).encode("utf-8") == out_path.read_bytes()
 
 
 class TestOutFailsFast:

@@ -3,6 +3,7 @@ that cross-check it."""
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -90,9 +91,10 @@ class TestReferenceH:
             "flow_sources": [{"node": "shed", "source_name": "P"}],
         }))
         model = q.to_state_space(circuit, ["air", "shed"])
-        assert q.reference_H(model, temp_weights=[0.0, 1.0]) == pytest.approx(40.0)
+        shed = replace(model, output_weights=[0.0, 1.0])
+        assert q.reference_H(shed) == pytest.approx(40.0)
         with pytest.raises(q.NumericalError, match="rise"):
-            q.reference_H(model, temp_weights=[1.0, 0.0])
+            q.reference_H(replace(model, output_weights=[1.0, 0.0]))
 
     def test_no_heat_input_rejected(self):
         model = q.to_state_space(make_divider(), ["mid"])
@@ -100,25 +102,31 @@ class TestReferenceH:
             q.reference_H(model)
 
 
+def mass_weighted(circuit, model):
+    """The model with both weights set to the zone air masses."""
+    masses = [z.air_mass for z in circuit.zones]
+    return replace(model, output_weights=masses, flow_weights=masses), masses
+
+
 class TestZoneAggregation:
     def test_mean_zone_temperature_mass_weighted(self, house, house_model):
-        masses = [z.air_mass for z in house.zones]
-        H = q.reference_H(house_model, masses, masses)
+        model, masses = mass_weighted(house, house_model)
+        H = q.reference_H(model)
         assert H == pytest.approx(mean_rise_H(house, house_model, masses, masses),
                                   rel=1e-10)
 
     def test_overall_H_multizone_house(self, house, house_model):
-        masses = [z.air_mass for z in house.zones]
-        assert 90.0 < q.reference_H(house_model, masses, masses) < 140.0
+        model, _ = mass_weighted(house, house_model)
+        assert 90.0 < q.reference_H(model) < 140.0
 
     def test_overall_H_independent_of_outdoor_level(self, house, house_model):
-        masses = [z.air_mass for z in house.zones]
+        model, masses = mass_weighted(house, house_model)
         H9 = mean_rise_H(house, house_model, masses, masses, T_o=9.0)
-        assert q.reference_H(house_model, masses, masses) == pytest.approx(H9, rel=1e-10)
+        assert q.reference_H(model) == pytest.approx(H9, rel=1e-10)
 
     def test_zero_power_rejected(self, house_model):
-        with pytest.raises(q.ModelError, match="power_weights"):
-            q.reference_H(house_model, power_weights=[0.0, 0.0])
+        with pytest.raises(q.ModelError, match="flow_weights"):
+            q.reference_H(replace(house_model, flow_weights=[0.0, 0.0]))
 
     def test_H_from_K_requires_two_zones(self):
         with pytest.raises(q.ModelError, match="2x2"):

@@ -4,13 +4,14 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import qubdoe as q
 import qubdoe.qub as qub
-from qubdoe.cli import _indoor_model, main
+from qubdoe.cli import main
 from conftest import assert_matches_reference, make_first_order
 from oracles import reference_sweep
 
@@ -122,11 +123,11 @@ class TestAgainstPerCellReference:
         name, fields, policy, sweep_kw = REFERENCE_CASES[case]
         circuit = {"bungalow": bungalow, "house": house}[name]
         # the model and zone weights the CLI sweeps
-        model, temp_weights, power_weights = _indoor_model(circuit)
+        model = q.to_state_space(circuit)
         template = q.QubProtocol(**{"T_o": 0.0, "P0": 0.0, "P_h": 1000.0,
                                     "P_c": 0.0, "t_qub": 43200.0, **fields})
         args = (model, template, np.geomspace(100.0, 3000.0, 7),
-                np.linspace(1800.0, 28800.0, 4), policy, temp_weights, power_weights)
+                np.linspace(1800.0, 28800.0, 4), policy)
         grid = q.sweep(*args, **sweep_kw)
         assert_matches_reference(grid, reference_sweep(*args, **sweep_kw))
         if case == "short-window":
@@ -189,16 +190,16 @@ class TestStructuralMisuse:
                     q.ErrorPolicy())
 
     @pytest.mark.parametrize("weights", [
-        {"temp_weights": [1.0, 1.0]},
-        {"power_weights": [-1.0]},
-        {"power_weights": [0.0]},
+        {"output_weights": [1.0, 1.0]},
+        {"flow_weights": [-1.0]},
+        {"flow_weights": [0.0]},
     ])
     def test_bad_weights_raise_before_the_grid(self, bungalow_model, weights):
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,
                                  t_qub=10800.0)
         with pytest.raises(q.ModelError, match="weights"):
-            q.sweep(bungalow_model, template, [1000.0], [7200.0],
-                    q.ErrorPolicy(), **weights)
+            q.sweep(replace(bungalow_model, **weights), template, [1000.0], [7200.0],
+                    q.ErrorPolicy())
 
     def test_window_too_short_for_every_duration(self, bungalow_model):
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,

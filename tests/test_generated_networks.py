@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -115,4 +116,5 @@ def test_reference_H_is_power_over_weighted_mean_rise(drawn, weights, T_o):
     theta = stamped_steady_state(circuit, values)
     rises = np.array([theta[name] - T_o for name in sensors])
     H = total / (temp_weights @ rises / temp_weights.sum())
-    assert q.reference_H(model, temp_weights, power_weights) == pytest.approx(H, rel=1e-10)
+    weighted = replace(model, output_weights=temp_weights, flow_weights=power_weights)
+    assert q.reference_H(weighted) == pytest.approx(H, rel=1e-10)

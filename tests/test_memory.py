@@ -18,11 +18,12 @@ import qubdoe as q
 from qubdoe import cli
 
 
-def traced_peak(fn, *args):
-    """Result of ``fn(*args)`` and the peak bytes allocated during it."""
+def traced_peak(fn, *args, **kwargs):
+    """Result of ``fn(*args, **kwargs)`` and the peak bytes allocated
+    during it."""
     tracemalloc.start()
     try:
-        result = fn(*args)
+        result = fn(*args, **kwargs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -71,7 +72,7 @@ def test_cli_estimate_peak_bounded_by_the_trace(trace, trace_bytes, tmp_path, ca
 def test_simulate_peak_within_four_times_the_trace(bungalow_model, protocol,
                                                    trace_bytes):
     basis = q.eigendecompose(bungalow_model)
-    _, peak = traced_peak(q.simulate_qub, bungalow_model, protocol, None, None, basis)
+    _, peak = traced_peak(q.simulate_qub, bungalow_model, protocol, basis=basis)
     assert peak <= 4 * trace_bytes
 
 

@@ -231,7 +231,6 @@ def synthetic_decomposition(taus, amps):
     return q.ModalDecomposition(
         eigenvalues=-1.0 / taus,
         time_constants=taus,
-        eigenvectors=np.eye(len(taus)),
         init_amplitudes=np.zeros((1, len(taus))),
         input_amplitudes=amps[None, :],
         steady_value=np.array([amps.sum()]),

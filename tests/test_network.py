@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,3 +348,99 @@ class TestStateSpace:
                 state_names=("x", "y"), input_names=("P",),
                 input_kinds=("flow",), output_names=("x", "y"),
             )
+
+    def test_no_output_rejected(self, bungalow, bungalow_model):
+        # without outputs there is no indoor temperature to average
+        with pytest.raises(q.ModelError, match="model has no output"):
+            q.reference_H(q.to_state_space(bungalow, []))
+        n, m = bungalow_model.n_states, len(bungalow_model.input_names)
+        with pytest.raises(q.ModelError, match="model has no output"):
+            replace(bungalow_model, C=np.zeros((0, n)), D=np.zeros((0, m)),
+                    output_names=())
+
+
+def two_heater_circuit(zones):
+    """Air over a heavy floor, heated at both; ``zones`` lists the
+    (air node, air mass) of each declared zone."""
+    return q.parse_building(json.dumps({
+        "nodes": [{"id": "air", "capacity": 2.0e5},
+                  {"id": "floor", "capacity": 4.0e6},
+                  {"id": "loft", "capacity": 1.0e5}],
+        "branches": [
+            {"id": "vent", "from": "REF", "to": "air", "conductance": 30.0,
+             "temperature_source": "T_o"},
+            {"id": "skin", "from": "air", "to": "floor", "conductance": 200.0},
+            {"id": "ceiling", "from": "air", "to": "loft", "conductance": 50.0},
+            {"id": "roof", "from": "REF", "to": "loft", "conductance": 10.0,
+             "temperature_source": "T_o"},
+        ],
+        "flow_sources": [{"node": "floor", "source_name": "P_floor"},
+                         {"node": "air", "source_name": "P_air"},
+                         {"node": "air", "source_name": "P_air2"}],
+        "zones": [{"id": f"z{k}", "air_node": node, "floor_area": 20.0,
+                   "air_mass": mass} for k, (node, mass) in enumerate(zones)],
+    }))
+
+
+class TestIndoorModel:
+    """``to_state_space(circuit)`` picks the indoor outputs and the
+    weights every experiment on the building uses."""
+
+    def test_zone_air_nodes_weighted_by_air_mass(self):
+        model = q.to_state_space(two_heater_circuit([("air", 150.0), ("loft", 50.0)]))
+        assert model.output_names == ("air", "loft")
+        assert model.output_weights.tolist() == [150.0, 50.0]
+        # the air zone's share splits between its two heaters; the loft
+        # zone has no heater and gets no power, nor does the floor heater
+        assert model.flow_weights.tolist() == [0.0, 75.0, 75.0]
+
+    def test_even_split_when_no_heater_sits_at_a_zone(self):
+        model = q.to_state_space(two_heater_circuit([("loft", 50.0)]))
+        assert model.output_names == ("loft",)
+        assert model.flow_weights.tolist() == [1.0, 1.0, 1.0]
+
+    def test_without_zones_the_heated_nodes(self):
+        model = q.to_state_space(two_heater_circuit([]))
+        assert model.output_names == ("floor", "air")
+        assert model.output_weights.tolist() == [1.0, 1.0]
+        assert model.flow_weights.tolist() == [1.0, 1.0, 1.0]
+
+    def test_without_zones_or_heaters_the_first_capacitive_node(self):
+        model = q.to_state_space(make_ladder(heated=False))
+        assert model.output_names == ("n0",)
+        assert model.flow_weights.size == 0
+
+    def test_explicit_outputs_weigh_uniformly(self, house):
+        model = q.to_state_space(house, ["air_z2", "roof"])
+        assert model.output_weights.tolist() == [1.0, 1.0]
+        assert model.flow_weights.tolist() == [1.0, 1.0]
+
+
+class TestModelWeights:
+    @pytest.mark.parametrize("weights, match", [
+        ({"output_weights": [1.0, 1.0]}, "output_weights: expected 1 weights"),
+        ({"output_weights": [-1.0]}, "output_weights: weights must be non-negative"),
+        ({"flow_weights": [0.0]}, "flow_weights: weights must be non-negative"),
+        ({"flow_weights": np.ones((1, 1))}, "flow_weights: expected 1 weights"),
+    ])
+    def test_malformed_weights_rejected(self, bungalow_model, weights, match):
+        with pytest.raises(q.ModelError, match=match):
+            replace(bungalow_model, **weights)
+
+    def test_weights_are_frozen_copies(self, house_model):
+        given = np.array([2.0, 1.0])
+        model = replace(house_model, output_weights=given)
+        given[0] = 5.0
+        assert model.output_weights.tolist() == [2.0, 1.0]
+        with pytest.raises(ValueError):
+            model.output_weights[0] = 0.0
+
+    def test_replace_keeps_the_weights_bit_for_bit(self, house_model):
+        # scaled to sum to one, 0.1 and 0.3 give 0.25 and 0.7499999999999999,
+        # which scale again to 0.25000000000000006 and 0.75
+        weighted = replace(house_model, output_weights=[0.1, 0.3],
+                           flow_weights=[0.1, 0.3])
+        again = replace(weighted, state_names=weighted.state_names)
+        assert np.array_equal(again.output_weights, weighted.output_weights)
+        assert np.array_equal(again.flow_weights, weighted.flow_weights)
+        assert q.reference_H(again) == q.reference_H(weighted)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,9 +127,8 @@ class TestSimulate:
 
     def test_house_two_zone_weighting(self, house, house_model):
         masses = np.array([z.air_mass for z in house.zones])
-        trace = q.simulate_qub(house_model, proto(P_h=3000.0, t_qub=14400.0),
-                               temp_weights=masses,
-                               power_weights=masses)
+        model = replace(house_model, output_weights=masses, flow_weights=masses)
+        trace = q.simulate_qub(model, proto(P_h=3000.0, t_qub=14400.0))
         assert np.all(np.isfinite(trace.delta_T))
         heat = trace.delta_T[trace.heating]
         assert heat[-1] > heat[0]
