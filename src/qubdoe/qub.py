@@ -588,6 +588,15 @@ _RENDER_ROWS = 4096
 #: characters of trace text split into lines at a time (cut after a newline)
 _PARSE_CHARS = 1 << 16
 
+#: one trace row as ``np.loadtxt`` reads it; eight characters hold either
+#: label, and a longer label, cut to eight, can never equal one
+_ROW_DTYPE = np.dtype([("t_s", "f8"), ("dT_K", "f8"), ("power_W", "f8"),
+                       ("phase", "U8")])
+
+#: characters ``np.loadtxt`` reads unlike ``float`` and ``str.strip``: it
+#: drops NULs that end a label and strips U+001F around a number
+_LOOP_ONLY = ("\0", "\x1f")
+
 
 def _csv_chunks(trace: QubTrace):
     """The CSV text of ``trace``: the header, then ``_RENDER_ROWS`` rows
@@ -629,74 +638,179 @@ def _text_slices(text: str):
 def _file_slices(fh):
     """Like :func:`_text_slices`, read from an open text file
     ``_PARSE_CHARS`` characters at a time; the part after a read's last
-    newline is carried over into the next piece."""
-    carry = ""
+    newline is carried over into the next piece.  The carry is kept as a
+    list of reads and joined once, so a long line costs linear time."""
+    carry = []
     while block := fh.read(_PARSE_CHARS):
         cut = block.rfind("\n") + 1
         if cut:
-            yield carry + block[:cut]
-            carry = block[cut:]
+            carry.append(block[:cut])
+            yield "".join(carry)
+            carry = [block[cut:]]
         else:
-            carry += block
-    if carry:
-        yield carry
+            carry.append(block)
+    if tail := "".join(carry):
+        yield tail
+
+
+def _row_bound(source: str | TextIO) -> int:
+    """An upper bound on the data rows of a trace text: a row takes a line
+    and three commas, and the header takes three more.  0 for a file that
+    cannot seek back or does not decode; the parse then grows its columns
+    as it goes and reports the decoding error where it reaches it."""
+    if isinstance(source, str):
+        return min(source.count("\n") + 1, source.count(",") // 3)
+    if not source.seekable():
+        return 0
+    start, newlines, commas = source.tell(), 0, 0
+    try:
+        while block := source.read(_PARSE_CHARS):
+            newlines += block.count("\n")
+            commas += block.count(",")
+    except UnicodeDecodeError:
+        commas = 0
+    source.seek(start)
+    return min(newlines + 1, commas // 3)
+
+
+class _TraceRows:
+    """A trace parse in progress: the numeric columns read so far and the
+    running state that the phase checks need.
+
+    The columns are the rows of one ``(3, capacity)`` block, allocated
+    once at :func:`_row_bound` rows.  Growing three arrays piece by piece
+    reallocated them over and over, and the heap holes that left behind
+    raised the peak resident memory by about the arrays' own size.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        self.columns = np.empty((3, capacity))  # t_s, dT_K, power_W
+        self.number = 0                # non-blank lines so far, header included
+        self.first = self.last = None  # phase labels of the first and latest row
+        self.switches = 0              # label changes between consecutive rows
+        self.n_heating = None          # row index of the first cooling label
+        self.unknown = set()
+
+    def append(self, times, delta_T, power) -> None:
+        """Store the next rows' numbers and count their lines."""
+        start = self.number - 1
+        stop = start + len(times)
+        if stop > self.columns.shape[1]:
+            grown = np.empty((3, max(stop, 2 * self.columns.shape[1])))
+            grown[:, :start] = self.columns[:, :start]
+            self.columns = grown
+        for column, values in zip(self.columns, (times, delta_T, power)):
+            column[start:stop] = values
+        self.number += stop - start
+
+
+def _read_header(rows: _TraceRows, lines: list[str]) -> list[str]:
+    """Check the first non-blank line of ``lines`` against the header and
+    return the lines after it; none when all of ``lines`` are blank."""
+    for i, line in enumerate(lines):
+        if line.strip():
+            if line.strip() != _TRACE_HEADER:
+                raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
+            rows.number = 1
+            return lines[i + 1:]
+    return []
+
+
+def _read_columns(rows: _TraceRows, lines: list[str]) -> bool:
+    """Read the data ``lines`` with one ``np.loadtxt`` call and return True;
+    read nothing and return False when numpy refuses them or a label is
+    not exactly ``heating`` or ``cooling``.  numpy skips empty lines, as
+    :func:`_read_lines` does, and refuses whitespace-only ones."""
+    try:
+        table = np.loadtxt(lines, dtype=_ROW_DTYPE, delimiter=",",
+                           comments=None, ndmin=1)
+    except ValueError:
+        return False
+    phase = table["phase"]
+    cooling = phase == _COOLING
+    if not (cooling | (phase == _HEATING)).all():
+        return False
+    head = _COOLING if cooling[0] else _HEATING
+    if rows.last is None:
+        rows.first = head
+    elif rows.last != head:
+        rows.switches += 1
+    rows.switches += int(np.count_nonzero(cooling[1:] != cooling[:-1]))
+    if rows.n_heating is None and cooling.any():
+        rows.n_heating = rows.number - 1 + int(cooling.argmax())
+    rows.last = _COOLING if cooling[-1] else _HEATING
+    rows.append(table["t_s"], table["dT_K"], table["power_W"])
+    return True
+
+
+def _read_lines(rows: _TraceRows, lines: list[str]) -> None:
+    """Read the data ``lines`` one at a time with Python's ``float``: the
+    reference grammar, and the reader that reports every error with its
+    line number."""
+    times, delta_T, power = array("d"), array("d"), array("d")
+    number, last = rows.number, rows.last
+    for line in lines:
+        if not line.strip():
+            continue
+        number += 1
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise SchemaError(f"trace line {number}: expected 4 fields, got {len(parts)}")
+        try:
+            times.append(float(parts[0]))
+            delta_T.append(float(parts[1]))
+            power.append(float(parts[2]))
+        except ValueError as exc:
+            raise SchemaError(f"trace line {number}: {exc}") from None
+        label = parts[3].strip()
+        if label != last:
+            if last is None:
+                rows.first = label
+            else:
+                rows.switches += 1
+            if label == _COOLING:
+                if rows.n_heating is None:
+                    rows.n_heating = number - 2
+            elif label != _HEATING:
+                rows.unknown.add(label)
+            last = label
+    rows.last = last
+    rows.append(times, delta_T, power)
 
 
 def trace_from_csv(source: str | TextIO) -> QubTrace:
     """Parse a trace CSV produced by :func:`trace_to_csv`.
 
     ``source`` is the text itself or an open text file, which is read
-    ``_PARSE_CHARS`` characters at a time, never whole; both give the
-    same trace or the same error.  Blank lines are skipped and not
-    counted in the line numbers of errors.  The phase column must hold
-    only ``heating`` and ``cooling`` labels, start with heating, end with
-    cooling and switch exactly once.
+    ``_PARSE_CHARS`` characters at a time, never whole (a file that can
+    seek back is read through once first, to size the columns); both
+    give the same trace or the same error.  Numbers follow Python's ``float``
+    syntax.  Blank lines are skipped and not counted in the line numbers
+    of errors.  The phase column must hold only ``heating`` and
+    ``cooling`` labels, start with heating, end with cooling and switch
+    exactly once.
+
+    Each piece is read by numpy's C text reader; a piece it refuses, or
+    one with a label other than exactly ``heating`` or ``cooling``, is
+    re-read line by line, and that re-read reports the error.
     """
-    header_error = f"trace: first line must be '{_TRACE_HEADER}'"
-    times, delta_T, power = array("d"), array("d"), array("d")
-    number = 0                    # non-blank lines so far, header included
-    first = last = None           # phase labels of the first and latest row
-    switches = 0                  # label changes between consecutive rows
-    n_heating = None              # row index of the first cooling label
-    unknown = set()
+    rows = _TraceRows(_row_bound(source))
     pieces = _text_slices(source) if isinstance(source, str) else _file_slices(source)
     for piece in pieces:
-        for line in piece.splitlines():
-            if not line.strip():
-                continue
-            number += 1
-            if number == 1:
-                if line.strip() != _TRACE_HEADER:
-                    raise SchemaError(header_error)
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise SchemaError(f"trace line {number}: expected 4 fields, got {len(parts)}")
-            try:
-                times.append(float(parts[0]))
-                delta_T.append(float(parts[1]))
-                power.append(float(parts[2]))
-            except ValueError as exc:
-                raise SchemaError(f"trace line {number}: {exc}") from None
-            label = parts[3].strip()
-            if label != last:
-                if last is None:
-                    first = label
-                else:
-                    switches += 1
-                if label == _COOLING:
-                    if n_heating is None:
-                        n_heating = number - 2
-                elif label != _HEATING:
-                    unknown.add(label)
-                last = label
-    if number == 0:
-        raise SchemaError(header_error)
-    if unknown:
-        raise SchemaError(f"unknown phase label(s): {sorted(unknown)}")
-    if first != _HEATING or last != _COOLING:
+        lines = piece.splitlines()
+        if rows.number == 0:
+            lines = _read_header(rows, lines)
+        if not any(lines):  # np.loadtxt warns on a piece without data
+            continue
+        if any(c in piece for c in _LOOP_ONLY) or not _read_columns(rows, lines):
+            _read_lines(rows, lines)
+    if rows.number == 0:
+        raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
+    if rows.unknown:
+        raise SchemaError(f"unknown phase label(s): {sorted(rows.unknown)}")
+    if rows.first != _HEATING or rows.last != _COOLING:
         raise SchemaError("trace must start with heating and end with cooling")
-    if switches != 1:
+    if rows.switches != 1:
         raise SchemaError("phase must switch exactly once")
-    return QubTrace(times=np.frombuffer(times), delta_T=np.frombuffer(delta_T),
-                    power=np.frombuffer(power), n_heating=n_heating)
+    times, delta_T, power = rows.columns[:, :rows.number - 1]
+    return QubTrace(times=times, delta_T=delta_T, power=power, n_heating=rows.n_heating)

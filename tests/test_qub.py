@@ -1,11 +1,15 @@
 """Two-pulse simulation, slope fitting, and the H/C estimators."""
 from __future__ import annotations
 
+import io
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubdoe as q
 from qubdoe import qub
@@ -459,3 +463,158 @@ class TestTraceCsvChunksFromFile(TestTraceCsvChunks):
         self.path.write_text(text, encoding="utf-8", newline="")
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
             return q.trace_from_csv(fh)
+
+
+class TestTraceCsvFastPath:
+    """A canonical trace is read by numpy's reader alone: with the line loop
+    made to raise, it still parses, from a string and from a file."""
+
+    @pytest.fixture(autouse=True)
+    def no_line_loop(self, monkeypatch):
+        def refuse(rows, lines):
+            raise AssertionError("a canonical piece went to the line loop")
+        monkeypatch.setattr(qub, "_read_lines", refuse)
+
+    def check(self, parsed, trace):
+        assert parsed.n_heating == trace.n_heating
+        for name in ("times", "delta_T", "power"):
+            assert getattr(parsed, name).tobytes() == getattr(trace, name).tobytes()
+
+    def test_string(self, long_trace):
+        self.check(q.trace_from_csv(q.trace_to_csv(long_trace)), long_trace)
+
+    def test_file(self, long_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(q.trace_to_csv(long_trace), encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            self.check(q.trace_from_csv(fh), long_trace)
+
+    def test_unseekable_stream(self, long_trace):
+        # no read-ahead bound: the columns grow as the pieces arrive
+        self.check(q.trace_from_csv(Unseekable(q.trace_to_csv(long_trace))), long_trace)
+
+
+class Unseekable(io.StringIO):
+    """A text stream that cannot seek back, like a pipe."""
+
+    def seekable(self):
+        return False
+
+
+@pytest.mark.parametrize("text", ["", "abc", "a\nb", "a\n\nb\n", "x" * 100,
+                                  "t_s\r\n" + "y" * 50 + "\n"])
+def test_file_slices_rejoin_to_the_text(text, monkeypatch):
+    monkeypatch.setattr(qub, "_PARSE_CHARS", 7)
+    pieces = list(qub._file_slices(io.StringIO(text, newline="")))
+    assert "".join(pieces) == text
+    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    assert all(pieces)
+
+
+# Field spellings that Python's float and numpy's reader may take
+# differently, labels that are not exactly a known one (and the two known
+# ones, to put a row in the wrong phase), and lines that are blank to one
+# reader and not the other.
+ODD_NUMBERS = ["nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-Infinity",
+               "+inf", "1e500", "-0.0", "1_0", " 1.5 ", "\t2", "\u0661\u0662",
+               "\uff13", "\u30001", "\x1f1", "1\x1f", "\x001", "", " ", "0x10",
+               "1d5", "1.5.", "--1", "1" * 400, "0." + "0" * 330 + "1"]
+ODD_LABELS = ["heating", "cooling", "warming", "", " heating", "cooling ", "\theating", "heating\x1f",
+              "heating\x00", "cooling\x00\x00", "heatingX", "heatingXY",
+              "coolingcooling", "Heating", "heat", "cooling#", "cooli\u00f1g"]
+BLANK_LINES = ["", "", "  ", "\t", "\x1f", "\u3000", "\x0c"]
+HEADERS = ["t_s,dT_K,power_W,phase"] * 8 + [" t_s,dT_K,power_W,phase\t",
+                                            "t_s,dT_K,power_W", "T_S,dT_K,power_W,phase"]
+
+
+@st.composite
+def trace_texts(draw):
+    """Trace CSV text: canonical rows with up to two odd fields, labels,
+    field counts or blank lines mixed in, and one kind of line end."""
+    n = draw(st.integers(0, 30))
+    n_heating = draw(st.integers(1, n - 1)) if n > 1 else n
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[repr(float(i)), repr(draw(value)), repr(draw(value)),
+             "heating" if i < n_heating else "cooling"] for i in range(n)]
+    blank_after = {}
+    for _ in range(draw(st.integers(0, 2)) if n else 0):
+        i, kind = draw(st.integers(0, n - 1)), draw(st.sampled_from("nlcb"))
+        if kind == "n":
+            rows[i][draw(st.integers(0, 2))] = draw(st.sampled_from(ODD_NUMBERS))
+        elif kind == "l":
+            rows[i][3:4] = [draw(st.sampled_from(ODD_LABELS))]
+        elif kind == "c":
+            rows[i] = rows[i][:3] if draw(st.booleans()) else rows[i] + ["5"]
+        else:
+            blank_after[i] = draw(st.sampled_from(BLANK_LINES))
+    lines = [""] * draw(st.integers(0, 2)) + [draw(st.sampled_from(HEADERS))]
+    for i, row in enumerate(rows):
+        lines.append(",".join(row))
+        if i in blank_after:
+            lines.append(blank_after[i])
+    end = draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def parse_outcome(parse, text):
+    """The parsed trace's bytes and n_heating, or the SchemaError message."""
+    try:
+        trace = parse(text)
+    except q.SchemaError as exc:
+        return str(exc)
+    return (trace.times.tobytes(), trace.delta_T.tobytes(), trace.power.tobytes(),
+            trace.n_heating)
+
+
+class TestTraceCsvMatchesRowOracle:
+    """Whatever the text, the parse gives the row oracle's trace bit for bit
+    or its error message, whichever reader took each piece."""
+
+    @pytest.fixture(scope="class")
+    def path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("traces") / "trace.csv"
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=trace_texts(), chars=st.sampled_from([7, 64, 1 << 16]))
+    def test_string(self, text, chars):
+        with mock.patch.object(qub, "_PARSE_CHARS", chars):
+            got = parse_outcome(q.trace_from_csv, text)
+        assert got == parse_outcome(row_trace_from_csv, text)
+
+    @pytest.mark.parametrize("chars", [7, 1 << 16])
+    @pytest.mark.parametrize("column, odd", [(3, label) for label in ODD_LABELS]
+                             + [(1, number) for number in ODD_NUMBERS]
+                             + [(4, blank) for blank in BLANK_LINES])
+    def test_one_odd_field(self, column, odd, chars, monkeypatch):
+        """Row 6 of 12 gets an odd label or dT_K, or a blank line follows it."""
+        rows = [[repr(float(i)), repr(0.1 * i), "1500.0", "heating" if i < 8 else "cooling"]
+                for i in range(12)]
+        lines = [",".join(row) for row in rows]
+        if column == 4:
+            lines[6] += "\n" + odd
+        else:
+            rows[6][column] = odd
+            lines[6] = ",".join(rows[6])
+        text = "t_s,dT_K,power_W,phase\n" + "\n".join(lines) + "\n"
+        monkeypatch.setattr(qub, "_PARSE_CHARS", chars)
+        assert (parse_outcome(q.trace_from_csv, text)
+                == parse_outcome(row_trace_from_csv, text))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(text=trace_texts())
+    def test_file_read_7_characters_at_a_time(self, text, path):
+        path.write_text(text, encoding="utf-8", newline="")
+
+        def parse(_):
+            with open(path, encoding="utf-8", newline="") as fh:
+                return q.trace_from_csv(fh)
+        with mock.patch.object(qub, "_PARSE_CHARS", 7):
+            got = parse_outcome(parse, text)
+        assert got == parse_outcome(row_trace_from_csv, text)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(text=trace_texts())
+    def test_unseekable_stream(self, text):
+        with mock.patch.object(qub, "_PARSE_CHARS", 7):
+            got = parse_outcome(lambda t: q.trace_from_csv(Unseekable(t, newline="")), text)
+        assert got == parse_outcome(row_trace_from_csv, text)
