@@ -635,13 +635,34 @@ def _text_slices(text: str):
         start = stop
 
 
+def _header_lead(text: str) -> str | None:
+    """What is left to check of a trace text that starts with ``text``:
+    None once its first non-blank line is the header, else the part of
+    that line that decides whether it can still be.  Raises the header
+    error as soon as it cannot, even with whitespace padding."""
+    head = text.lstrip()
+    line = head.splitlines(keepends=True)[0] if head else ""
+    if _TRACE_HEADER.startswith(line):
+        return line
+    if line.strip() != _TRACE_HEADER:
+        raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
+    # a line still open may take more padding, but nothing else
+    return None if line.splitlines()[0] != line else _TRACE_HEADER
+
+
 def _file_slices(fh):
     """Like :func:`_text_slices`, read from an open text file
     ``_PARSE_CHARS`` characters at a time; the part after a read's last
     newline is carried over into the next piece.  The carry is kept as a
-    list of reads and joined once, so a long line costs linear time."""
-    carry = []
+    list of reads and joined once, so a long line costs linear time.
+
+    Each read is checked until the trace header is complete, so a text
+    that cannot open with it fails at the read that shows so, not at its
+    first newline (which a file may never reach)."""
+    carry, lead = [], ""
     while block := fh.read(_PARSE_CHARS):
+        if lead is not None:
+            lead = _header_lead(lead + block)
         cut = block.rfind("\n") + 1
         if cut:
             carry.append(block[:cut])

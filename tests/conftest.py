@@ -1,6 +1,7 @@
 """Shared fixtures: small hand-checkable circuits and the bundled models."""
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -129,6 +130,13 @@ def bundled_models(bungalow_model, house_model):
 def input_vector(model, values):
     """A name -> value mapping stacked in the model's input order."""
     return np.array([float(values[name]) for name in model.input_names])
+
+
+class Unseekable(io.StringIO):
+    """A text stream that cannot seek back, like a pipe."""
+
+    def seekable(self):
+        return False
 
 
 def rng(seed=0):

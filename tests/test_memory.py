@@ -7,15 +7,30 @@ kernels work in fixed-size blocks, and fail when a call keeps all its
 samples times all states, or all rows as Python objects, at once.  The
 commands' bounds are set by the trace's arrays, not its text, and fail
 when a command holds the whole CSV text in memory.
+
+The response kernel's blocks are bounded in bytes: each stacked
+temporary stays at or below glibc's default 128 KiB mmap threshold, so a
+freed block is reused by the next one instead of being returned to the
+OS and faulted in again.  The last test counts those page faults.
 """
 from __future__ import annotations
 
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qubdoe as q
-from qubdoe import cli
+from qubdoe import cli, qub
+from conftest import Unseekable
+
+#: glibc's default mmap and trim threshold
+MMAP_THRESHOLD = 128 * 1024
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -85,3 +100,87 @@ def test_parse_peak_within_twice_the_text(trace):
     text = q.trace_to_csv(trace)
     _, peak = traced_peak(q.trace_from_csv, text)
     assert peak <= 2 * len(text)
+
+
+def test_stacked_response_temporaries_stay_under_the_mmap_threshold(bungalow_model):
+    """One default sweep row: 40 heating powers at 121 instants."""
+    model = bungalow_model
+    ph_values, t_values = q.default_axes(q.reference_H(model), 0.0)
+    setup = qub._protocol_setup(model, 0.0, {})
+    u = setup.inputs(ph_values)
+    x0 = q.initial_state(model, setup.inputs(0.0))
+    times = np.linspace(0.0, t_values[-1], 121)
+    basis = q.eigendecompose(model)
+    y, peak = traced_peak(q.step_response, model, u, x0, times, basis=basis)
+    assert y.shape == (40, 121, model.C.shape[0])
+    assert peak < y.nbytes + 3 * MMAP_THRESHOLD
+
+
+@pytest.fixture(scope="module", params=[0, 1 << 20], ids=["no header", "padded header"])
+def newline_free(request, tmp_path_factory):
+    """4 MB of text without a newline, a file holding it, and the part of
+    it that can still open a trace: nothing, or the header and 1 MB of
+    padding before the line goes on."""
+    size, padding = 4 << 20, request.param
+    head = qub._TRACE_HEADER + " " * padding if padding else ""
+    text = head + "x" * (size - len(head))
+    path = tmp_path_factory.mktemp("newline_free") / "trace.csv"
+    path.write_text(text, encoding="utf-8")
+    return text, path, len(head)
+
+
+def _header_error(fh):
+    with pytest.raises(q.SchemaError, match="first line must be"):
+        q.trace_from_csv(fh)
+
+
+@pytest.mark.parametrize("source", ["file", "unseekable stream"])
+def test_newline_free_trace_fails_within_a_few_reads(newline_free, source):
+    """The parse holds what can still be the header, and a few reads."""
+    text, path, head = newline_free
+    with (open(path, encoding="utf-8") if source == "file" else Unseekable(text)) as fh:
+        _, peak = traced_peak(_header_error, fh)
+    assert peak < head + len(text) // 8
+
+
+def test_cli_estimate_newline_free_trace_exits_3(newline_free, capsys):
+    _, path, head = newline_free
+    code, peak = traced_peak(cli.main, ["estimate", "--trace", str(path)])
+    assert code == 3
+    assert "first line must be" in capsys.readouterr().err
+    assert peak < head + path.stat().st_size // 8
+
+
+#: a fresh interpreter counting the minor faults inside ``cli.main``
+_FAULT_PROBE = """
+import contextlib, io, resource, sys
+from qubdoe import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    code = cli.main(sys.argv[1:])
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+print(code, after - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+                    reason="counts page faults against glibc's allocator thresholds")
+@pytest.mark.parametrize("command, building, args", [
+    ("sweep", "bungalow", ()),
+    ("optimum", "house", ("--set", "T_g=14", "--pc", "300", "--dt", "60", "--ph-range",
+                          "200:3000:24", "--t-range", "3600:43200:24", "--max-temp", "10")),
+], ids=["sweep-bungalow", "optimum-house"])
+def test_sweep_faults_in_few_pages(command, building, args, tmp_path):
+    """~17,800 and ~9,800 faults when each block's temporaries were freed
+    back to the OS; ~400 and ~230 (~860 with two BLAS threads) with
+    blocks under the threshold."""
+    path = tmp_path / f"{building}.json"
+    path.write_text(getattr(q, f"{building}_json")(), encoding="utf-8")
+    src = str(Path(q.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _FAULT_PROBE, command, str(path), *args],
+                          capture_output=True, text=True, env=env, check=True)
+    code, faults = map(int, done.stdout.split())
+    assert code == 0
+    assert faults <= 3000

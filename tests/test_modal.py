@@ -164,12 +164,13 @@ class TestTimeBlocks:
             "lone": (r.uniform(0.0, 900.0, n_in), r.uniform(-2.0, 2.0, n)),
             "stacked inputs": (r.uniform(0.0, 900.0, (3, n_in)), r.uniform(-2.0, 2.0, n)),
             "stacked states": (r.uniform(0.0, 900.0, n_in), r.uniform(-2.0, 2.0, (3, n))),
+            "both stacked": (r.uniform(0.0, 900.0, (2, 1, n_in)), r.uniform(-2.0, 2.0, (3, n))),
         }
         # the default block holds every instant
         whole = {case: q.step_response(model, u, x0, times, basis=basis)
                  for case, (u, x0) in cases.items()}
         # blocks of 7 rows for a lone record and of 2 rows for a stack of
-        # 3; 43 instants then leave a one-row remainder in both
+        # 3 or 6; 43 instants then leave a one-row remainder in all
         monkeypatch.setattr(modal, "_BLOCK_ELEMENTS", 7 * n)
         for case, (u, x0) in cases.items():
             blocked = q.step_response(model, u, x0, times, basis=basis)

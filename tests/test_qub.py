@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import qubdoe as q
 from qubdoe import qub
-from conftest import make_first_order, rng
+from conftest import Unseekable, make_first_order, rng
 from oracles import (analytic_slopes, first_order_delta_T, polyfit_slope,
                      row_trace_from_csv, row_trace_to_csv)
 
@@ -494,21 +494,35 @@ class TestTraceCsvFastPath:
         self.check(q.trace_from_csv(Unseekable(q.trace_to_csv(long_trace))), long_trace)
 
 
-class Unseekable(io.StringIO):
-    """A text stream that cannot seek back, like a pipe."""
-
-    def seekable(self):
-        return False
-
-
 @pytest.mark.parametrize("text", ["", "abc", "a\nb", "a\n\nb\n", "x" * 100,
                                   "t_s\r\n" + "y" * 50 + "\n"])
 def test_file_slices_rejoin_to_the_text(text, monkeypatch):
+    # the slices check the header as they read, so each text opens with it
+    text = qub._TRACE_HEADER + "\r\n" + text if text else text
     monkeypatch.setattr(qub, "_PARSE_CHARS", 7)
     pieces = list(qub._file_slices(io.StringIO(text, newline="")))
     assert "".join(pieces) == text
     assert all(piece.endswith("\n") for piece in pieces[:-1])
     assert all(pieces)
+
+
+@pytest.mark.parametrize("head", [
+    "t_s,dT_K,power_W,phase", "  \n\t\n t_s,dT_K,power_W,phase" + " " * 30,
+    "t_s,dT_K,power_W,phase\u2028", "t_s,dT_K,power_W,phase" + " " * 20 + "x",
+    "t_s,dT_K,power_W", "t_s,dT_K,power_W,phase,", "x" * 40, " " * 40])
+def test_header_checked_as_it_is_read(head, tmp_path, monkeypatch):
+    """A file read 7 characters at a time gives the row oracle's outcome
+    whether the header is complete, padded, cut short or never there."""
+    rows = [f"{t}.0,0.{t},1500.0,{'heating' if t < 2 else 'cooling'}" for t in range(4)]
+    text = head + "\n" + "\n".join(rows) + "\n"
+    path = tmp_path / "trace.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    monkeypatch.setattr(qub, "_PARSE_CHARS", 7)
+
+    def parse(_):
+        with open(path, encoding="utf-8", newline="") as fh:
+            return q.trace_from_csv(fh)
+    assert parse_outcome(parse, text) == parse_outcome(row_trace_from_csv, text)
 
 
 # Field spellings that Python's float and numpy's reader may take
