@@ -10,6 +10,9 @@ pieces: a trace CSV a chunk of rows at a time, never as one string.
 All output is plain CSV/text with shortest-round-trip floats: identical
 arguments and inputs give byte-identical output.
 
+``sweep`` and ``optimum`` take the same grid flags; an ``optimum`` limit
+left unset is none, and its limits are checked before the sweep runs.
+
 Exit codes: 0 success, 2 usage, 3 malformed input, 4 numerical failure.
 """
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .conductance import reference_H, static_gains
-from .doe import (DesignConstraints, _fmt, default_axes, grid_to_csv,
+from .doe import (DesignConstraints, DoeGrid, _fmt, default_axes, grid_to_csv,
                   select_optimum, sweep)
 from .error_budget import ErrorPolicy
 from .exceptions import ModelError, NumericalError, SchemaError
@@ -85,10 +88,6 @@ _PROTOCOL_FLAGS = {
 }
 
 
-# a sweep sets P_h and t_qub per cell from its axes
-_SWEEP_FLAGS = ("--to", "--p0", "--pc", "--window", "--dt", "--set")
-
-
 def _add_protocol_flags(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         p.add_argument(name, **_PROTOCOL_FLAGS[name])
@@ -101,6 +100,19 @@ def _add_error_flags(p: argparse.ArgumentParser) -> None:
                    help="power uncertainty as a fraction of P_h (default 0.01)")
     p.add_argument("--eps-alpha", type=float, default=None, metavar="K_PER_S",
                    help="slope uncertainty (default: from each fit's r²)")
+
+
+def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("building")
+    # a sweep sets P_h and t_qub per cell from its axes
+    _add_protocol_flags(p, "--to", "--p0", "--pc", "--window", "--dt", "--set")
+    _add_error_flags(p)
+    p.add_argument("--ph-range", type=_range_spec, default=None, metavar="A:B:N",
+                   help="heating powers, N log-spaced points over [A, B] W "
+                        "(default: maintenance power to 4x, 40 points)")
+    p.add_argument("--t-range", type=_range_spec, default=None, metavar="A:B:N",
+                   help="phase durations, N linear points over [A, B] s "
+                        "(default: 1 h to 12 h, 40 points)")
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
@@ -149,29 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("sweep", help="error map over a (P_h x t_qub) grid")
-    p.add_argument("building")
-    _add_protocol_flags(p, *_SWEEP_FLAGS)
-    _add_error_flags(p)
-    p.add_argument("--ph-range", type=_range_spec, default=None, metavar="A:B:N",
-                   help="heating powers, N log-spaced points over [A, B] W "
-                        "(default: maintenance power to 4x, 40 points)")
-    p.add_argument("--t-range", type=_range_spec, default=None, metavar="A:B:N",
-                   help="phase durations, N linear points over [A, B] s "
-                        "(default: 1 h to 12 h, 40 points)")
+    _add_sweep_flags(p)
     _add_out_flag(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("optimum", help="best admissible design of a sweep")
-    p.add_argument("building")
-    _add_protocol_flags(p, *_SWEEP_FLAGS)
-    _add_error_flags(p)
-    p.add_argument("--ph-range", type=_range_spec, default=None, metavar="A:B:N")
-    p.add_argument("--t-range", type=_range_spec, default=None, metavar="A:B:N")
-    p.add_argument("--max-power", type=float, default=None, metavar="W",
-                   help="heater limit (default: top of the power axis)")
-    p.add_argument("--max-temp", type=float, default=None, metavar="C",
+    _add_sweep_flags(p)
+    p.add_argument("--max-power", type=float, default=math.inf, metavar="W",
+                   help="heater limit (default: none)")
+    p.add_argument("--max-temp", type=float, default=math.inf, metavar="C",
                    help="peak indoor temperature limit (default: none)")
-    p.add_argument("--max-duration", type=float, default=None, metavar="S",
+    p.add_argument("--max-duration", type=float, default=math.inf, metavar="S",
                    help="whole-experiment limit, 2*t_qub (default: none)")
     _add_out_flag(p)
     p.set_defaults(func=_cmd_optimum)
@@ -224,10 +224,8 @@ def _axis(spec: tuple[float, float, int], flag: str, what: str,
     return spacing(lo, hi, n)
 
 
-def _sweep_job(args):
-    """The axes of the sweep ``args`` ask for, and the sweep itself as a
-    call to make once the caller has checked what depends on the axes.
-    Every other input is validated before this returns.
+def _sweep(args) -> DoeGrid:
+    """The grid of the sweep ``args`` ask for.
 
     The protocol template sits at the grid's largest power and duration,
     so it rejects only a setting that voids every cell: ``--pc`` at or
@@ -239,8 +237,8 @@ def _sweep_job(args):
     _check_P0(args.p0)
     ph_values, t_values = _axes(args, model)
     template = _protocol(args, float(ph_values.max()), float(t_values.max()))
-    return ph_values, t_values, lambda: sweep(
-        model, template, ph_values, t_values, policy, window_fraction=args.window)
+    return sweep(model, template, ph_values, t_values, policy,
+                 window_fraction=args.window)
 
 
 # ---------------------------------------------------------------------------
@@ -312,21 +310,12 @@ def _cmd_estimate(args) -> Iterable[str]:
 
 
 def _cmd_sweep(args) -> Iterable[str]:
-    *_, run = _sweep_job(args)
-    return [grid_to_csv(run())]
+    return [grid_to_csv(_sweep(args))]
 
 
 def _cmd_optimum(args) -> Iterable[str]:
-    ph_values, t_values, run = _sweep_job(args)
-    constraints = DesignConstraints(
-        max_power=(args.max_power if args.max_power is not None
-                   else float(np.max(ph_values))),
-        max_indoor_temperature=(args.max_temp if args.max_temp is not None
-                                else float("inf")),
-        max_total_duration=(args.max_duration if args.max_duration is not None
-                            else 2.0 * float(np.max(t_values))),
-    )
-    best = select_optimum(run(), constraints)
+    constraints = DesignConstraints(args.max_power, args.max_temp, args.max_duration)
+    best = select_optimum(_sweep(args), constraints)
     return [f"ph_W={_fmt(best.ph)} t_qub_s={_fmt(best.t_qub)} "
             f"eps_H_pct={_fmt(best.eps_H_pct)}\n"]
 

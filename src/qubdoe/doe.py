@@ -91,8 +91,8 @@ class DesignConstraints:
 
     ``max_total_duration`` bounds the whole experiment (both pulses,
     i.e. 2·t_qub); ``max_indoor_temperature`` bounds the peak of the
-    simulated indoor temperature (°C), ``inf`` for no limit;
-    ``max_power`` the heater (W).
+    simulated indoor temperature (°C); ``max_power`` the heater (W).
+    Each is ``inf`` for no limit.
     """
 
     max_power: float

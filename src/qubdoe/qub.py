@@ -356,10 +356,20 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
 # slope fitting and estimation
 # ---------------------------------------------------------------------------
 
+#: longest slice of a fit's dot product that goes to BLAS in one call:
+#: OpenBLAS splits a ddot above 10,000 samples across its threads, and
+#: its sum's rounding then depends on the thread count
+_DOT_SAMPLES = 8192
+
+
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a·b along the last axis, for vectors or stacks of them.  Written as
-    a stacked ``@`` so each member is the same BLAS dot as lone vectors."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    """a·b along the last axis, for vectors or stacks of them, summed
+    over ``_DOT_SAMPLES`` slices in order.  Written as a stacked ``@`` so
+    each member is the same BLAS dot as lone vectors."""
+    n = _DOT_SAMPLES
+    parts = [(a[..., None, i:i + n] @ b[..., i:i + n, None])[..., 0, 0]
+             for i in range(0, a.shape[-1], n)]
+    return sum(parts[1:], parts[0])
 
 
 def _window(t_rel: np.ndarray, window_fraction: float, phase: str) -> np.ndarray:
@@ -394,7 +404,7 @@ def _fit_window(t_rel: np.ndarray, values: np.ndarray, window_fraction: float,
     t_win = t_rel[selected]
     t_mean = t_win.mean()
     t_dev = t_win - t_mean
-    t_var = float(t_dev @ t_dev)
+    t_var = float(_rowdot(t_dev, t_dev))
     if t_var == 0.0:
         raise ModelError(f"{phase} window has zero time variance")
     y_win = np.ascontiguousarray(values[..., selected])

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -301,6 +302,7 @@ class TestSweepOptimum:
     @pytest.mark.parametrize("flag, value, field", [
         ("--max-power", "0", "max_power must be positive, got 0.0"),
         ("--max-duration", "-5", "max_total_duration must be positive, got -5.0"),
+        ("--max-temp", "nan", "max_indoor_temperature must not be nan"),
     ])
     def test_bad_constraint_named_before_the_sweep(self, bungalow_path, flag, value,
                                                    field, monkeypatch, capsys):
@@ -311,6 +313,24 @@ class TestSweepOptimum:
         code, out, err = run_main(["optimum", bungalow_path, flag, value], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: input:") and field in err
+
+    @pytest.mark.parametrize("flag", ["--max-power", "--max-temp", "--max-duration"])
+    def test_unset_limit_is_no_limit(self, flag, bungalow_path, capsys):
+        unset = run_main(["optimum", bungalow_path] + self.RANGES, capsys)
+        assert unset[0] == 0
+        assert run_main(["optimum", bungalow_path, flag, "inf"] + self.RANGES,
+                        capsys) == unset
+
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    def test_help_describes_the_grid_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--ph-range A:B:N heating powers, N log-spaced points" in text
+        assert "--t-range A:B:N phase durations, N linear points" in text
+        if command == "optimum":
+            assert "--max-power W heater limit (default: none)" in text
 
     def test_optimum_line(self, bungalow_path, capsys):
         code, out, _ = run_main(["optimum", bungalow_path] + self.RANGES, capsys)
@@ -647,3 +667,40 @@ class TestConsoleScript:
             capture_output=True, text=True)
         assert result.returncode == 0
         assert result.stdout.strip() == f"qubdoe {q.__version__}"
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+@pytest.mark.skipif(_usable_cpus() < 2, reason="a threaded BLAS needs two CPUs")
+class TestBlasThreadCount:
+    """The output bytes do not depend on how many threads BLAS runs,
+    also for fit windows of 14,400 samples, which a threaded BLAS
+    would split if handed in one dot."""
+
+    @pytest.fixture(scope="class")
+    def trace_path(self, bungalow_path, tmp_path_factory):
+        path = tmp_path_factory.mktemp("blas") / "trace.csv"
+        assert main(["simulate", bungalow_path, "--ph", "1500", "--tqub", "43200",
+                     "--dt", "1", "--out", str(path)]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    def test_one_and_two_threads_print_the_same(self, command, bungalow_path,
+                                                trace_path):
+        argv = (["estimate", "--trace", trace_path] if command == "estimate" else
+                ["sweep", bungalow_path, "--dt", "1", "--t-range", "36000:43200:2",
+                 "--ph-range", "1000:2000:2"])
+        src = os.path.dirname(os.path.dirname(q.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            done = subprocess.run([sys.executable, "-m", "qubdoe.cli", *argv],
+                                  capture_output=True, env=env, check=True)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]

@@ -198,6 +198,14 @@ class TestFitSlope:
         with pytest.raises(q.ModelError):
             q.fit_slope(trace, "resting")
 
+    def test_long_dots_add_their_slices_in_order(self):
+        # whatever the BLAS thread count: no slice is long enough to be split
+        a, b = np.random.default_rng(3).standard_normal((2, 3, 20_000))
+        expected = [(x[:8192] @ y[:8192] + x[8192:16_384] @ y[8192:16_384])
+                    + x[16_384:] @ y[16_384:] for x, y in zip(a, b)]
+        assert qub._rowdot(a, b).tolist() == expected
+        assert qub._rowdot(a[0, :8192], b[0, :8192]) == a[0, :8192] @ b[0, :8192]
+
 
 class TestEstimators:
     def test_estimate_H_exact_on_first_order_quantities(self):
