@@ -362,8 +362,8 @@ def main(argv=None) -> int:
     except (SchemaError, ModelError, OSError, UnicodeDecodeError) as exc:
         print(f"error: input: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
-        print(f"error: numerical: {exc}", file=sys.stderr)
+    except (NumericalError, MemoryError) as exc:
+        print(f"error: numerical: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 4
     return 0
 

@@ -56,6 +56,9 @@ _DEGENERACY_TOL = 1e-12
 #: trailing fraction of each phase that the slope fits use by default
 _WINDOW_FRACTION = 1.0 / 3.0
 
+#: samples per phase at which float64 sample instants stop being distinct
+_MAX_SAMPLES = 2.0 ** 52
+
 
 def _check_temperatures(T_o: float, boundary_temperatures: Mapping[str, float]) -> None:
     """Reject a non-finite outdoor or boundary temperature."""
@@ -84,7 +87,8 @@ class QubProtocol:
     is the pre-experiment power defining the initial steady state; the
     pulses ``P_h`` then ``P_c`` each last ``t_qub`` seconds.  Sampling
     uses ``sample_dt`` (snapped to an integer divisor of ``t_qub`` so
-    the phase switch lands exactly on a sample).  Every temperature,
+    the phase switch lands exactly on a sample), which must leave at
+    least 20 and fewer than 2**52 samples per phase.  Every temperature,
     power and duration must be finite.  The fit window is not part of
     the run: :func:`fit_slope` and its callers take it.
     """
@@ -118,6 +122,12 @@ class QubProtocol:
             raise SchemaError(
                 "sample_dt must lie in (0, t_qub/20] so each phase has at "
                 f"least 20 samples, got {self.sample_dt}"
+            )
+        if self.sample_dt is not None and self.t_qub / self.sample_dt >= _MAX_SAMPLES:
+            raise SchemaError(
+                "sample_dt must leave fewer than 2**52 samples per phase, where "
+                f"float64 instants stop being distinct, got {self.sample_dt} "
+                f"for t_qub={self.t_qub}"
             )
 
     @property
@@ -633,18 +643,6 @@ def trace_to_csv(trace: QubTrace) -> str:
     return "".join(_csv_chunks(trace))
 
 
-def _text_slices(text: str):
-    """Consecutive pieces of ``text`` of about ``_PARSE_CHARS`` characters,
-    each cut right after a newline, so their ``splitlines`` together are
-    those of the whole text."""
-    start = 0
-    while start < len(text):
-        stop = text.find("\n", start + _PARSE_CHARS)
-        stop = len(text) if stop < 0 else stop + 1
-        yield text[start:stop]
-        start = stop
-
-
 def _header_lead(text: str) -> str | None:
     """What is left to check of a trace text that starts with ``text``:
     None once its first non-blank line is the header, else the part of
@@ -660,17 +658,23 @@ def _header_lead(text: str) -> str | None:
     return None if line.splitlines()[0] != line else _TRACE_HEADER
 
 
-def _file_slices(fh):
-    """Like :func:`_text_slices`, read from an open text file
-    ``_PARSE_CHARS`` characters at a time; the part after a read's last
-    newline is carried over into the next piece.  The carry is kept as a
-    list of reads and joined once, so a long line costs linear time.
+def _slices(source: str | TextIO):
+    """Consecutive pieces of a trace text, given as the text itself or as
+    an open text file, read ``_PARSE_CHARS`` characters at a time: each
+    piece ends right after a read's last newline, and the rest is carried
+    over into the next piece, so their ``splitlines`` together are those
+    of the whole text.  The carry is kept as a list of reads and joined
+    once, so a long line costs linear time.
 
     Each read is checked until the trace header is complete, so a text
     that cannot open with it fails at the read that shows so, not at its
-    first newline (which a file may never reach)."""
+    first newline (which it may never reach)."""
+    if isinstance(source, str):
+        reads = (source[i:i + _PARSE_CHARS] for i in range(0, len(source), _PARSE_CHARS))
+    else:
+        reads = iter(lambda: source.read(_PARSE_CHARS), "")
     carry, lead = [], ""
-    while block := fh.read(_PARSE_CHARS):
+    for block in reads:
         if lead is not None:
             lead = _header_lead(lead + block)
         cut = block.rfind("\n") + 1
@@ -705,33 +709,37 @@ def _row_bound(source: str | TextIO) -> int:
 
 
 class _TraceRows:
-    """A trace parse in progress: the numeric columns read so far and the
-    running state that the phase checks need.
+    """A trace parse in progress: the rows read so far.
 
-    The columns are the rows of one ``(3, capacity)`` block, allocated
-    once at :func:`_row_bound` rows.  Growing three arrays piece by piece
+    The numbers are the rows of one ``(3, capacity)`` block and the phase
+    labels one bool array beside it, True for ``cooling``, both allocated
+    once at :func:`_row_bound` rows.  Growing arrays piece by piece
     reallocated them over and over, and the heap holes that left behind
-    raised the peak resident memory by about the arrays' own size.
+    raised the peak resident memory by about the arrays' own size.  A
+    label that is neither ``heating`` nor ``cooling`` is kept by name for
+    the error.  Nothing is checked across rows while they are read: the
+    phase column is checked once, after the last row.
     """
 
     def __init__(self, capacity: int) -> None:
         self.columns = np.empty((3, capacity))  # t_s, dT_K, power_W
-        self.number = 0                # non-blank lines so far, header included
-        self.first = self.last = None  # phase labels of the first and latest row
-        self.switches = 0              # label changes between consecutive rows
-        self.n_heating = None          # row index of the first cooling label
+        self.cooling = np.empty(capacity, dtype=bool)
+        self.number = 0  # non-blank lines so far, header included
         self.unknown = set()
 
-    def append(self, times, delta_T, power) -> None:
-        """Store the next rows' numbers and count their lines."""
+    def append(self, times, delta_T, power, cooling) -> None:
+        """Store the next rows' numbers and phase flags and count their lines."""
         start = self.number - 1
         stop = start + len(times)
-        if stop > self.columns.shape[1]:
-            grown = np.empty((3, max(stop, 2 * self.columns.shape[1])))
+        if stop > self.cooling.size:
+            size = max(stop, 2 * self.cooling.size)
+            grown, flags = np.empty((3, size)), np.empty(size, dtype=bool)
             grown[:, :start] = self.columns[:, :start]
-            self.columns = grown
+            flags[:start] = self.cooling[:start]
+            self.columns, self.cooling = grown, flags
         for column, values in zip(self.columns, (times, delta_T, power)):
             column[start:stop] = values
+        self.cooling[start:stop] = cooling
         self.number += stop - start
 
 
@@ -761,16 +769,7 @@ def _read_columns(rows: _TraceRows, lines: list[str]) -> bool:
     cooling = phase == _COOLING
     if not (cooling | (phase == _HEATING)).all():
         return False
-    head = _COOLING if cooling[0] else _HEATING
-    if rows.last is None:
-        rows.first = head
-    elif rows.last != head:
-        rows.switches += 1
-    rows.switches += int(np.count_nonzero(cooling[1:] != cooling[:-1]))
-    if rows.n_heating is None and cooling.any():
-        rows.n_heating = rows.number - 1 + int(cooling.argmax())
-    rows.last = _COOLING if cooling[-1] else _HEATING
-    rows.append(table["t_s"], table["dT_K"], table["power_W"])
+    rows.append(table["t_s"], table["dT_K"], table["power_W"], cooling)
     return True
 
 
@@ -778,8 +777,8 @@ def _read_lines(rows: _TraceRows, lines: list[str]) -> None:
     """Read the data ``lines`` one at a time with Python's ``float``: the
     reference grammar, and the reader that reports every error with its
     line number."""
-    times, delta_T, power = array("d"), array("d"), array("d")
-    number, last = rows.number, rows.last
+    times, delta_T, power, cooling = array("d"), array("d"), array("d"), []
+    number = rows.number
     for line in lines:
         if not line.strip():
             continue
@@ -794,40 +793,31 @@ def _read_lines(rows: _TraceRows, lines: list[str]) -> None:
         except ValueError as exc:
             raise SchemaError(f"trace line {number}: {exc}") from None
         label = parts[3].strip()
-        if label != last:
-            if last is None:
-                rows.first = label
-            else:
-                rows.switches += 1
-            if label == _COOLING:
-                if rows.n_heating is None:
-                    rows.n_heating = number - 2
-            elif label != _HEATING:
-                rows.unknown.add(label)
-            last = label
-    rows.last = last
-    rows.append(times, delta_T, power)
+        if label not in (_HEATING, _COOLING):
+            rows.unknown.add(label)
+        cooling.append(label == _COOLING)
+    rows.append(times, delta_T, power, cooling)
 
 
 def trace_from_csv(source: str | TextIO) -> QubTrace:
     """Parse a trace CSV produced by :func:`trace_to_csv`.
 
-    ``source`` is the text itself or an open text file, which is read
-    ``_PARSE_CHARS`` characters at a time, never whole (a file that can
-    seek back is read through once first, to size the columns); both
-    give the same trace or the same error.  Numbers follow Python's ``float``
-    syntax.  Blank lines are skipped and not counted in the line numbers
-    of errors.  The phase column must hold only ``heating`` and
-    ``cooling`` labels, start with heating, end with cooling and switch
-    exactly once.
+    ``source`` is the text itself or an open text file.  Both are read
+    the same way, ``_PARSE_CHARS`` characters at a time, and give the same
+    trace or the same error; a file is never read whole (one that can
+    seek back is read through once first, to size the columns).  Numbers
+    follow Python's ``float`` syntax.  Blank lines are skipped and not
+    counted in the line numbers of errors.
 
     Each piece is read by numpy's C text reader; a piece it refuses, or
     one with a label other than exactly ``heating`` or ``cooling``, is
-    re-read line by line, and that re-read reports the error.
+    re-read line by line, and that re-read reports the error.  The phase
+    column is checked once, after the last row: it must hold only
+    ``heating`` and ``cooling`` labels, start with heating, end with
+    cooling and switch exactly once.
     """
     rows = _TraceRows(_row_bound(source))
-    pieces = _text_slices(source) if isinstance(source, str) else _file_slices(source)
-    for piece in pieces:
+    for piece in _slices(source):
         lines = piece.splitlines()
         if rows.number == 0:
             lines = _read_header(rows, lines)
@@ -839,9 +829,12 @@ def trace_from_csv(source: str | TextIO) -> QubTrace:
         raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
     if rows.unknown:
         raise SchemaError(f"unknown phase label(s): {sorted(rows.unknown)}")
-    if rows.first != _HEATING or rows.last != _COOLING:
+    n = rows.number - 1
+    cooling = rows.cooling[:n]
+    if not n or cooling[0] or not cooling[-1]:
         raise SchemaError("trace must start with heating and end with cooling")
-    if rows.switches != 1:
+    n_heating = int(cooling.argmax())
+    if not cooling[n_heating:].all():
         raise SchemaError("phase must switch exactly once")
-    times, delta_T, power = rows.columns[:, :rows.number - 1]
-    return QubTrace(times=times, delta_T=delta_T, power=power, n_heating=rows.n_heating)
+    times, delta_T, power = rows.columns[:, :n]
+    return QubTrace(times=times, delta_T=delta_T, power=power, n_heating=n_heating)

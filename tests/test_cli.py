@@ -207,6 +207,28 @@ class TestSimulateEstimate:
         assert code == 3 and out == ""
         assert err.startswith("error: input:") and "t_qub must be finite" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_dt_below_float64_resolution_exits_3(self, bungalow_path, command, capsys):
+        argv = [command, bungalow_path, "--dt", "1e-16"]
+        argv += ["--tqub", "3600"] if command == "simulate" else ["--t-range", "1800:3600:2"]
+        code, out, err = run_main(argv, capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input:") and "fewer than 2**52 samples" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 25.6 PiB"), "Unable to allocate 25.6 PiB"),
+        (MemoryError(), "out of memory")])
+    def test_out_of_memory_exits_4(self, bungalow_path, exc, message, monkeypatch,
+                                   capsys):
+        def exhausted(protocol):
+            raise exc
+        monkeypatch.setattr(qub, "_sample_times", exhausted)
+        code, out, err = run_main(["simulate", bungalow_path, "--tqub", "3600",
+                                   "--dt", "1e-12"], capsys)
+        assert code == 4 and out == ""
+        assert err == f"error: numerical: {message}\n"
+
     def test_estimate_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1,2\n", encoding="utf-8")

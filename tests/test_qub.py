@@ -63,6 +63,13 @@ class TestProtocolValidation:
         with pytest.raises(q.SchemaError):
             proto(**kw)
 
+    def test_rejects_2_52_samples_per_phase(self):
+        # float64 instants of a phase stop being distinct at 2**52 samples
+        proto(t_qub=2.0 ** 52 - 1.0, sample_dt=1.0)
+        for t_qub, sample_dt in ((2.0 ** 52, 1.0), (3600.0, 1e-16), (3600.0, 5e-324)):
+            with pytest.raises(q.SchemaError, match=r"fewer than 2\*\*52 samples"):
+                proto(t_qub=t_qub, sample_dt=sample_dt)
+
     @pytest.mark.parametrize("field", ["T_o", "P0", "P_h", "P_c", "t_qub"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, field, value):
@@ -505,10 +512,12 @@ class TestTraceCsvFastPath:
 @pytest.mark.parametrize("text", ["", "abc", "a\nb", "a\n\nb\n", "x" * 100,
                                   "t_s\r\n" + "y" * 50 + "\n"])
 def test_file_slices_rejoin_to_the_text(text, monkeypatch):
+    """One slicer reads a text and a file holding it into the same pieces."""
     # the slices check the header as they read, so each text opens with it
     text = qub._TRACE_HEADER + "\r\n" + text if text else text
     monkeypatch.setattr(qub, "_PARSE_CHARS", 7)
-    pieces = list(qub._file_slices(io.StringIO(text, newline="")))
+    pieces = list(qub._slices(text))
+    assert pieces == list(qub._slices(io.StringIO(text, newline="")))
     assert "".join(pieces) == text
     assert all(piece.endswith("\n") for piece in pieces[:-1])
     assert all(pieces)

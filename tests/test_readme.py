@@ -1,11 +1,15 @@
 """The README's examples run as written."""
 from __future__ import annotations
 
+import inspect
+import os
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
+import qubdoe.buildings
 from qubdoe.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -32,3 +36,27 @@ def test_library_example_runs():
     exec(compile(library, "README.md", "exec"), namespace)
     assert namespace["estimate"].H_qub == pytest.approx(51.18, rel=1e-3)
     assert namespace["best"].valid
+
+
+def commands(block):
+    return [line for line in block.splitlines() if line.startswith("qubdoe ")]
+
+
+@pytest.mark.parametrize("block", [block for block in blocks("sh") if commands(block)],
+                         ids=lambda block: commands(block)[0].split()[1])
+def test_shell_example_prints_its_comments(block, tmp_path, monkeypatch, capsys):
+    """Each ``qubdoe`` line of a shell example runs through ``main`` in a
+    fresh directory, with ``$BUNGALOW`` set as the README sets it, and the
+    block's ``# `` lines, cut at any ``...``, begin what it prints."""
+    bungalow = Path(inspect.getfile(qubdoe.buildings)).parent / "data" / "bungalow.json"
+    monkeypatch.setenv("BUNGALOW", str(bungalow))
+    monkeypatch.chdir(tmp_path)
+    out = ""
+    for line in commands(block):
+        code = main(shlex.split(os.path.expandvars(line))[1:])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        out += captured.out
+    comments = [line[2:] for line in block.splitlines() if line.startswith("# ")]
+    expected = "\n".join(comments).split("...")[0]
+    assert expected and out.startswith(expected)
