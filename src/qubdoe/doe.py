@@ -3,24 +3,24 @@
 Each grid cell runs the full chain — simulate the two-pulse protocol,
 fit both phases, evaluate the estimators, propagate the error budget —
 for one (P_h, t_qub) pair against the reference H of the same
-experiment (:func:`~qubdoe.conductance.reference_H`).  All cells of one
-duration share their sample instants, exponential tables and fit
-windows; only the heating input differs.  The sweep therefore evaluates
-a duration's powers together, as stacked arrays, through the same
-kernels :func:`~qubdoe.qub.simulate_qub` and :func:`~qubdoe.qub.fit_slope`
-use for one record, with the same floating-point operations in the same
-order: every cell is bit-identical to its lone evaluation, and the
-exported CSV is byte-identical from run to run.
+experiment (:func:`~qubdoe.conductance.reference_H`).  The cells of one
+duration share their sample instants and fit windows, so the sweep
+evaluates its powers together, as stacked arrays.  The exact response
+kernel runs at the fit-window instants only, with the operations of
+:func:`~qubdoe.qub.simulate_qub` and :func:`~qubdoe.qub.fit_slope`:
+H_qub, eps_qub_pct, eps_Hm, eps_H_pct and valid are bit-identical to the
+cell's lone evaluation.  theta_max is the peak over every sample of the
+modal sum projected on the indoor weights
+(:func:`~qubdoe.modal._peak_output`), within 1e-12 relative of the lone
+trace's.  The exported CSV is byte-identical from run to run.
 
-The response kernel (:func:`~qubdoe.modal.step_response`) bounds its own
-state temporaries; the sweep blocks only its (powers, samples) records,
-at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats per record array.  Both
-bounds are in bytes, 128 KiB, glibc's default mmap threshold, so
-the blocks of a sweep reuse the same heap memory instead of faulting in
-fresh pages for each (a fresh default bungalow sweep took 17,751 minor
-faults with 400 KB blocks, 400 with these).  The fit windows depend on
-the sample instants alone, so they are checked for every duration
-before any response is computed.
+The kernels bound their temporaries, and the sweep its (powers, window
+samples) records, at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats:
+128 KiB, glibc's default mmap threshold, so blocks reuse the same heap
+memory instead of faulting in fresh pages (a fresh default bungalow
+sweep took 17,751 minor faults with 400 KB blocks, 400 with these).
+The fit windows depend on the sample instants alone, so they are found
+for every duration before any response is computed.
 """
 from __future__ import annotations
 
@@ -33,11 +33,11 @@ import numpy as np
 from .conductance import reference_H
 from .error_budget import ErrorPolicy, assemble_budget, measurement_error, partials
 from .exceptions import ModelError, NumericalError
-from .modal import _BLOCK_ELEMENTS, EigenBasis, eigendecompose
+from .modal import _BLOCK_ELEMENTS, EigenBasis, _peak_output, eigendecompose
 from .network import StateSpaceModel
-from .qub import (_WINDOW_FRACTION, QubProtocol, _cancels, _check_windows,
-                  _protocol_setup, _sample_times, _two_pulse, _two_pulse_fits,
-                  estimate_H)
+from .qub import (_COOLING, _HEATING, _WINDOW_FRACTION, QubProtocol, _cancels,
+                  _fit_window, _fit_windows, _phases, _protocol_setup,
+                  _sample_times, _two_pulse, estimate_H)
 # the sweep no longer calls simulate_qub per cell, but bench/tracing.py still
 # wraps it under this module to count such calls, so the name stays here
 from .qub import simulate_qub  # noqa: F401
@@ -117,22 +117,28 @@ def _held_mean(power, count: int):
 
 
 def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
-                    protocol: QubProtocol, setup, rel: np.ndarray,
+                    protocol: QubProtocol, setup, rel: np.ndarray, windows,
                     ph: np.ndarray, H_ref: float, policy: ErrorPolicy,
-                    window_fraction: float | None, out: dict,
-                    index: np.ndarray) -> None:
+                    out: dict, index: np.ndarray) -> None:
     """Fill ``out`` at ``index`` for the powers ``ph`` of one duration;
-    only their peak temperatures when ``window_fraction`` is None (the
-    fit windows of this duration hold too few samples)."""
-    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, ph, rel)
-    finite = np.isfinite(dT_heat).all(axis=-1) & np.isfinite(dT_cool).all(axis=-1)
-    ph, index, dT_heat, dT_cool = ph[finite], index[finite], dT_heat[finite], dT_cool[finite]
-    out["theta_max"][index] = protocol.T_o + np.maximum(dT_heat.max(axis=-1),
-                                                        dT_cool.max(axis=-1))
-    if window_fraction is None:
+    only their peak temperatures when ``windows`` is None (the fit
+    windows of this duration hold too few samples)."""
+    phases = _phases(model, basis, protocol, setup, ph)
+    (peak_h, finite), (peak_c, finite_c) = (
+        _peak_output(model, basis, setup.indoor_weights, u, x, t)
+        for (u, x), t in zip(phases, (rel, rel[1:])))
+    finite &= finite_c
+    if windows is not None:
+        (t_heat, clock_h), (t_cool, clock_c) = windows
+        dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, phases,
+                                      t_heat, t_cool)
+        finite &= np.isfinite(dT_heat).all(axis=-1) & np.isfinite(dT_cool).all(axis=-1)
+    out["theta_max"][index[finite]] = np.maximum(peak_h, peak_c)[finite]
+    if windows is None:
         return
-    fit_h, fit_c = _two_pulse_fits(rel, protocol.t_qub, dT_heat, dT_cool,
-                                   window_fraction)
+    ph, index = ph[finite], index[finite]
+    fit_h = _fit_window(clock_h, dT_heat[finite], _HEATING)
+    fit_c = _fit_window(clock_c, dT_cool[finite], _COOLING)
     keep = ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha)
     fit_h, fit_c = (replace(f, alpha=f.alpha[keep], dT0=f.dT0[keep], r2=f.r2[keep])
                     for f in (fit_h, fit_c))
@@ -153,28 +159,27 @@ def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
 
 
 def _row_protocol(template: QubProtocol, t_qub: float, window_fraction: float
-                  ) -> tuple[QubProtocol, np.ndarray, ModelError | None]:
-    """The protocol of one duration, its sample instants, and the error
-    of its fit windows when they cannot fit at that duration."""
+                  ) -> tuple[QubProtocol, np.ndarray, tuple | None, ModelError | None]:
+    """The protocol of one duration, its sample instants, and its fit
+    windows (:func:`~qubdoe.qub._fit_windows`), or their error when they
+    cannot fit at that duration."""
     sample_dt = template.sample_dt
     if sample_dt is not None and sample_dt > t_qub / 20.0:
         sample_dt = None
     protocol = replace(template, t_qub=t_qub, sample_dt=sample_dt)
     rel = _sample_times(protocol)
     try:
-        _check_windows(rel, t_qub, window_fraction)
+        return protocol, rel, _fit_windows(rel, t_qub, window_fraction), None
     except ModelError as exc:
-        return protocol, rel, exc
-    return protocol, rel, None
+        return protocol, rel, None, exc
 
 
 def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-               rel: np.ndarray, setup, ph_values: np.ndarray, H_ref: float,
-               policy: ErrorPolicy, window_fraction: float | None
-               ) -> tuple[DoeCell, ...]:
-    """The cells of one duration, sampled at the instants ``rel``.  With
-    ``window_fraction`` None (windows too short to fit) the row is still
-    simulated, so its cells keep their peak temperatures."""
+               rel: np.ndarray, windows, setup, ph_values: np.ndarray,
+               H_ref: float, policy: ErrorPolicy) -> tuple[DoeCell, ...]:
+    """The cells of one duration, sampled at the instants ``rel`` and fitted
+    over ``windows``.  With ``windows`` None (too short to fit) the row
+    still gets its peak temperatures."""
     n_ph = ph_values.size
     # the DoeCell fields after ph and t_qub, in their order
     out = {name: np.full(n_ph, nan) for name in
@@ -182,11 +187,13 @@ def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
     out["valid"] = np.zeros(n_ph, dtype=bool)
     # cells with P_h <= P_c are invalid protocols, never simulated
     todo = np.flatnonzero(ph_values > protocol.P_c)
-    block = max(1, _BLOCK_ELEMENTS // rel.size)
+    # per power: its window samples, or the kernel's states at two instants
+    held = max([2 * model.n_states] + [t.size for t, _ in windows or ()])
+    block = max(1, _BLOCK_ELEMENTS // held)
     for first in range(0, todo.size, block):
         index = todo[first:first + block]
-        _evaluate_block(model, basis, protocol, setup, rel, ph_values[index],
-                        H_ref, policy, window_fraction, out, index)
+        _evaluate_block(model, basis, protocol, setup, rel, windows,
+                        ph_values[index], H_ref, policy, out, index)
     columns = (column.tolist() for column in out.values())
     return tuple(DoeCell(ph, float(protocol.t_qub), *fields)
                  for ph, *fields in zip(ph_values.tolist(), *columns))
@@ -221,9 +228,11 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     Returns
     -------
     DoeGrid
-        Degenerate cells are flagged invalid, never fatal.  Each cell
-        equals the chain simulate_qub → fit_slope → estimate_H →
-        error budget run for it alone, bit for bit.
+        Degenerate cells are flagged invalid, never fatal.  H_qub,
+        eps_qub_pct, eps_Hm, eps_H_pct and valid equal the chain
+        simulate_qub → fit_slope → estimate_H → error budget run for the
+        cell alone, bit for bit; theta_max equals the peak of its trace
+        to 1e-12 relative.
 
     Raises
     ------
@@ -249,11 +258,11 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     basis = eigendecompose(model)
     rows = [_row_protocol(protocol_template, t, window_fraction) for t in t_values]
     if all(error is not None for *_, error in rows):
-        raise rows[0][2]
+        raise rows[0][3]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cells = tuple(_sweep_row(model, basis, protocol, rel, setup, ph_values, H_ref,
-                                 policy, window_fraction if error is None else None)
-                      for protocol, rel, error in rows)
+        cells = tuple(_sweep_row(model, basis, protocol, rel, windows, setup,
+                                 ph_values, H_ref, policy)
+                      for protocol, rel, windows, _ in rows)
     return DoeGrid(ph_values=ph_values, t_values=t_values, cells=cells)
 
 

@@ -254,11 +254,15 @@ class _ExperimentSetup:
         return np.concatenate(
             [np.broadcast_to(temps, power.shape[:-1] + temps.shape), power], axis=-1)
 
+    @property
+    def indoor_weights(self) -> np.ndarray:
+        """Output weights that average the indoor temperature."""
+        return self.model.output_weights / self.model.output_weights.sum()
+
     def indoor_mean(self, outputs: np.ndarray) -> np.ndarray:
         """Weighted mean indoor temperature of output vectors (outputs on
         the last axis)."""
-        weights = self.model.output_weights
-        return outputs @ (weights / weights.sum())
+        return outputs @ self.indoor_weights
 
 
 def _protocol_setup(model: StateSpaceModel, T_o: float,
@@ -295,22 +299,26 @@ def _sample_times(protocol: QubProtocol) -> np.ndarray:
     return (protocol.t_qub / n) * np.arange(n + 1)
 
 
-def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-               setup: _ExperimentSetup, P_h, rel: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Indoor rise over T_o in the heating phase at ``rel`` and in the
-    cooling phase at ``rel[1:]`` after the switch.
-
-    ``P_h`` replaces ``protocol.P_h``; a (k,) array of powers gives
-    (k, n) rows, each identical to the run of that power alone.
-    """
+def _phases(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
+            setup: _ExperimentSetup, P_h) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """(input, start state) of the heating and of the cooling phase;
+    ``P_h`` replaces ``protocol.P_h``, and a (k,) array of powers gives
+    stacks of k heating inputs and switch states."""
     u_heat = setup.inputs(P_h)
     x0 = initial_state(model, setup.inputs(protocol.P0))
-    # reduce each phase to its indoor mean at once: one phase's outputs live at a time
-    dT_heat = setup.indoor_mean(step_response(model, u_heat, x0, rel, basis=basis))
     x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
-    dT_cool = setup.indoor_mean(step_response(model, setup.inputs(protocol.P_c),
-                                              x_switch, rel[1:], basis=basis))
+    return (u_heat, x0), (setup.inputs(protocol.P_c), x_switch)
+
+
+def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
+               setup: _ExperimentSetup, phases, t_heat: np.ndarray,
+               t_cool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indoor rise over T_o of the :func:`_phases` at the instants
+    ``t_heat`` and ``t_cool`` from each phase's start; stacked phases give
+    (k, n) rows, each identical to the run of that power alone."""
+    # reduce each phase to its indoor mean at once: one phase's outputs live at a time
+    dT_heat, dT_cool = (setup.indoor_mean(step_response(model, u, x, t, basis=basis))
+                        for (u, x), t in zip(phases, (t_heat, t_cool)))
     return dT_heat - protocol.T_o, dT_cool - protocol.T_o
 
 
@@ -348,7 +356,8 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
     if basis is None:
         basis = eigendecompose(model)
     rel = _sample_times(protocol)
-    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, protocol.P_h, rel)
+    phases = _phases(model, basis, protocol, setup, protocol.P_h)
+    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, phases, rel, rel[1:])
     if dT_heat[-1] <= dT_heat[0] + 1e-12 * max(1.0, abs(dT_heat[0])):
         warnings.warn(
             "heating power is at or below the maintenance power: the indoor "
@@ -404,20 +413,16 @@ def _window(t_rel: np.ndarray, window_fraction: float, phase: str) -> np.ndarray
     return selected
 
 
-def _fit_window(t_rel: np.ndarray, values: np.ndarray, window_fraction: float,
-                phase: str) -> SlopeFit:
-    """Least-squares line over the trailing window of a phase sampled at
-    ``t_rel`` (from the phase start).  ``values`` may be a stack (k, n) of
-    records sharing those instants; alpha, dT0 and r2 are then (k,)
-    arrays, each identical to the fit of that record alone."""
-    selected = _window(t_rel, window_fraction, phase)
-    t_win = t_rel[selected]
+def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str) -> SlopeFit:
+    """Least-squares line through a phase's fit-window samples ``y_win``
+    at ``t_win`` from the phase start; a stack (k, n) of records gives
+    (k,) alpha, dT0 and r2, each identical to that record's lone fit."""
     t_mean = t_win.mean()
     t_dev = t_win - t_mean
     t_var = float(_rowdot(t_dev, t_dev))
     if t_var == 0.0:
         raise ModelError(f"{phase} window has zero time variance")
-    y_win = np.ascontiguousarray(values[..., selected])
+    y_win = np.ascontiguousarray(y_win)
     y_mean = y_win.mean(axis=-1)
     y_dev = y_win - y_mean[..., None]
     alpha = _rowdot(t_dev, y_dev) / t_var
@@ -437,20 +442,16 @@ def _cooling_clock(rel: np.ndarray, t_qub: float) -> np.ndarray:
     return (t_qub + rel[1:]) - rel[-1]
 
 
-def _check_windows(rel: np.ndarray, t_qub: float, window_fraction: float) -> None:
-    """Raise the ModelError of a heating or cooling fit window too short
-    to fit a :func:`_two_pulse` record sampled at ``rel``."""
-    _window(rel, window_fraction, _HEATING)
-    _window(_cooling_clock(rel, t_qub), window_fraction, _COOLING)
-
-
-def _two_pulse_fits(rel: np.ndarray, t_qub: float, dT_heat: np.ndarray,
-                    dT_cool: np.ndarray, window_fraction: float
-                    ) -> tuple[SlopeFit, SlopeFit]:
-    """Both phase fits of (stacks of) :func:`_two_pulse` records, as
-    :func:`fit_slope` makes them on the trace :func:`simulate_qub` builds."""
-    return (_fit_window(rel, dT_heat, window_fraction, _HEATING),
-            _fit_window(_cooling_clock(rel, t_qub), dT_cool, window_fraction, _COOLING))
+def _fit_windows(rel: np.ndarray, t_qub: float, window_fraction: float
+                 ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The heating and cooling fit windows that :func:`fit_slope` selects
+    on a :func:`simulate_qub` trace sampled at ``rel``, each as the
+    :func:`_two_pulse` instants and the fit's clock; raises the ModelError
+    of a window too short to fit."""
+    clock = _cooling_clock(rel, t_qub)
+    heat = rel[_window(rel, window_fraction, _HEATING)]
+    cool = _window(clock, window_fraction, _COOLING)
+    return (heat, heat), (rel[1:][cool], clock[cool])
 
 
 def fit_slope(trace: QubTrace, phase: str,
@@ -478,9 +479,9 @@ def fit_slope(trace: QubTrace, phase: str,
     if phase not in (_HEATING, _COOLING):
         raise ModelError(f"phase must be '{_HEATING}' or '{_COOLING}', got {phase!r}")
     part = trace.heating if phase == _HEATING else trace.cooling
-    start = 0.0 if phase == _HEATING else trace.t_qub
-    fit = _fit_window(trace.times[part] - start, trace.delta_T[part],
-                      window_fraction, phase)
+    t_rel = trace.times[part] - (0.0 if phase == _HEATING else trace.t_qub)
+    selected = _window(t_rel, window_fraction, phase)
+    fit = _fit_window(t_rel[selected], trace.delta_T[part][selected], phase)
     return replace(fit, alpha=float(fit.alpha), dT0=float(fit.dT0), r2=float(fit.r2))
 
 

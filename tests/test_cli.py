@@ -701,7 +701,8 @@ def _usable_cpus() -> int:
 class TestBlasThreadCount:
     """The output bytes do not depend on how many threads BLAS runs,
     also for fit windows of 14,400 samples, which a threaded BLAS
-    would split if handed in one dot."""
+    would split if handed in one dot, and for the peak temperatures the
+    sweep sums over the modes of two zones' 721-sample records."""
 
     @pytest.fixture(scope="class")
     def trace_path(self, bungalow_path, tmp_path_factory):
@@ -710,12 +711,17 @@ class TestBlasThreadCount:
                      "--dt", "1", "--out", str(path)]) == 0
         return str(path)
 
-    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    @pytest.mark.parametrize("command", ["estimate", "sweep", "optimum-house"])
     def test_one_and_two_threads_print_the_same(self, command, bungalow_path,
-                                                trace_path):
-        argv = (["estimate", "--trace", trace_path] if command == "estimate" else
-                ["sweep", bungalow_path, "--dt", "1", "--t-range", "36000:43200:2",
-                 "--ph-range", "1000:2000:2"])
+                                                house_path, trace_path):
+        argv = {
+            "estimate": ["estimate", "--trace", trace_path],
+            "sweep": ["sweep", bungalow_path, "--dt", "1", "--t-range", "36000:43200:2",
+                      "--ph-range", "1000:2000:2"],
+            "optimum-house": ["optimum", house_path, "--set", "T_g=14", "--pc", "300",
+                              "--dt", "60", "--ph-range", "200:3000:24",
+                              "--t-range", "3600:43200:24", "--max-temp", "10"],
+        }[command]
         src = os.path.dirname(os.path.dirname(q.__file__))
         outputs = []
         for threads in ("1", "2"):

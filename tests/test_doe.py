@@ -137,6 +137,51 @@ class TestAgainstPerCellReference:
         else:
             assert any(c.valid for row in grid.cells for c in row)
 
+    def test_peak_outside_both_fit_windows(self, bungalow):
+        # below the pre-experiment power the indoor temperature falls through
+        # both phases, so its peak is the steady start, before either window
+        model = q.to_state_space(bungalow)
+        _, fields, policy, _ = REFERENCE_CASES["warm-start"]
+        template = q.QubProtocol(**{"P_h": 1000.0, "P_c": 0.0, "t_qub": 43200.0, **fields})
+        args = (model, template, [100.0, 200.0, 300.0], [7200.0, 28800.0], policy)
+        grid = q.sweep(*args)
+        assert_matches_reference(grid, reference_sweep(*args))
+        for row in grid.cells:
+            for cell in row:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # below the maintenance power
+                    trace = q.simulate_qub(model, replace(template, P_h=cell.ph,
+                                                          t_qub=cell.t_qub))
+                windows = [trace.delta_T[part][qub._window(
+                    trace.times[part] - start, qub._WINDOW_FRACTION, phase)]
+                    for part, start, phase in ((trace.heating, 0.0, "heating"),
+                                               (trace.cooling, trace.t_qub, "cooling"))]
+                assert cell.theta_max == pytest.approx(template.T_o + trace.delta_T[0],
+                                                       rel=1e-12, abs=0.0)
+                assert cell.theta_max > template.T_o + max(w.max() for w in windows)
+
+    @pytest.mark.parametrize("P0", [0.0, 800.0])
+    def test_massless_sensor_feedthrough(self, P0):
+        # the heated air node has no capacity, so its temperature jumps
+        # with the power (D ≠ 0) and the peak takes the feedthrough term
+        doc = {"nodes": [{"id": "air", "capacity": 0.0}, {"id": "wall", "capacity": 5.0e6},
+                         {"id": "mass", "capacity": 2.0e6}],
+               "branches": [{"id": "ao", "from": "REF", "to": "air", "conductance": 40.0,
+                             "temperature_source": "T_o"},
+                            {"id": "aw", "from": "air", "to": "wall", "conductance": 200.0},
+                            {"id": "wo", "from": "REF", "to": "wall", "conductance": 30.0,
+                             "temperature_source": "T_o"},
+                            {"id": "am", "from": "air", "to": "mass", "conductance": 80.0}],
+               "flow_sources": [{"node": "air", "source_name": "P"}]}
+        model = q.to_state_space(q.parse_building(json.dumps(doc)), ["air"])
+        assert model.D.any()
+        template = q.QubProtocol(T_o=3.0, P0=P0, P_h=1000.0, P_c=100.0, t_qub=20000.0)
+        args = (model, template, np.geomspace(150.0, 3000.0, 6), [3600.0, 14400.0],
+                q.ErrorPolicy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the reference warns below maintenance
+            assert_matches_reference(q.sweep(*args), reference_sweep(*args))
+
     def test_block_boundaries_do_not_matter(self, bungalow_model):
         # more powers than one stacked block holds (2881 samples a record)
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0,

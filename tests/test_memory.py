@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
-from qubdoe import cli, qub
+from qubdoe import cli, modal, qub
 from conftest import Unseekable
 
 #: glibc's default mmap and trim threshold
@@ -114,6 +114,24 @@ def test_stacked_response_temporaries_stay_under_the_mmap_threshold(bungalow_mod
     y, peak = traced_peak(q.step_response, model, u, x0, times, basis=basis)
     assert y.shape == (40, 121, model.C.shape[0])
     assert peak < y.nbytes + 3 * MMAP_THRESHOLD
+
+
+@pytest.mark.parametrize("sample_dt", [None, 1.0], ids=["121 instants", "43,201 instants"])
+def test_peak_pass_temporaries_stay_under_the_mmap_threshold(bungalow_model, sample_dt):
+    """The peak temperatures of one sweep row of 40 heating powers, whose
+    whole records would take 14 MB at 1 s sampling."""
+    model = bungalow_model
+    ph_values, t_values = q.default_axes(q.reference_H(model), 0.0)
+    protocol = q.QubProtocol(T_o=0.0, P0=0.0, P_h=ph_values[-1], P_c=0.0,
+                             t_qub=t_values[-1], sample_dt=sample_dt)
+    setup = qub._protocol_setup(model, 0.0, {})
+    basis = q.eigendecompose(model)
+    (u, x0), _ = qub._phases(model, basis, protocol, setup, ph_values)
+    times = qub._sample_times(protocol)
+    (peak, finite), traced = traced_peak(modal._peak_output, model, basis,
+                                         setup.indoor_weights, u, x0, times)
+    assert peak.shape == finite.shape == (40,) and finite.all()
+    assert traced < 2 * MMAP_THRESHOLD
 
 
 @pytest.fixture(scope="module", params=[0, 1 << 20], ids=["no header", "padded header"])

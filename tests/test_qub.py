@@ -463,21 +463,50 @@ class TestTraceCsvChunks:
         assert message == "unknown phase label(s): ['idle', 'warming']"
 
 
+class _ReadLog:
+    """An open text file that notes the two characters around the cut
+    between each read and the next."""
+
+    def __init__(self, fh, cuts):
+        self.fh, self.cuts, self.last = fh, cuts, ""
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def read(self, size):
+        block = self.fh.read(size)
+        if self.last and block:
+            self.cuts.add(self.last[-1] + block[0])
+        self.last = block
+        return block
+
+    def seek(self, *args):
+        self.last = ""
+        return self.fh.seek(*args)
+
+
 class TestTraceCsvChunksFromFile(TestTraceCsvChunks):
-    """The same cases read from an open file 7 characters at a time, so
-    reads cut inside rows and inside ``\\r\\n`` pairs.  The file is opened
-    with ``newline=""``, so the parser sees exactly the string's
-    characters, and must give the same traces, messages and line numbers."""
+    """The same cases read from an open file 4,099 characters at a time,
+    a read size that is no multiple of the row lengths, so reads cut
+    inside rows and, in CRLF text, inside ``\\r\\n`` pairs; each parse
+    checks that they do.  The file is opened with ``newline=""``, so the
+    parser sees exactly the string's characters, and must give the same
+    traces, messages and line numbers."""
 
     @pytest.fixture(autouse=True)
-    def small_reads(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(qub, "_PARSE_CHARS", 7)
+    def odd_reads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(qub, "_PARSE_CHARS", 4099)
         self.path = tmp_path / "trace.csv"
 
     def parse(self, text):
         self.path.write_text(text, encoding="utf-8", newline="")
+        cuts = set()
         with open(self.path, "r", encoding="utf-8", newline="") as fh:
-            return q.trace_from_csv(fh)
+            try:
+                return q.trace_from_csv(_ReadLog(fh, cuts))
+            finally:
+                assert any(not set(cut) & {"\r", "\n"} for cut in cuts)
+                assert "\r\n" in cuts or "\r\n" not in text
 
 
 class TestTraceCsvFastPath:
