@@ -3,16 +3,17 @@
 Each grid cell runs the full chain — simulate the two-pulse protocol,
 fit both phases, evaluate the estimators, propagate the error budget —
 for one (P_h, t_qub) pair against the reference H of the same
-experiment (:func:`~qubdoe.conductance.reference_H`).  The cells of one
-duration share their sample instants and fit windows, so the sweep
-evaluates its powers together, as stacked arrays.  The exact response
+experiment (:func:`~qubdoe.conductance.reference_H`), in two passes.
+Per duration, the powers share their sample instants and fit windows
+and are evaluated together, as stacked arrays: the exact response
 kernel runs at the fit-window instants only, with the operations of
-:func:`~qubdoe.qub.simulate_qub` and :func:`~qubdoe.qub.fit_slope`:
-H_qub, eps_qub_pct, eps_Hm, eps_H_pct and valid are bit-identical to the
-cell's lone evaluation.  theta_max is the peak over every sample of the
-modal sum projected on the indoor weights
-(:func:`~qubdoe.modal._peak_output`), within 1e-12 relative of the lone
-trace's.  The exported CSV is byte-identical from run to run.
+:func:`~qubdoe.qub.simulate_qub` and :func:`~qubdoe.qub.fit_slope`.
+Then the estimators and the error budget run once over the whole grid,
+elementwise, so H_qub, eps_qub_pct, eps_Hm, eps_H_pct and valid are
+bit-identical to the cell's lone evaluation.  The response is affine in
+P_h, so theta_max is the peak of a(t) + P_h·b(t) over every sample
+(:func:`_affine_peaks`), within 1e-12 relative of the lone trace's.
+The exported CSV is byte-identical from run to run.
 
 The kernels bound their temporaries, and the sweep its (powers, window
 samples) records, at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats:
@@ -24,7 +25,7 @@ for every duration before any response is computed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from math import nan
 from collections.abc import Sequence
 
@@ -33,10 +34,10 @@ import numpy as np
 from .conductance import reference_H
 from .error_budget import ErrorPolicy, assemble_budget, measurement_error, partials
 from .exceptions import ModelError, NumericalError
-from .modal import _BLOCK_ELEMENTS, EigenBasis, _peak_output, eigendecompose
+from .modal import _BLOCK_ELEMENTS, EigenBasis, _apply, _modal_coordinates, eigendecompose
 from .network import StateSpaceModel
-from .qub import (_COOLING, _HEATING, _WINDOW_FRACTION, QubProtocol, _cancels,
-                  _fit_window, _fit_windows, _phases, _protocol_setup,
+from .qub import (_COOLING, _HEATING, _WINDOW_FRACTION, QubProtocol, SlopeFit, _cancels,
+                  _fit_window, _fit_windows, _held, _protocol_setup,
                   _sample_times, _two_pulse, estimate_H)
 # the sweep no longer calls simulate_qub per cell, but bench/tracing.py still
 # wraps it under this module to count such calls, so the name stays here
@@ -108,54 +109,61 @@ class DesignConstraints:
             raise ModelError("max_indoor_temperature must not be nan")
 
 
-def _held_mean(power, count: int):
-    """Mean of ``count`` samples of a constant power, as the estimators
-    read it from a record (the pairwise sum need not return the power
-    itself); elementwise for an array of powers."""
-    power = np.asarray(power, dtype=float)
-    return np.repeat(power[..., None], count, axis=-1).mean(axis=-1)
+def _affine_peaks(model: StateSpaceModel, basis: EigenBasis, setup, held,
+                  ph: np.ndarray):
+    """The peak pass of a sweep over the powers ``ph``: a function of
+    t_qub and a phase's sample instants ``rel`` giving each power's
+    largest indoor mean temperature over both phases, and whether all its
+    values are finite, within 1e-12 relative of the lone trace's peak.
 
+    In each phase y(t) = a(t) + P_h·b(t), from the modes projected on the
+    indoor weights, g = wᵀCV: g∘V⁻¹x0 of the pre-experiment state, g∘V⁻¹Bu
+    of the boundary temperatures, of one watt and of the cooling input,
+    and their feedthrough wᵀDu.  A block of instants costs a and b of each
+    phase and their product with (1, P_h).  Its phase table and values
+    take at most half of :data:`_BLOCK_ELEMENTS` floats, leaving the rest
+    to numpy's iterator buffers, and each product a quarter of the size
+    OpenBLAS threads (a dgemm of 262,144 multiply-adds), so the sums do
+    not depend on the thread count."""
+    x0, u_cool = held
+    u_temp = setup.inputs(0.0)
+    inputs = np.stack([u_temp, setup.inputs(1.0) - u_temp, u_cool])
+    w0, wu = _modal_coordinates(model, inputs, x0, basis)
+    g = (setup.indoor_weights @ model.C) @ basis.vectors
+    lam, start, (temp, unit, cool) = basis.eigenvalues, g * w0, g * wu
+    # the columns a_h, b_h, a_c, b_c, from the modes' forced rise here and
+    # from their decay per duration
+    zero = np.zeros_like(lam)
+    by_forced = np.stack([temp, unit, cool, zero], axis=1)
+    offsets = np.append(_apply(model.D, inputs) @ setup.indoor_weights, 0.0)
+    powers = np.stack([np.ones_like(ph), ph])
+    rows = max(2, min(_BLOCK_ELEMENTS // (2 * (lam.size + ph.size)),
+                      65_536 // (4 * lam.size)))
+    # a matrix product into one buffer: a broadcast sum would take
+    # iterator buffers as large again
+    values = np.empty((rows, ph.size))
 
-def _evaluate_block(model: StateSpaceModel, basis: EigenBasis,
-                    protocol: QubProtocol, setup, rel: np.ndarray, windows,
-                    ph: np.ndarray, H_ref: float, policy: ErrorPolicy,
-                    out: dict, index: np.ndarray) -> None:
-    """Fill ``out`` at ``index`` for the powers ``ph`` of one duration;
-    only their peak temperatures when ``windows`` is None (the fit
-    windows of this duration hold too few samples)."""
-    phases = _phases(model, basis, protocol, setup, ph)
-    (peak_h, finite), (peak_c, finite_c) = (
-        _peak_output(model, basis, setup.indoor_weights, u, x, t)
-        for (u, x), t in zip(phases, (rel, rel[1:])))
-    finite &= finite_c
-    if windows is not None:
-        (t_heat, clock_h), (t_cool, clock_c) = windows
-        dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, phases,
-                                      t_heat, t_cool)
-        finite &= np.isfinite(dT_heat).all(axis=-1) & np.isfinite(dT_cool).all(axis=-1)
-    out["theta_max"][index[finite]] = np.maximum(peak_h, peak_c)[finite]
-    if windows is None:
-        return
-    ph, index = ph[finite], index[finite]
-    fit_h = _fit_window(clock_h, dT_heat[finite], _HEATING)
-    fit_c = _fit_window(clock_c, dT_cool[finite], _COOLING)
-    keep = ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha)
-    fit_h, fit_c = (replace(f, alpha=f.alpha[keep], dT0=f.dT0[keep], r2=f.r2[keep])
-                    for f in (fit_h, fit_c))
-    P_h = _held_mean(ph[keep], rel.size)
-    P_c = float(_held_mean(protocol.P_c, rel.size - 1))
-    H_qub = estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
-    sens = partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
-    errors = policy.resolve(P_h, fit_h, fit_c)
-    budget = assemble_budget(H_qub, H_ref, measurement_error(sens, errors))
-    # a budget that over- or underflowed says nothing about the design
-    finite = np.isfinite(budget.eps_Hm) & np.isfinite(budget.eps_H_pct)
-    index = index[keep][finite]
-    out["H_qub"][index] = H_qub[finite]
-    out["eps_qub_pct"][index] = budget.eps_qub_pct[finite]
-    out["eps_Hm"][index] = budget.eps_Hm[finite]
-    out["eps_H_pct"][index] = budget.eps_H_pct[finite]
-    out["valid"][index] = True
+    def peaks(t_qub: float, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        decay, forced = np.exp(lam * t_qub), np.expm1(lam * t_qub) / lam
+        # the switch state's coordinates are m0 + P_h·m1
+        by_decay = np.stack([start, zero, decay * start + forced * temp,
+                             forced * unit], axis=1)
+        peak, finite = np.full(ph.size, -np.inf), np.ones(ph.size, dtype=bool)
+        for first in range(0, rel.size, rows):
+            phase = rel[first:first + rows, None] * lam
+            columns = np.exp(phase) @ by_decay
+            np.expm1(phase, out=phase)
+            phase /= lam
+            columns += phase @ by_forced
+            columns += offsets
+            # the cooling record starts one sample after the switch
+            for ab in (columns[:, :2], columns[int(first == 0):, 2:]):
+                block = np.matmul(ab, powers, out=values[:len(ab)])
+                np.maximum(peak, block.max(axis=0), out=peak)
+                finite &= np.isfinite(block).all(axis=0)
+        return peak, finite
+
+    return peaks
 
 
 def _row_protocol(template: QubProtocol, t_qub: float, window_fraction: float
@@ -175,28 +183,66 @@ def _row_protocol(template: QubProtocol, t_qub: float, window_fraction: float
 
 
 def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-               rel: np.ndarray, windows, setup, ph_values: np.ndarray,
-               H_ref: float, policy: ErrorPolicy) -> tuple[DoeCell, ...]:
-    """The cells of one duration, sampled at the instants ``rel`` and fitted
-    over ``windows``.  With ``windows`` None (too short to fit) the row
-    still gets its peak temperatures."""
-    n_ph = ph_values.size
-    # the DoeCell fields after ph and t_qub, in their order
-    out = {name: np.full(n_ph, nan) for name in
-           ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max")}
-    out["valid"] = np.zeros(n_ph, dtype=bool)
-    # cells with P_h <= P_c are invalid protocols, never simulated
-    todo = np.flatnonzero(ph_values > protocol.P_c)
-    # per power: its window samples, or the kernel's states at two instants
-    held = max([2 * model.n_states] + [t.size for t, _ in windows or ()])
-    block = max(1, _BLOCK_ELEMENTS // held)
-    for first in range(0, todo.size, block):
-        index = todo[first:first + block]
-        _evaluate_block(model, basis, protocol, setup, rel, windows,
-                        ph_values[index], H_ref, policy, out, index)
-    columns = (column.tolist() for column in out.values())
-    return tuple(DoeCell(ph, float(protocol.t_qub), *fields)
-                 for ph, *fields in zip(ph_values.tolist(), *columns))
+               setup, held, peaks, rel: np.ndarray, windows, ph: np.ndarray,
+               pc_mean: float) -> tuple[np.ndarray, list]:
+    """The peak temperatures of the powers ``ph`` at one duration (nan
+    where a record is not finite) and, unless ``windows`` is None (too
+    short to fit), blocks of (positions in ``ph``, held P_h, held P_c,
+    heating fit, cooling fit), every field with one element per record."""
+    peak, finite = peaks(protocol.t_qub, rel)
+    fits = []
+    if windows is not None:
+        (t_heat, clock_h), (t_cool, clock_c) = windows
+        # per power: its window samples, or the kernel's states at two instants
+        block = max(1, _BLOCK_ELEMENTS // max(2 * model.n_states, t_heat.size, t_cool.size))
+        for first in range(0, ph.size, block):
+            index = np.arange(first, min(first + block, ph.size))
+            dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, ph[index], held,
+                                          t_heat, t_cool)
+            ok = (finite[index] & np.isfinite(dT_heat).all(axis=-1)
+                  & np.isfinite(dT_cool).all(axis=-1))
+            finite[index] = ok
+            m = ok.sum()
+            fit_h, fit_c = (_fit_window(clock, dT[ok], phase) for clock, dT, phase in
+                            ((clock_h, dT_heat, _HEATING), (clock_c, dT_cool, _COOLING)))
+            del dT_heat, dT_cool  # freed before the next block's records are made
+            # P_h as the estimators read it, like P_c in sweep
+            P_h = np.repeat(ph[index[ok], None], rel.size, axis=1).mean(axis=1)
+            fits.append((index[ok], P_h, np.full(m, pc_mean), *(
+                replace(fit, t0=np.full(m, fit.t0), n_samples=np.full(m, fit.n_samples))
+                for fit in (fit_h, fit_c))))
+    return np.where(finite, peak, nan), fits
+
+
+def _grid_fit(fits: list[SlopeFit], keep=slice(None)) -> SlopeFit:
+    """Fits of blocks of records as one SlopeFit of grid columns, at ``keep``."""
+    return SlopeFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])[keep]
+                      for f in fields(SlopeFit)))
+
+
+def _grid_budget(blocks: list, H_ref: float, policy: ErrorPolicy, out: dict) -> None:
+    """Estimate and budget every fitted record of the grid at once, and
+    fill ``out`` at the cells whose budget is finite.  ``blocks`` are the
+    :func:`_sweep_row` fit blocks, with grid cell indices in place of
+    positions; the operations are elementwise, so each cell's bits are
+    those of its lone evaluation."""
+    cell, P_h, P_c = (np.concatenate(column) for column in list(zip(*blocks))[:3])
+    fit_h, fit_c = (_grid_fit([block[k] for block in blocks]) for k in (3, 4))
+    keep = ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha)
+    fit_h, fit_c = _grid_fit([fit_h], keep), _grid_fit([fit_c], keep)
+    cell, P_h, P_c = cell[keep], P_h[keep], P_c[keep]
+    H_qub = estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
+    sens = partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
+    errors = policy.resolve(P_h, fit_h, fit_c)
+    budget = assemble_budget(H_qub, H_ref, measurement_error(sens, errors))
+    # a budget that over- or underflowed says nothing about the design
+    finite = np.isfinite(budget.eps_Hm) & np.isfinite(budget.eps_H_pct)
+    cell = cell[finite]
+    out["H_qub"][cell] = H_qub[finite]
+    out["eps_qub_pct"][cell] = budget.eps_qub_pct[finite]
+    out["eps_Hm"][cell] = budget.eps_Hm[finite]
+    out["eps_H_pct"][cell] = budget.eps_H_pct[finite]
+    out["valid"][cell] = True
 
 
 def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
@@ -259,10 +305,33 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     rows = [_row_protocol(protocol_template, t, window_fraction) for t in t_values]
     if all(error is not None for *_, error in rows):
         raise rows[0][3]
+    held = _held(model, protocol_template, setup)
+    # cells with P_h <= P_c are invalid protocols, never simulated
+    todo = np.flatnonzero(ph_values > protocol_template.P_c)
+    ph = ph_values[todo]
+    peaks = _affine_peaks(model, basis, setup, held, ph)
+    # P_c as the estimators read it from a record: the mean of its held
+    # samples, which the pairwise sum need not return exactly
+    pc_means = {n: float(np.full(n - 1, protocol_template.P_c).mean())
+                for n in {rel.size for _, rel, _, _ in rows}}
+    # the DoeCell fields after ph and t_qub, in their order, one element per cell
+    n_cells = t_values.size * ph_values.size
+    out = {f.name: np.full(n_cells, nan) for f in fields(DoeCell)[2:]}
+    out["valid"] = np.zeros(n_cells, dtype=bool)
+    blocks = []
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cells = tuple(_sweep_row(model, basis, protocol, rel, windows, setup,
-                                 ph_values, H_ref, policy)
-                      for protocol, rel, windows, _ in rows)
+        for i, (protocol, rel, windows, _) in enumerate(rows):
+            cells = i * ph_values.size + todo
+            theta, fits = _sweep_row(model, basis, protocol, setup, held, peaks, rel,
+                                     windows, ph, pc_means[rel.size])
+            out["theta_max"][cells] = theta
+            blocks += [(cells[index], *rest) for index, *rest in fits]
+        if blocks:
+            _grid_budget(blocks, H_ref, policy, out)
+    columns = [column.reshape(t_values.size, -1).tolist() for column in out.values()]
+    ph_list = ph_values.tolist()
+    cells = tuple(tuple(DoeCell(p, t, *values) for p, *values in zip(ph_list, *row))
+                  for t, *row in zip(t_values.tolist(), *columns))
     return DoeGrid(ph_values=ph_values, t_values=t_values, cells=cells)
 
 
@@ -335,13 +404,12 @@ def _fmt(x: float) -> str:
 def grid_to_csv(grid: DoeGrid) -> str:
     """Render the grid in duration-major order with a fixed header;
     floats use shortest round-trip form, so output is byte-stable."""
+    ph_text = [_fmt(ph) for ph in grid.ph_values]
     lines = [GRID_HEADER]
-    for i, t in enumerate(grid.t_values):
-        for j, ph in enumerate(grid.ph_values):
-            cell = grid.cells[i][j]
-            lines.append(",".join((
-                _fmt(ph), _fmt(t), _fmt(cell.H_qub), _fmt(cell.eps_qub_pct),
-                _fmt(cell.eps_Hm), _fmt(cell.eps_H_pct), _fmt(cell.theta_max),
-                "1" if cell.valid else "0",
-            )))
+    for t, row in zip(grid.t_values, grid.cells, strict=True):
+        t_text = _fmt(t)
+        lines += [f"{ph},{t_text},{float(c.H_qub)!r},{float(c.eps_qub_pct)!r},"
+                  f"{float(c.eps_Hm)!r},{float(c.eps_H_pct)!r},{float(c.theta_max)!r},"
+                  f"{'1' if c.valid else '0'}"
+                  for ph, c in zip(ph_text, row, strict=True)]
     return "\n".join(lines) + "\n"

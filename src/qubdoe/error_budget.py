@@ -89,9 +89,9 @@ class ErrorPolicy:
 
 def slope_standard_error(alpha: float, r2: float, n: int) -> float:
     """Standard error of a fitted slope from its r² and sample count:
-    se = |α|·sqrt((1−r²)/(r²·(n−2)))."""
-    if n < 3:
-        raise ModelError(f"need at least 3 samples for a slope error, got {n}")
+    se = |α|·sqrt((1−r²)/(r²·(n−2))); elementwise, ``n`` included."""
+    if np.any(np.asarray(n) < 3):
+        raise ModelError(f"need at least 3 samples for a slope error, got {np.min(n)}")
     r2 = np.clip(r2, 0.0, 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         se = np.abs(alpha) * np.sqrt((1.0 - r2) / (r2 * (n - 2)))

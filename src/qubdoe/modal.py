@@ -215,36 +215,6 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     return out
 
 
-def _peak_output(model: StateSpaceModel, basis: EigenBasis, weights: np.ndarray,
-                 u: np.ndarray, x0: np.ndarray, times: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Largest value over ``times`` of the output mean ``weights``·y(t) of
-    :func:`step_response`, and whether all its values are finite, per
-    stack member.  The modes are projected first, g = wᵀCV, so an instant
-    costs a term per mode, Σ_i g_i [e^{λ_i t} w0_i + (e^{λ_i t} - 1)/λ_i wu_i]
-    + wᵀDu, equal to the states' route up to rounding.  Blocks of instants
-    keep each temporary under :data:`_BLOCK_ELEMENTS` floats and each
-    product at a quarter of the size OpenBLAS threads (a dgemv of 9,216
-    elements, a dgemm of 262,144 multiply-adds), so the sums do not depend
-    on the thread count."""
-    w0, wu = _modal_coordinates(model, u, x0, basis)
-    g = (weights @ model.C) @ basis.vectors
-    # (modes, members) coefficients; a shared one is a single column
-    decay, forced = (np.atleast_2d(g * w).T for w in (w0, wu))
-    offset = _apply(model.D, u) @ weights
-    n, members = g.size, max(decay.shape[1], forced.shape[1])
-    rows = max(1, min(_BLOCK_ELEMENTS // (n + members), 2_304 // n,
-                      65_536 // (n * members)))
-    peak, finite = np.full(members, -np.inf), np.ones(members, dtype=bool)
-    for start in range(0, times.size, rows):
-        phase = times[start:start + rows, None] * basis.eigenvalues
-        values = (np.exp(phase) @ decay
-                  + np.expm1(phase) / basis.eigenvalues @ forced + offset)
-        np.maximum(peak, values.max(axis=0), out=peak)
-        finite &= np.isfinite(values).all(axis=0)
-    return peak, finite
-
-
 def state_at(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
              t: float, basis: EigenBasis | None = None) -> np.ndarray:
     """State vector after holding input ``u`` for ``t`` seconds from

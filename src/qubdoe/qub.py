@@ -299,26 +299,27 @@ def _sample_times(protocol: QubProtocol) -> np.ndarray:
     return (protocol.t_qub / n) * np.arange(n + 1)
 
 
-def _phases(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-            setup: _ExperimentSetup, P_h) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """(input, start state) of the heating and of the cooling phase;
-    ``P_h`` replaces ``protocol.P_h``, and a (k,) array of powers gives
-    stacks of k heating inputs and switch states."""
-    u_heat = setup.inputs(P_h)
-    x0 = initial_state(model, setup.inputs(protocol.P0))
-    x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
-    return (u_heat, x0), (setup.inputs(protocol.P_c), x_switch)
+def _held(model: StateSpaceModel, protocol: QubProtocol,
+          setup: _ExperimentSetup) -> tuple[np.ndarray, np.ndarray]:
+    """The pre-experiment state and the cooling phase's input: neither
+    depends on P_h or t_qub, so a sweep computes them once."""
+    return initial_state(model, setup.inputs(protocol.P0)), setup.inputs(protocol.P_c)
 
 
 def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-               setup: _ExperimentSetup, phases, t_heat: np.ndarray,
+               setup: _ExperimentSetup, P_h, held, t_heat: np.ndarray,
                t_cool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indoor rise over T_o of the :func:`_phases` at the instants
-    ``t_heat`` and ``t_cool`` from each phase's start; stacked phases give
-    (k, n) rows, each identical to the run of that power alone."""
+    """Indoor rise over T_o at the instants ``t_heat`` and ``t_cool`` from
+    each phase's start, heated by ``P_h`` in place of ``protocol.P_h``
+    from the :func:`_held` state and cooled by its input; a (k,) array of
+    powers gives (k, n) rows, each identical to the run of that power
+    alone."""
+    x0, u_cool = held
+    u_heat = setup.inputs(P_h)
+    x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
     # reduce each phase to its indoor mean at once: one phase's outputs live at a time
     dT_heat, dT_cool = (setup.indoor_mean(step_response(model, u, x, t, basis=basis))
-                        for (u, x), t in zip(phases, (t_heat, t_cool)))
+                        for u, x, t in ((u_heat, x0, t_heat), (u_cool, x_switch, t_cool)))
     return dT_heat - protocol.T_o, dT_cool - protocol.T_o
 
 
@@ -356,8 +357,8 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
     if basis is None:
         basis = eigendecompose(model)
     rel = _sample_times(protocol)
-    phases = _phases(model, basis, protocol, setup, protocol.P_h)
-    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, phases, rel, rel[1:])
+    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, protocol.P_h,
+                                  _held(model, protocol, setup), rel, rel[1:])
     if dT_heat[-1] <= dT_heat[0] + 1e-12 * max(1.0, abs(dT_heat[0])):
         warnings.warn(
             "heating power is at or below the maintenance power: the indoor "

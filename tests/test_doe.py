@@ -114,6 +114,8 @@ REFERENCE_CASES = {
                     q.ErrorPolicy(eps_dT=0.5, eps_P_abs=10.0, eps_alpha=1.0e-6), {}),
     "short-window": ("bungalow", dict(sample_dt=60.0), q.ErrorPolicy(),
                      dict(window_fraction=0.01)),
+    # r²-based slope errors over windows whose length differs by duration
+    "house-r2": ("house", dict(sample_dt=60.0), q.ErrorPolicy(), {}),
 }
 
 
@@ -134,6 +136,8 @@ class TestAgainstPerCellReference:
             # the windows of the two shortest durations hold < 3 samples
             assert [any(c.valid for c in row) for row in grid.cells] == [
                 False, False, True, True]
+        elif case == "house-r2":
+            assert all(c.valid for row in grid.cells for c in row)
         else:
             assert any(c.valid for row in grid.cells for c in row)
 

@@ -90,6 +90,14 @@ class TestSlopeStandardError:
     def test_needs_three_samples(self):
         with pytest.raises(q.QubdoeError):
             q.slope_standard_error(1.0e-4, 0.9, 2)
+        with pytest.raises(q.QubdoeError):
+            q.slope_standard_error(np.full(2, 1.0e-4), np.full(2, 0.9), np.array([40, 2]))
+
+    def test_elementwise_sample_counts(self):
+        # a sweep's grid of fits: each record's own window length
+        alpha, r2, n = np.array([4.0e-4, -2.0e-5, 1.0e-3]), np.array([0.99, 0.5, 1.0]), [50, 11, 3]
+        got = q.slope_standard_error(alpha, r2, np.array(n))
+        assert got.tolist() == [q.slope_standard_error(*args) for args in zip(alpha, r2, n)]
 
 
 class TestMeasurementError:

@@ -21,11 +21,11 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
 
 
 @st.composite
-def circuits(draw):
+def documents(draw):
     """A connected network: a ladder from the boundary through n capacitive
     nodes, optional bridges between non-adjacent rungs and to the
-    boundary, one or two heaters (possibly on one node); returned with
-    one or two distinct sensor nodes."""
+    boundary, one or two heaters (possibly on one node); returned as a
+    building document with one or two distinct sensor nodes."""
     n = draw(st.integers(1, 5))
     conductance = st.floats(1.0, 500.0)
     # a small capacity palette makes repeated time constants likely
@@ -48,7 +48,29 @@ def circuits(draw):
     doc = {"nodes": nodes, "branches": branches,
            "flow_sources": [{"node": f"n{k}", "source_name": f"P{i}"}
                             for i, k in enumerate(heated)]}
-    return q.parse_building(json.dumps(doc)), [f"n{k}" for k in sensors]
+    return doc, [f"n{k}" for k in sensors]
+
+
+def circuits():
+    """The parsed networks of :func:`documents`, with their sensor nodes."""
+    return documents().map(lambda drawn: (q.parse_building(json.dumps(drawn[0])), drawn[1]))
+
+
+@st.composite
+def feedthrough_networks(draw):
+    """A :func:`documents` network with a heated massless sensor node
+    "air" added, linked to n0 and to a second boundary temperature T_b:
+    its temperature follows its heater at once (D ≠ 0).  The state-space
+    model at "air" and possibly one more node."""
+    doc, sensors = draw(documents())
+    conductance = st.floats(1.0, 500.0)
+    doc["nodes"].append({"id": "air", "capacity": 0.0})
+    doc["branches"] += [{"id": "air_b", "from": "REF", "to": "air",
+                         "conductance": draw(conductance), "temperature_source": "T_b"},
+                        {"id": "air_n0", "from": "air", "to": "n0",
+                         "conductance": draw(conductance)}]
+    doc["flow_sources"].append({"node": "air", "source_name": "P_air"})
+    return q.to_state_space(q.parse_building(json.dumps(doc)), ["air", *sensors[:1]])
 
 
 def networks():
@@ -102,6 +124,29 @@ def test_sweep_matches_per_cell_reference(model, fields, policy):
     template = q.QubProtocol(P_h=fields["P_c"] + 1000.0, **fields)
     args = (model, template, [50.0, 400.0, 1500.0], [3600.0, 14400.0], policy)
     assert_matches_reference(q.sweep(*args), reference_sweep(*args))
+
+
+@PROPERTY_SETTINGS
+@given(model=feedthrough_networks(), T_o=st.floats(1.0, 20.0),
+       offset=st.one_of(st.floats(-0.9, -0.1), st.floats(0.1, 5.0)),
+       P0=st.floats(50.0, 500.0), P_c=st.floats(20.0, 200.0))
+def test_sweep_peak_is_the_record_peak(model, T_o, offset, P0, P_c):
+    # off rest, with a feedthrough: the peak's a(t), the switch state's m0
+    # and the wᵀDu offsets are all non-zero
+    basis = usable(model)
+    assert model.D.any()
+    template = q.QubProtocol(T_o=T_o, P0=P0, P_h=P_c + 1000.0, P_c=P_c, t_qub=3600.0,
+                             boundary_temperatures={"T_b": T_o + offset})
+    grid = q.sweep(model, template, [P_c + 50.0, P_c + 400.0, P_c + 1500.0],
+                   [3600.0, 14400.0], q.ErrorPolicy())
+    for row in grid.cells:
+        for cell in row:
+            protocol = replace(template, P_h=cell.ph, t_qub=cell.t_qub)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # sub-maintenance powers warn
+                trace = q.simulate_qub(model, protocol, basis=basis)
+            assert cell.theta_max == pytest.approx(T_o + float(trace.delta_T.max()),
+                                                   rel=1e-12, abs=0.0)
 
 
 @PROPERTY_SETTINGS

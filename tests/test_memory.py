@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
-from qubdoe import cli, modal, qub
+from qubdoe import cli, doe, qub
 from conftest import Unseekable
 
 #: glibc's default mmap and trim threshold
@@ -126,10 +126,10 @@ def test_peak_pass_temporaries_stay_under_the_mmap_threshold(bungalow_model, sam
                              t_qub=t_values[-1], sample_dt=sample_dt)
     setup = qub._protocol_setup(model, 0.0, {})
     basis = q.eigendecompose(model)
-    (u, x0), _ = qub._phases(model, basis, protocol, setup, ph_values)
+    held = qub._held(model, protocol, setup)
     times = qub._sample_times(protocol)
-    (peak, finite), traced = traced_peak(modal._peak_output, model, basis,
-                                         setup.indoor_weights, u, x0, times)
+    (peak, finite), traced = traced_peak(
+        lambda: doe._affine_peaks(model, basis, setup, held, ph_values)(protocol.t_qub, times))
     assert peak.shape == finite.shape == (40,) and finite.all()
     assert traced < 2 * MMAP_THRESHOLD
 
