@@ -1,27 +1,21 @@
 """Design sweeps: error maps over heating power and pulse duration.
 
-Each grid cell runs the full chain — simulate the two-pulse protocol,
-fit both phases, evaluate the estimators, propagate the error budget —
-for one (P_h, t_qub) pair against the reference H of the same
-experiment (:func:`~qubdoe.conductance.reference_H`), in two passes.
-Per duration, the powers share their sample instants and fit windows
-and are evaluated together, as stacked arrays: the exact response
-kernel runs at the fit-window instants only, with the operations of
-:func:`~qubdoe.qub.simulate_qub` and :func:`~qubdoe.qub.fit_slope`.
-Then the estimators and the error budget run once over the whole grid,
-elementwise, so H_qub, eps_qub_pct, eps_Hm, eps_H_pct and valid are
-bit-identical to the cell's lone evaluation.  The response is affine in
-P_h, so theta_max is the peak of a(t) + P_h·b(t) over every sample
-(:func:`_affine_peaks`), within 1e-12 relative of the lone trace's.
-The exported CSV is byte-identical from run to run.
+:func:`sweep` runs the chain of one two-pulse experiment — simulate, fit
+both phases, estimate H, propagate the error budget — for every
+(P_h, t_qub) pair, in two passes.  Duration by duration, the powers
+share the row's sample instants and fit windows and are evaluated
+together, as stacked arrays, with the exact response kernel run at the
+fit-window instants only; their fits go into per-cell columns.  Then
+the estimators and the budget run once over the fitted cells,
+elementwise.  The response is affine in P_h, so theta_max is the peak
+of a(t) + P_h·b(t) (:func:`_affine_peaks`).  The grid stays columns up
+to its CSV.
 
 The kernels bound their temporaries, and the sweep its (powers, window
 samples) records, at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats:
 128 KiB, glibc's default mmap threshold, so blocks reuse the same heap
 memory instead of faulting in fresh pages (a fresh default bungalow
 sweep took 17,751 minor faults with 400 KB blocks, 400 with these).
-The fit windows depend on the sample instants alone, so they are found
-for every duration before any response is computed.
 """
 from __future__ import annotations
 
@@ -76,14 +70,44 @@ class DoeCell:
     valid: bool
 
 
+#: the per-cell columns of a DoeGrid, in the order of the DoeCell fields
+_COLUMNS = tuple(f.name for f in fields(DoeCell)[2:])
+
+
 @dataclass(frozen=True)
 class DoeGrid:
-    """Full sweep result; ``cells[i][j]`` pairs ``t_values[i]`` with
-    ``ph_values[j]`` (duration-major, matching the export order)."""
+    """Full sweep result: one column per :class:`DoeCell` field after ph
+    and t_qub, where ``H_qub[i, j]`` pairs ``t_values[i]`` with
+    ``ph_values[j]`` (duration-major, matching the export order).  Axes
+    and columns are stored as read-only float arrays, ``valid`` as bool;
+    a column not of shape (t_values.size, ph_values.size) raises
+    ModelError."""
 
     ph_values: np.ndarray
     t_values: np.ndarray
-    cells: tuple[tuple[DoeCell, ...], ...]
+    H_qub: np.ndarray
+    eps_qub_pct: np.ndarray
+    eps_Hm: np.ndarray
+    eps_H_pct: np.ndarray
+    theta_max: np.ndarray
+    valid: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape = (np.size(self.t_values), np.size(self.ph_values))
+        for f in fields(self):
+            column = np.array(getattr(self, f.name), dtype=bool if f.name == "valid" else float)
+            if f.name in _COLUMNS and column.shape != shape:
+                raise ModelError(f"{f.name} must have shape {shape}, got {column.shape}")
+            column.setflags(write=False)
+            object.__setattr__(self, f.name, column)
+
+    @property
+    def cells(self) -> tuple[tuple[DoeCell, ...], ...]:
+        """Every design: ``cells[i][j]`` at ``t_values[i]`` and ``ph_values[j]``."""
+        ph_list = self.ph_values.tolist()
+        columns = [getattr(self, name).tolist() for name in _COLUMNS]
+        return tuple(tuple(DoeCell(p, t, *values) for p, *values in zip(ph_list, *row))
+                     for t, *row in zip(self.t_values.tolist(), *columns))
 
 
 @dataclass(frozen=True)
@@ -184,15 +208,18 @@ def _row_protocol(template: QubProtocol, t_qub: float, window_fraction: float
 
 def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
                setup, held, peaks, rel: np.ndarray, windows, ph: np.ndarray,
-               pc_mean: float) -> tuple[np.ndarray, list]:
+               cells: np.ndarray, fits: tuple) -> np.ndarray:
     """The peak temperatures of the powers ``ph`` at one duration (nan
-    where a record is not finite) and, unless ``windows`` is None (too
-    short to fit), blocks of (positions in ``ph``, held P_h, held P_c,
-    heating fit, cooling fit), every field with one element per record."""
+    where a record is not finite).  Unless ``windows`` is None (too short
+    to fit), each finite record's held P_h and P_c and both fits go into
+    the columns ``fits`` at its cell in ``cells``, marked fitted."""
+    P_h, P_c, grid_h, grid_c, fitted = fits
     peak, finite = peaks(protocol.t_qub, rel)
-    fits = []
     if windows is not None:
         (t_heat, clock_h), (t_cool, clock_c) = windows
+        # P_c, and P_h per block, as the estimators read them: the mean of a
+        # record's held samples, which need not equal the held value
+        pc_mean = np.full(rel.size - 1, protocol.P_c).mean()
         # per power: its window samples, or the kernel's states at two instants
         block = max(1, _BLOCK_ELEMENTS // max(2 * model.n_states, t_heat.size, t_cool.size))
         for first in range(0, ph.size, block):
@@ -202,47 +229,39 @@ def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
             ok = (finite[index] & np.isfinite(dT_heat).all(axis=-1)
                   & np.isfinite(dT_cool).all(axis=-1))
             finite[index] = ok
-            m = ok.sum()
-            fit_h, fit_c = (_fit_window(clock, dT[ok], phase) for clock, dT, phase in
-                            ((clock_h, dT_heat, _HEATING), (clock_c, dT_cool, _COOLING)))
+            at = cells[index[ok]]
+            for clock, dT, phase, grid in ((clock_h, dT_heat, _HEATING, grid_h),
+                                           (clock_c, dT_cool, _COOLING, grid_c)):
+                fit = _fit_window(clock, dT[ok], phase)
+                for f in fields(SlopeFit):
+                    getattr(grid, f.name)[at] = getattr(fit, f.name)
             del dT_heat, dT_cool  # freed before the next block's records are made
-            # P_h as the estimators read it, like P_c in sweep
-            P_h = np.repeat(ph[index[ok], None], rel.size, axis=1).mean(axis=1)
-            fits.append((index[ok], P_h, np.full(m, pc_mean), *(
-                replace(fit, t0=np.full(m, fit.t0), n_samples=np.full(m, fit.n_samples))
-                for fit in (fit_h, fit_c))))
-    return np.where(finite, peak, nan), fits
+            P_h[at] = np.repeat(ph[index[ok], None], rel.size, axis=1).mean(axis=1)
+            P_c[at] = pc_mean
+            fitted[at] = True
+    return np.where(finite, peak, nan)
 
 
-def _grid_fit(fits: list[SlopeFit], keep=slice(None)) -> SlopeFit:
-    """Fits of blocks of records as one SlopeFit of grid columns, at ``keep``."""
-    return SlopeFit(*(np.concatenate([getattr(fit, f.name) for fit in fits])[keep]
-                      for f in fields(SlopeFit)))
-
-
-def _grid_budget(blocks: list, H_ref: float, policy: ErrorPolicy, out: dict) -> None:
-    """Estimate and budget every fitted record of the grid at once, and
-    fill ``out`` at the cells whose budget is finite.  ``blocks`` are the
-    :func:`_sweep_row` fit blocks, with grid cell indices in place of
-    positions; the operations are elementwise, so each cell's bits are
-    those of its lone evaluation."""
-    cell, P_h, P_c = (np.concatenate(column) for column in list(zip(*blocks))[:3])
-    fit_h, fit_c = (_grid_fit([block[k] for block in blocks]) for k in (3, 4))
-    keep = ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha)
-    fit_h, fit_c = _grid_fit([fit_h], keep), _grid_fit([fit_c], keep)
-    cell, P_h, P_c = cell[keep], P_h[keep], P_c[keep]
+def _grid_budget(fits: tuple, H_ref: float, policy: ErrorPolicy, out: dict) -> None:
+    """Estimate and budget the fitted cells of the :func:`_sweep_row`
+    columns ``fits`` at once, and fill the grid columns ``out`` at the
+    cells whose budget is finite; elementwise, so each cell's bits are
+    its lone run's."""
+    P_h, P_c, fit_h, fit_c, fitted = fits
+    cell = np.flatnonzero(fitted & ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha))
+    fit_h, fit_c = (SlopeFit(*(getattr(fit, f.name)[cell] for f in fields(SlopeFit)))
+                    for fit in (fit_h, fit_c))
+    P_h, P_c = P_h[cell], P_c[cell]
     H_qub = estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
     sens = partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
     errors = policy.resolve(P_h, fit_h, fit_c)
     budget = assemble_budget(H_qub, H_ref, measurement_error(sens, errors))
     # a budget that over- or underflowed says nothing about the design
     finite = np.isfinite(budget.eps_Hm) & np.isfinite(budget.eps_H_pct)
-    cell = cell[finite]
-    out["H_qub"][cell] = H_qub[finite]
-    out["eps_qub_pct"][cell] = budget.eps_qub_pct[finite]
-    out["eps_Hm"][cell] = budget.eps_Hm[finite]
-    out["eps_H_pct"][cell] = budget.eps_H_pct[finite]
-    out["valid"][cell] = True
+    for name, value in zip(_COLUMNS, (H_qub, budget.eps_qub_pct, budget.eps_Hm,
+                                      budget.eps_H_pct)):
+        np.put(out[name], cell[finite], value[finite])
+    np.put(out["valid"], cell[finite], True)
 
 
 def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
@@ -274,11 +293,11 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     Returns
     -------
     DoeGrid
-        Degenerate cells are flagged invalid, never fatal.  H_qub,
-        eps_qub_pct, eps_Hm, eps_H_pct and valid equal the chain
-        simulate_qub → fit_slope → estimate_H → error budget run for the
-        cell alone, bit for bit; theta_max equals the peak of its trace
-        to 1e-12 relative.
+        Columns of shape (len(t_values), len(ph_values)); degenerate
+        cells are flagged invalid, never fatal.  H_qub, eps_qub_pct,
+        eps_Hm, eps_H_pct and valid equal the chain simulate_qub →
+        fit_slope → estimate_H → error budget run for the cell alone,
+        bit for bit; theta_max, the peak of its trace to 1e-12 relative.
 
     Raises
     ------
@@ -302,37 +321,29 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
                             protocol_template.boundary_temperatures)
     H_ref = reference_H(model)
     basis = eigendecompose(model)
-    rows = [_row_protocol(protocol_template, t, window_fraction) for t in t_values]
-    if all(error is not None for *_, error in rows):
-        raise rows[0][3]
+    errors = [_row_protocol(protocol_template, t, window_fraction)[3] for t in t_values]
+    if all(error is not None for error in errors):
+        raise errors[0]
     held = _held(model, protocol_template, setup)
     # cells with P_h <= P_c are invalid protocols, never simulated
     todo = np.flatnonzero(ph_values > protocol_template.P_c)
     ph = ph_values[todo]
     peaks = _affine_peaks(model, basis, setup, held, ph)
-    # P_c as the estimators read it from a record: the mean of its held
-    # samples, which the pairwise sum need not return exactly
-    pc_means = {n: float(np.full(n - 1, protocol_template.P_c).mean())
-                for n in {rel.size for _, rel, _, _ in rows}}
-    # the DoeCell fields after ph and t_qub, in their order, one element per cell
-    n_cells = t_values.size * ph_values.size
-    out = {f.name: np.full(n_cells, nan) for f in fields(DoeCell)[2:]}
-    out["valid"] = np.zeros(n_cells, dtype=bool)
-    blocks = []
+    # the grid's columns, and per cell the held powers and fits to budget
+    out = {name: np.full((t_values.size, ph_values.size), False if name == "valid" else nan)
+           for name in _COLUMNS}
+    n_cells = out["valid"].size
+    fits = (np.full(n_cells, nan), np.full(n_cells, nan),
+            *(SlopeFit(*(np.full(n_cells, nan) for _ in fields(SlopeFit))) for _ in range(2)),
+            np.zeros(n_cells, dtype=bool))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, (protocol, rel, windows, _) in enumerate(rows):
-            cells = i * ph_values.size + todo
-            theta, fits = _sweep_row(model, basis, protocol, setup, held, peaks, rel,
-                                     windows, ph, pc_means[rel.size])
-            out["theta_max"][cells] = theta
-            blocks += [(cells[index], *rest) for index, *rest in fits]
-        if blocks:
-            _grid_budget(blocks, H_ref, policy, out)
-    columns = [column.reshape(t_values.size, -1).tolist() for column in out.values()]
-    ph_list = ph_values.tolist()
-    cells = tuple(tuple(DoeCell(p, t, *values) for p, *values in zip(ph_list, *row))
-                  for t, *row in zip(t_values.tolist(), *columns))
-    return DoeGrid(ph_values=ph_values, t_values=t_values, cells=cells)
+        for i, t in enumerate(t_values):
+            protocol, rel, windows, _ = _row_protocol(protocol_template, t, window_fraction)
+            out["theta_max"][i, todo] = _sweep_row(model, basis, protocol, setup, held, peaks,
+                                                   rel, windows, ph, i * ph_values.size + todo,
+                                                   fits)
+        _grid_budget(fits, H_ref, policy, out)
+    return DoeGrid(ph_values=ph_values, t_values=t_values, **out)
 
 
 def select_optimum(grid: DoeGrid, constraints: DesignConstraints) -> DoeCell:
@@ -346,34 +357,23 @@ def select_optimum(grid: DoeGrid, constraints: DesignConstraints) -> DoeCell:
         When no cell is admissible; the message counts how many cells
         each constraint rejected, so the binding one is obvious.
     """
-    best: DoeCell | None = None
-    best_key: tuple[float, float, float] | None = None
-    n_invalid = n_power = n_temp = n_duration = 0
-    for row in grid.cells:
-        for cell in row:
-            if not cell.valid:
-                n_invalid += 1
-                continue
-            if cell.ph > constraints.max_power:
-                n_power += 1
-                continue
-            if cell.theta_max > constraints.max_indoor_temperature:
-                n_temp += 1
-                continue
-            if 2.0 * cell.t_qub > constraints.max_total_duration:
-                n_duration += 1
-                continue
-            key = (abs(cell.eps_H_pct), cell.t_qub, cell.ph)
-            if best_key is None or key < best_key:
-                best, best_key = cell, key
-    if best is None:
-        total = sum(len(row) for row in grid.cells)
+    t, ph = np.meshgrid(grid.t_values, grid.ph_values, indexing="ij")
+    left, counts = grid.valid, [grid.valid.size - np.count_nonzero(grid.valid)]
+    # each limit counts the valid cells that the limits before it let through
+    for rejected in (ph > constraints.max_power,
+                     grid.theta_max > constraints.max_indoor_temperature,
+                     2.0 * t > constraints.max_total_duration):
+        counts.append(np.count_nonzero(left & rejected))
+        left = left & ~rejected
+    if not left.any():
         raise NumericalError(
-            f"no admissible design among {total} cells: {n_invalid} degenerate, "
-            f"{n_power} above max_power, {n_temp} above max_indoor_temperature, "
-            f"{n_duration} above max_total_duration"
-        )
-    return best
+            "no admissible design among {} cells: {} degenerate, {} above max_power, {} above "
+            "max_indoor_temperature, {} above max_total_duration".format(left.size, *counts))
+    # lexsort is stable, so equal keys keep the export order
+    order = np.lexsort((ph[left], t[left], np.abs(grid.eps_H_pct[left])))
+    i, j = np.argwhere(left)[order[0]]
+    return DoeCell(ph[i, j].item(), t[i, j].item(),
+                   *(getattr(grid, name)[i, j].item() for name in _COLUMNS))
 
 
 #: points on each axis of the default grid
@@ -406,10 +406,9 @@ def grid_to_csv(grid: DoeGrid) -> str:
     floats use shortest round-trip form, so output is byte-stable."""
     ph_text = [_fmt(ph) for ph in grid.ph_values]
     lines = [GRID_HEADER]
-    for t, row in zip(grid.t_values, grid.cells, strict=True):
-        t_text = _fmt(t)
-        lines += [f"{ph},{t_text},{float(c.H_qub)!r},{float(c.eps_qub_pct)!r},"
-                  f"{float(c.eps_Hm)!r},{float(c.eps_H_pct)!r},{float(c.theta_max)!r},"
-                  f"{'1' if c.valid else '0'}"
-                  for ph, c in zip(ph_text, row, strict=True)]
+    columns = [getattr(grid, name).tolist() for name in _COLUMNS]
+    for t_text, *row in zip(map(repr, grid.t_values.tolist()), *columns):
+        lines += [f"{ph},{t_text},{H!r},{eps_qub!r},{eps_Hm!r},{eps_H!r},{theta!r},"
+                  f"{'1' if valid else '0'}"
+                  for ph, H, eps_qub, eps_Hm, eps_H, theta, valid in zip(ph_text, *row)]
     return "\n".join(lines) + "\n"

@@ -198,8 +198,8 @@ class SlopeFit:
     ``t0`` is the window start measured from the phase start; ``dT0``
     the fitted line's value there; ``alpha`` its slope; ``r2`` the
     coefficient of determination over the window.  The design sweep
-    fits whole rows of records at once; alpha, dT0 and r2 are then
-    arrays with one entry per record.
+    fits whole rows of records at once and keeps every field as a
+    column with one entry per grid cell.
     """
 
     alpha: float

@@ -10,8 +10,9 @@ first-order propagation, the two-zone aggregate H straight from the
 complement of the stamped one, the modal sum re-added one mode at a
 time, one-node slopes and degree-day integrals in closed form or by a
 hand-summed trapezoid rule, the design sweep's stacked rows of powers
-cell by cell through the public single-record chain, and the trace CSV
-rendered and parsed one row at a time from whole lists.
+cell by cell through the public single-record chain, the optimum's
+column masks as a loop over cells, and the trace CSV rendered and
+parsed one row at a time from whole lists.
 """
 from __future__ import annotations
 
@@ -310,13 +311,55 @@ def reference_sweep(model, template, ph_values, t_values, policy,
     against the reference H of the same model."""
     H_ref = q.reference_H(model)
     basis = q.eigendecompose(model)
-    rows = tuple(
-        tuple(evaluate_cell(model, basis, template, float(ph), float(t), H_ref,
-                            policy, window_fraction)
-              for ph in ph_values)
-        for t in t_values)
+    rows = [[evaluate_cell(model, basis, template, float(ph), float(t), H_ref,
+                           policy, window_fraction)
+             for ph in ph_values]
+            for t in t_values]
+    return grid_from_cells(rows, ph_values, t_values)
+
+
+def grid_from_cells(cells_by_row, ph_values, t_values):
+    """The DoeGrid whose ``cells[i][j]`` is ``cells_by_row[i][j]``, on the
+    given axes: each column gathered field by field from the cells."""
+    columns = {name: [[getattr(cell, name) for cell in row] for row in cells_by_row]
+               for name in ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max",
+                            "valid")}
     return q.DoeGrid(ph_values=np.asarray(ph_values, dtype=float),
-                     t_values=np.asarray(t_values, dtype=float), cells=rows)
+                     t_values=np.asarray(t_values, dtype=float), **columns)
+
+
+def reference_select(grid, constraints):
+    """:func:`qubdoe.select_optimum` as a loop over the grid's cells in
+    export order: each constraint counts the valid cells the ones before
+    it let through, and the admissible cell with the smallest
+    (|eps_H_pct|, t_qub, ph) wins, the first of equal keys kept."""
+    best = best_key = None
+    n_invalid = n_power = n_temp = n_duration = 0
+    for row in grid.cells:
+        for cell in row:
+            if not cell.valid:
+                n_invalid += 1
+                continue
+            if cell.ph > constraints.max_power:
+                n_power += 1
+                continue
+            if cell.theta_max > constraints.max_indoor_temperature:
+                n_temp += 1
+                continue
+            if 2.0 * cell.t_qub > constraints.max_total_duration:
+                n_duration += 1
+                continue
+            key = (abs(cell.eps_H_pct), cell.t_qub, cell.ph)
+            if best_key is None or key < best_key:
+                best, best_key = cell, key
+    if best is None:
+        total = sum(len(row) for row in grid.cells)
+        raise q.NumericalError(
+            f"no admissible design among {total} cells: {n_invalid} degenerate, "
+            f"{n_power} above max_power, {n_temp} above max_indoor_temperature, "
+            f"{n_duration} above max_total_duration"
+        )
+    return best
 
 
 def row_trace_to_csv(trace):

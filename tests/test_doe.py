@@ -8,12 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qubdoe as q
 import qubdoe.qub as qub
 from qubdoe.cli import main
 from conftest import assert_matches_reference, make_first_order
-from oracles import reference_sweep
+from oracles import grid_from_cells, reference_select, reference_sweep
 
 
 def small_sweep(ph=(500.0, 1000.0, 2000.0), t=(4000.0, 8000.0),
@@ -29,12 +31,6 @@ def small_sweep(ph=(500.0, 1000.0, 2000.0), t=(4000.0, 8000.0),
 def hand_cell(ph, t, eps=1.0, theta=30.0, valid=True):
     return q.DoeCell(ph=ph, t_qub=t, H_qub=100.0, eps_qub_pct=eps / 2.0,
                      eps_Hm=1.0, eps_H_pct=eps, theta_max=theta, valid=valid)
-
-
-def hand_grid(cells_by_row, ph_values, t_values):
-    return q.DoeGrid(ph_values=np.asarray(ph_values, dtype=float),
-                     t_values=np.asarray(t_values, dtype=float),
-                     cells=tuple(tuple(row) for row in cells_by_row))
 
 
 class TestSweep:
@@ -310,6 +306,11 @@ class TestDegenerateCells:
         text = q.grid_to_csv(grid)
         assert "nan" in text.splitlines()[1]
 
+    def test_no_record_to_fit(self):
+        # no power above the cooling power: the budget pass gets no cell
+        grid = small_sweep(ph=(25.0, 50.0), P_c=50.0)
+        assert not grid.valid.any() and np.isnan(grid.theta_max).all()
+
     def test_valid_flag_column(self):
         grid = small_sweep(ph=(25.0, 2000.0), t=(4000.0,), P_c=50.0)
         rows = q.grid_to_csv(grid).splitlines()[1:]
@@ -319,7 +320,7 @@ class TestDegenerateCells:
 
 class TestSelectOptimum:
     def test_picks_smallest_total_error(self):
-        grid = hand_grid(
+        grid = grid_from_cells(
             [[hand_cell(100.0, 1000.0, eps=3.0), hand_cell(200.0, 1000.0, eps=1.0)],
              [hand_cell(100.0, 2000.0, eps=2.0), hand_cell(200.0, 2000.0, eps=4.0)]],
             ph_values=[100.0, 200.0], t_values=[1000.0, 2000.0])
@@ -327,7 +328,7 @@ class TestSelectOptimum:
         assert (best.ph, best.t_qub) == (200.0, 1000.0)
 
     def test_tie_breaks_shorter_then_lower_power(self):
-        grid = hand_grid(
+        grid = grid_from_cells(
             [[hand_cell(100.0, 1000.0), hand_cell(200.0, 1000.0)],
              [hand_cell(100.0, 2000.0), hand_cell(200.0, 2000.0)]],
             ph_values=[100.0, 200.0], t_values=[1000.0, 2000.0])
@@ -335,7 +336,7 @@ class TestSelectOptimum:
         assert (best.t_qub, best.ph) == (1000.0, 100.0)
 
     def test_constraints_filter(self):
-        grid = hand_grid(
+        grid = grid_from_cells(
             [[hand_cell(100.0, 1000.0, eps=1.0, theta=45.0),
               hand_cell(200.0, 1000.0, eps=2.0, theta=25.0)]],
             ph_values=[100.0, 200.0], t_values=[1000.0])
@@ -345,13 +346,13 @@ class TestSelectOptimum:
         assert best.ph == 100.0       # power cap excludes the other
 
     def test_duration_counts_both_pulses(self):
-        grid = hand_grid([[hand_cell(100.0, 1000.0)]], [100.0], [1000.0])
+        grid = grid_from_cells([[hand_cell(100.0, 1000.0)]], [100.0], [1000.0])
         q.select_optimum(grid, q.DesignConstraints(1e4, 100.0, 2000.0))
         with pytest.raises(q.NumericalError):
             q.select_optimum(grid, q.DesignConstraints(1e4, 100.0, 1999.0))
 
     def test_infeasible_reports_rejection_counts(self):
-        grid = hand_grid(
+        grid = grid_from_cells(
             [[hand_cell(100.0, 1000.0, valid=False),
               hand_cell(500.0, 1000.0)],
              [hand_cell(100.0, 2000.0, theta=90.0),
@@ -388,6 +389,85 @@ class TestSelectOptimum:
         grid = small_sweep()
         free = q.select_optimum(grid, q.DesignConstraints(5000.0, math.inf, 1e6))
         assert free == q.select_optimum(grid, q.DesignConstraints(5000.0, 1e9, 1e6))
+
+
+@st.composite
+def column_grids(draw):
+    """A small hand-built grid: repeated axis values, a random valid
+    mask (two cells in three valid), |eps_H_pct| from three values so
+    that keys tie, and other columns free so that tied cells still
+    differ."""
+    n_t, n_ph = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    t_values = draw(st.lists(st.sampled_from([1000.0, 2000.0, 3000.0]),
+                             min_size=n_t, max_size=n_t))
+    ph_values = draw(st.lists(st.sampled_from([100.0, 200.0, 300.0]),
+                              min_size=n_ph, max_size=n_ph))
+
+    def column(values):
+        return np.array(draw(st.lists(values, min_size=n_t * n_ph, max_size=n_t * n_ph)),
+                        dtype=float).reshape(n_t, n_ph)
+
+    return q.DoeGrid(
+        ph_values=ph_values, t_values=t_values,
+        H_qub=column(st.floats(-1e3, 1e3)), eps_qub_pct=column(st.floats(-1e3, 1e3)),
+        eps_Hm=column(st.floats(0.0, 1e3)),
+        eps_H_pct=column(st.sampled_from([-2.0, 1.0, 2.0])),
+        theta_max=column(st.sampled_from([20.0, 30.0, 40.0])),
+        valid=column(st.sampled_from([True, True, False])))
+
+
+# no limit is drawn as often as the finite ones together
+limits = st.builds(
+    q.DesignConstraints,
+    max_power=st.sampled_from([150.0, 250.0, math.inf, math.inf]),
+    max_indoor_temperature=st.sampled_from([-math.inf, 25.0, 35.0, math.inf, math.inf,
+                                            math.inf]),
+    max_total_duration=st.sampled_from([2500.0, 4500.0, math.inf, math.inf]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(grid=column_grids(), constraints=limits)
+def test_select_optimum_matches_the_loop_over_cells(grid, constraints):
+    try:
+        want = reference_select(grid, constraints)
+    except q.NumericalError as exc:
+        with pytest.raises(q.NumericalError) as err:
+            q.select_optimum(grid, constraints)
+        assert str(err.value) == str(exc)
+    else:
+        assert q.select_optimum(grid, constraints) == want
+
+
+class TestGridColumns:
+    def test_columns_stored_read_only(self):
+        grid = small_sweep()
+        for name in ("ph_values", "t_values", "H_qub", "eps_qub_pct", "eps_Hm",
+                     "eps_H_pct", "theta_max"):
+            column = getattr(grid, name)
+            assert column.dtype == float and not column.flags.writeable, name
+        assert grid.valid.dtype == bool and not grid.valid.flags.writeable
+        with pytest.raises(ValueError):
+            grid.H_qub[0, 0] = 0.0
+
+    def test_columns_copied_from_the_caller(self):
+        grid = small_sweep()
+        eps = np.array(grid.eps_H_pct)
+        copy = replace(grid, eps_H_pct=eps)
+        eps[0, 0] = -1.0
+        assert copy.eps_H_pct[0, 0] == grid.eps_H_pct[0, 0]
+        assert eps.flags.writeable
+
+    @pytest.mark.parametrize("name", ["H_qub", "theta_max", "valid"])
+    def test_column_shape_checked(self, name):
+        grid = small_sweep()
+        with pytest.raises(q.ModelError, match=rf"{name} must have shape \(2, 3\)"):
+            replace(grid, **{name: getattr(grid, name).T})
+
+    def test_cells_pair_axes_with_columns(self):
+        grid = small_sweep()
+        cell = grid.cells[1][2]
+        assert (cell.t_qub, cell.ph) == (8000.0, 2000.0)
+        assert (cell.H_qub, cell.eps_H_pct) == (grid.H_qub[1, 2], grid.eps_H_pct[1, 2])
 
 
 class TestDefaultAxes:

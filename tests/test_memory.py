@@ -134,6 +134,21 @@ def test_peak_pass_temporaries_stay_under_the_mmap_threshold(bungalow_model, sam
     assert traced < 2 * MMAP_THRESHOLD
 
 
+def test_cli_sweep_holds_one_duration_at_a_time(tmp_path, capsys):
+    """40 durations from 1 h to 12 h at 1 s sampling, 4 powers: each
+    duration's sample instants and fit windows live for its row only, so
+    the peak is a few records of the longest duration, and fails when the
+    sweep keeps every duration's (16.4 MB)."""
+    building = tmp_path / "bungalow.json"
+    building.write_text(q.bungalow_json(), encoding="utf-8")
+    code, peak = traced_peak(cli.main, ["sweep", str(building), "--dt", "1",
+                                        "--ph-range", "100:400:4"])
+    assert code == 0 and capsys.readouterr().out.startswith(doe.GRID_HEADER)
+    # one phase of the longest duration: 43,201 samples of 8 bytes
+    record = 8 * 43_201
+    assert peak <= 10 * record
+
+
 @pytest.fixture(scope="module", params=[0, 1 << 20], ids=["no header", "padded header"])
 def newline_free(request, tmp_path_factory):
     """4 MB of text without a newline, a file holding it, and the part of

@@ -35,6 +35,7 @@ def test_library_example_runs():
     namespace = {}
     exec(compile(library, "README.md", "exec"), namespace)
     assert namespace["estimate"].H_qub == pytest.approx(51.18, rel=1e-3)
+    assert namespace["errors"].shape == (40, 40)
     assert namespace["best"].valid
 
 
