@@ -2,23 +2,29 @@
 
 :func:`sweep` runs the chain of one two-pulse experiment — simulate, fit
 both phases, estimate H, propagate the error budget — for every
-(P_h, t_qub) pair, in two passes.  Duration by duration, the powers
-share the row's sample instants and fit windows and are evaluated
-together, as stacked arrays, with the exact response kernel run at the
-fit-window instants only; their fits go into per-cell columns.  Then
-the estimators and the budget run once over the fitted cells,
-elementwise.  The response is affine in P_h, so theta_max is the peak
-of a(t) + P_h·b(t) (:func:`_affine_peaks`).  The grid stays columns up
-to its CSV.
+(P_h, t_qub) pair, in two passes.  The first takes consecutive durations
+in groups whose window records for all powers fit in one block, and
+evaluates a group's powers and durations together, as stacked arrays,
+with the exact response kernel run at the fit-window instants only: one
+switch-state call for all its durations and one response call per phase
+over their concatenated windows, each cooling instant running from its
+own duration's switch.  One fit covers each run of windows as long, and
+the fits go into per-cell columns.  A duration whose records alone
+exceed a block is a group alone, its powers in blocks.  Then the
+estimators and the budget run once over the fitted cells, elementwise.
+The response is affine in P_h, so theta_max is the peak of
+a(t) + P_h·b(t) (:func:`_affine_peaks`), one pass per run of a group's
+durations with as many samples.  The grid stays columns up to its CSV.
 
-The kernels bound their temporaries, and the sweep its (powers, window
-samples) records, at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats:
+The kernels bound their temporaries, and the sweep a group's (powers,
+window samples) records, at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats:
 128 KiB, glibc's default mmap threshold, so blocks reuse the same heap
 memory instead of faulting in fresh pages (a fresh default bungalow
 sweep took 17,751 minor faults with 400 KB blocks, 400 with these).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from math import nan
 from collections.abc import Sequence
@@ -139,6 +145,8 @@ def _affine_peaks(model: StateSpaceModel, basis: EigenBasis, setup, held,
     t_qub and a phase's sample instants ``rel`` giving each power's
     largest indoor mean temperature over both phases, and whether all its
     values are finite, within 1e-12 relative of the lone trace's peak.
+    A vector of durations (D,) with their instants stacked (D, n) gives
+    (D, powers) arrays, each row that duration's.
 
     In each phase y(t) = a(t) + P_h·b(t), from the modes projected on the
     indoor weights, g = wᵀCV: g∘V⁻¹x0 of the pre-experiment state, g∘V⁻¹Bu
@@ -161,30 +169,33 @@ def _affine_peaks(model: StateSpaceModel, basis: EigenBasis, setup, held,
     by_forced = np.stack([temp, unit, cool, zero], axis=1)
     offsets = np.append(_apply(model.D, inputs) @ setup.indoor_weights, 0.0)
     powers = np.stack([np.ones_like(ph), ph])
-    rows = max(2, min(_BLOCK_ELEMENTS // (2 * (lam.size + ph.size)),
-                      65_536 // (4 * lam.size)))
-    # a matrix product into one buffer: a broadcast sum would take
-    # iterator buffers as large again
-    values = np.empty((rows, ph.size))
 
-    def peaks(t_qub: float, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        decay, forced = np.exp(lam * t_qub), np.expm1(lam * t_qub) / lam
+    def peaks(t_qub, rel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        at = np.asarray(t_qub, dtype=float)[..., None] * lam
+        decay, forced = np.exp(at), np.expm1(at) / lam
         # the switch state's coordinates are m0 + P_h·m1
-        by_decay = np.stack([start, zero, decay * start + forced * temp,
-                             forced * unit], axis=1)
-        peak, finite = np.full(ph.size, -np.inf), np.ones(ph.size, dtype=bool)
-        for first in range(0, rel.size, rows):
-            phase = rel[first:first + rows, None] * lam
+        by_decay = np.stack(np.broadcast_arrays(start, zero, decay * start + forced * temp,
+                                                forced * unit), axis=-1)
+        stack = rel.shape[:-1]
+        rows = max(2, min(_BLOCK_ELEMENTS // (2 * math.prod(stack) * (lam.size + ph.size)),
+                          65_536 // (4 * lam.size)))
+        # a matrix product into one buffer: a broadcast sum would take
+        # iterator buffers as large again
+        values = np.empty(stack + (rows, ph.size))
+        peak = np.full(stack + ph.shape, -np.inf)
+        finite = np.ones(stack + ph.shape, dtype=bool)
+        for first in range(0, rel.shape[-1], rows):
+            phase = rel[..., first:first + rows, None] * lam
             columns = np.exp(phase) @ by_decay
             np.expm1(phase, out=phase)
             phase /= lam
             columns += phase @ by_forced
             columns += offsets
             # the cooling record starts one sample after the switch
-            for ab in (columns[:, :2], columns[int(first == 0):, 2:]):
-                block = np.matmul(ab, powers, out=values[:len(ab)])
-                np.maximum(peak, block.max(axis=0), out=peak)
-                finite &= np.isfinite(block).all(axis=0)
+            for ab in (columns[..., :2], columns[..., int(first == 0):, 2:]):
+                block = np.matmul(ab, powers, out=values[..., :ab.shape[-2], :])
+                np.maximum(peak, block.max(axis=-2), out=peak)
+                finite &= np.isfinite(block).all(axis=-2)
         return peak, finite
 
     return peaks
@@ -206,44 +217,104 @@ def _row_protocol(template: QubProtocol, t_qub: float, window_fraction: float
         return protocol, rel, None, exc
 
 
-def _sweep_row(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-               setup, held, peaks, rel: np.ndarray, windows, ph: np.ndarray,
-               cells: np.ndarray, fits: tuple) -> np.ndarray:
-    """The peak temperatures of the powers ``ph`` at one duration (nan
-    where a record is not finite).  Unless ``windows`` is None (too short
-    to fit), each finite record's held P_h and P_c and both fits go into
-    the columns ``fits`` at its cell in ``cells``, marked fitted."""
+def _record_floats(windows, n_states: int) -> int:
+    """Floats that one power's records of a duration take in the group
+    pass: its longer fit window, or two switch states; none without
+    windows."""
+    if windows is None:
+        return 0
+    return max(2 * n_states, *(instants.size for instants, _ in windows))
+
+
+def _groups(floats: list[int], n_powers: int) -> list[list[int]]:
+    """Consecutive durations, by their :func:`_record_floats`, whose
+    records for ``n_powers`` powers take at most :data:`_BLOCK_ELEMENTS`
+    floats together; a duration that takes more alone is a group alone."""
+    groups, total = [[]], 0
+    for i, size in enumerate(floats):
+        if groups[-1] and n_powers * (total + size) > _BLOCK_ELEMENTS:
+            groups.append([])
+            total = 0
+        groups[-1].append(i)
+        total += size
+    return groups
+
+
+def _runs(sizes: list[int]) -> list[tuple[int, int]]:
+    """(start, stop) of each run of equal consecutive ``sizes``."""
+    bounds = [0, *(i for i in range(1, len(sizes)) if sizes[i] != sizes[i - 1]), len(sizes)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _fit_runs(windows, dT: np.ndarray, phase: str, grid: SlopeFit,
+              cells: np.ndarray) -> np.ndarray:
+    """Fit the records ``dT`` (powers, samples) over a group's concatenated
+    fit ``windows``, one call per run of windows as long, into the columns
+    ``grid`` at ``cells`` (durations, powers); return which records are
+    finite."""
+    finite = np.empty(cells.shape, dtype=bool)
+    offset = 0
+    for start, stop in _runs([clock.size for _, clock in windows]):
+        clocks = np.stack([clock for _, clock in windows[start:stop]])
+        y = dT[:, offset:offset + clocks.size].reshape(-1, *clocks.shape).swapaxes(0, 1)
+        offset += clocks.size
+        fit = _fit_window(clocks[:, None, :], y, phase)
+        for f in fields(SlopeFit):
+            getattr(grid, f.name)[cells[start:stop]] = getattr(fit, f.name)
+        finite[start:stop] = np.isfinite(y).all(axis=-1)
+    return finite
+
+
+def _sweep_group(model: StateSpaceModel, basis: EigenBasis, setup, held, peaks,
+                 rows: list, ph: np.ndarray, cells: np.ndarray, fits: tuple) -> np.ndarray:
+    """The peak temperatures (durations, powers) of the powers ``ph`` at a
+    group of consecutive durations, given as :func:`_row_protocol` rows
+    (nan where a record is not finite).  At each duration with fit
+    windows, each finite record's held P_h and P_c and both fits go into
+    the columns ``fits`` at its cell in ``cells`` (durations, powers),
+    marked fitted.
+
+    One peak call covers each run of durations with as many samples; then
+    per block of powers, one :func:`_two_pulse` covers the concatenated
+    windows of every duration, and one fit each run of windows as long."""
     P_h, P_c, grid_h, grid_c, fitted = fits
-    peak, finite = peaks(protocol.t_qub, rel)
-    if windows is not None:
-        (t_heat, clock_h), (t_cool, clock_c) = windows
-        # P_c, and P_h per block, as the estimators read them: the mean of a
-        # record's held samples, which need not equal the held value
-        pc_mean = np.full(rel.size - 1, protocol.P_c).mean()
-        # per power: its window samples, or the kernel's states at two instants
-        block = max(1, _BLOCK_ELEMENTS // max(2 * model.n_states, t_heat.size, t_cool.size))
+    t_qub = np.array([protocol.t_qub for protocol, _, _ in rows])
+    sizes = [rel.size for _, rel, _ in rows]
+    peak, finite = np.empty(cells.shape), np.empty(cells.shape, dtype=bool)
+    for start, stop in _runs(sizes):
+        peak[start:stop], finite[start:stop] = peaks(
+            t_qub[start:stop], np.stack([rel for _, rel, _ in rows[start:stop]]))
+    fit = [d for d, (_, _, windows) in enumerate(rows) if windows is not None]
+    if fit:
+        heat, cool = zip(*(rows[d][2] for d in fit))
+        t_heat, t_cool = (np.concatenate([instants for instants, _ in windows])
+                          for windows in (heat, cool))
+        # each cooling instant runs from the switch of its own duration
+        starts = np.repeat(np.arange(len(fit)), [instants.size for instants, _ in cool])
+        block = max(1, _BLOCK_ELEMENTS // sum(_record_floats(rows[d][2], model.n_states)
+                                              for d in fit))
+        fit_sizes = [sizes[d] for d in fit]
         for first in range(0, ph.size, block):
-            index = np.arange(first, min(first + block, ph.size))
-            dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, ph[index], held,
-                                          t_heat, t_cool)
-            ok = (finite[index] & np.isfinite(dT_heat).all(axis=-1)
-                  & np.isfinite(dT_cool).all(axis=-1))
-            finite[index] = ok
-            at = cells[index[ok]]
-            for clock, dT, phase, grid in ((clock_h, dT_heat, _HEATING, grid_h),
-                                           (clock_c, dT_cool, _COOLING, grid_c)):
-                fit = _fit_window(clock, dT[ok], phase)
-                for f in fields(SlopeFit):
-                    getattr(grid, f.name)[at] = getattr(fit, f.name)
+            index = slice(first, first + block)
+            at = cells[fit, index]
+            dT_heat, dT_cool = _two_pulse(model, basis, setup, ph[index], held, t_qub[fit],
+                                          t_heat, t_cool, starts)
+            ok = (finite[fit, index] & _fit_runs(heat, dT_heat, _HEATING, grid_h, at)
+                  & _fit_runs(cool, dT_cool, _COOLING, grid_c, at))
             del dT_heat, dT_cool  # freed before the next block's records are made
-            P_h[at] = np.repeat(ph[index[ok], None], rel.size, axis=1).mean(axis=1)
-            P_c[at] = pc_mean
-            fitted[at] = True
+            finite[fit, index] = ok
+            fitted[at] = ok
+            # P_c, and P_h per block, as the estimators read them: the mean of a
+            # record's held samples, which need not equal the held value
+            for start, stop in _runs(fit_sizes):
+                size = fit_sizes[start]
+                P_h[at[start:stop]] = np.repeat(ph[index, None], size, axis=1).mean(axis=1)
+                P_c[at[start:stop]] = np.full(size - 1, rows[0][0].P_c).mean()
     return np.where(finite, peak, nan)
 
 
 def _grid_budget(fits: tuple, H_ref: float, policy: ErrorPolicy, out: dict) -> None:
-    """Estimate and budget the fitted cells of the :func:`_sweep_row`
+    """Estimate and budget the fitted cells of the :func:`_sweep_group`
     columns ``fits`` at once, and fill the grid columns ``out`` at the
     cells whose budget is finite; elementwise, so each cell's bits are
     its lone run's."""
@@ -298,6 +369,10 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
         eps_Hm, eps_H_pct and valid equal the chain simulate_qub →
         fit_slope → estimate_H → error budget run for the cell alone,
         bit for bit; theta_max, the peak of its trace to 1e-12 relative.
+        A row does not depend on the durations it is grouped with: each
+        equals the sweep of its duration alone, bit for bit.  Both rest
+        on the BLAS property that
+        :func:`~qubdoe.modal.step_response` states.
 
     Raises
     ------
@@ -321,7 +396,13 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
                             protocol_template.boundary_temperatures)
     H_ref = reference_H(model)
     basis = eigendecompose(model)
-    errors = [_row_protocol(protocol_template, t, window_fraction)[3] for t in t_values]
+    # each duration's window error and the floats its records take, without
+    # keeping its instants
+    errors, floats = [], []
+    for t in t_values:
+        _, _, windows, error = _row_protocol(protocol_template, t, window_fraction)
+        errors.append(error)
+        floats.append(_record_floats(windows, model.n_states))
     if all(error is not None for error in errors):
         raise errors[0]
     held = _held(model, protocol_template, setup)
@@ -337,11 +418,12 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
             *(SlopeFit(*(np.full(n_cells, nan) for _ in fields(SlopeFit))) for _ in range(2)),
             np.zeros(n_cells, dtype=bool))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i, t in enumerate(t_values):
-            protocol, rel, windows, _ = _row_protocol(protocol_template, t, window_fraction)
-            out["theta_max"][i, todo] = _sweep_row(model, basis, protocol, setup, held, peaks,
-                                                   rel, windows, ph, i * ph_values.size + todo,
-                                                   fits)
+        for group in _groups(floats, ph.size):
+            rows = [_row_protocol(protocol_template, t_values[i], window_fraction)[:3]
+                    for i in group]
+            cells = ph_values.size * np.array(group)[:, None] + todo
+            out["theta_max"][np.ix_(group, todo)] = _sweep_group(
+                model, basis, setup, held, peaks, rows, ph, cells, fits)
         _grid_budget(fits, H_ref, policy, out)
     return DoeGrid(ph_values=ph_values, t_values=t_values, **out)
 

@@ -136,25 +136,38 @@ def _modal_coordinates(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
 
 
 def _state_trajectory(basis: EigenBasis, w0: np.ndarray, wu: np.ndarray,
-                      times: np.ndarray) -> np.ndarray:
+                      times: np.ndarray, starts: np.ndarray | None = None) -> np.ndarray:
     """States at the given times for a constant input:
     x(t) = V [e^{Λt} w0 + Λ⁻¹(e^{Λt} - I) wu] with w0 = V⁻¹x0, wu = V⁻¹Bu.
 
     ``w0`` and ``wu`` (..., n_states) may be stacks that broadcast against
-    each other; the result is (..., nt, n_states) and every member equals
-    the trajectory computed for it alone, bit for bit.
+    each other and against the leading axes of ``times`` (..., nt); the
+    result is (..., nt, n_states) and every member equals the trajectory
+    computed for it alone, bit for bit.  With ``starts`` (nt,), ``w0`` is
+    a stack (..., m, n_states) of m start coordinates, and instant j runs
+    from w0[..., starts[j], :].
     """
     lam = basis.eigenvalues
-    phase = np.outer(times, lam)
+    phase = times[..., None] * lam
     # expm1 keeps t -> 0 and slow modes accurate
     decay, forced = (np.exp(phase), w0), (np.expm1(phase) / lam, wu)
-    # one stacked temporary besides the result: the product of the smaller
-    # stack, (rows, n_states) when it is unstacked, is added in place to
-    # the other's; the two products add to the same in either order
-    (table, small), (big_table, big) = sorted((decay, forced),
-                                              key=lambda term: term[1].size)
-    states = np.empty(np.broadcast_shapes(w0.shape[:-1], wu.shape[:-1]) + phase.shape)
-    np.multiply(big_table, big[..., None, :], out=states)
+    w0_stack = w0.shape[:-1] if starts is None else w0.shape[:-2]
+    states = np.empty(np.broadcast_shapes(w0_stack, wu.shape[:-1], times.shape[:-1])
+                      + phase.shape[-2:])
+    # one stacked temporary besides the result: the result is filled with
+    # the coordinates of the larger stack and multiplied in place, and the
+    # product of the smaller, (rows, n_states) when it is unstacked, is
+    # added; the two products add to the same in either order
+    if starts is None:
+        (table, small), (big_table, big) = sorted((decay, forced),
+                                                  key=lambda term: term[1].size)
+        states[...] = big[..., None, :]
+    else:
+        # each instant's own start ("clip" keeps np.take from buffering)
+        (big_table, big), (table, small) = decay, forced
+        np.take(np.broadcast_to(big, states.shape[:-2] + big.shape[-2:]), starts,
+                axis=-2, out=states, mode="clip")
+    states *= big_table
     states += table * small[..., None, :]
     return states @ basis.vectors.T
 
@@ -171,7 +184,8 @@ def _row_blocks(n_rows: int, rows: int) -> list[tuple[int, int]]:
 
 
 def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
-                  times: np.ndarray, basis: EigenBasis | None = None) -> np.ndarray:
+                  times: np.ndarray, basis: EigenBasis | None = None, *,
+                  starts: np.ndarray | None = None) -> np.ndarray:
     """Exact response to a constant input from an arbitrary start state.
 
     Parameters
@@ -188,6 +202,11 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     basis : EigenBasis, optional
         Reuse a precomputed eigendecomposition (the decomposition does
         not depend on u or x0, so sweeps share one).
+    starts : ndarray of int, shape (nt,), optional
+        Per-instant start states: ``x0`` is then a stack (..., m, n_states)
+        of m start states, and ``times[j]`` counts from
+        ``x0[..., starts[j], :]``.  Each row equals the row of the call
+        from that start state alone.
 
     Returns
     -------
@@ -197,6 +216,13 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
         evaluated in blocks whose state temporaries hold at most
         :data:`_BLOCK_ELEMENTS` floats (two rows at the least); the
         result is the same, bit for bit, whatever the block size.
+
+        That promise, and those for stacks and per-instant starts, rest
+        on BLAS: a row of a matrix product must not depend on how many
+        rows the product has.  OpenBLAS's default x86-64 kernels and its
+        Sandybridge kernels keep that for the bundled buildings, whose
+        outputs each read one state; its Prescott kernels do not
+        (``OPENBLAS_CORETYPE=Prescott`` changes the last bits).
     """
     u = np.asarray(u, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -205,26 +231,35 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
         basis = eigendecompose(model)
     w0, wu = _modal_coordinates(model, u, x0, basis)
     feedthrough = _apply(model.D, u)[..., None, :]
-    stack = np.broadcast_shapes(w0.shape[:-1], wu.shape[:-1])
+    stack = np.broadcast_shapes(w0.shape[:-1] if starts is None else w0.shape[:-2],
+                                wu.shape[:-1])
     rows = max(2, _BLOCK_ELEMENTS // (max(1, math.prod(stack)) * model.n_states))
     out = np.empty(stack + (times.size, model.C.shape[0]))
     for start, stop in _row_blocks(times.size, rows):
+        block = slice(start, stop)
         # no name holds a block's states, so they are freed before the next
-        np.add(_state_trajectory(basis, w0, wu, times[start:stop]) @ model.C.T,
-               feedthrough, out=out[..., start:stop, :])
+        np.add(_state_trajectory(basis, w0, wu, times[block],
+                                 None if starts is None else starts[block]) @ model.C.T,
+               feedthrough, out=out[..., block, :])
     return out
 
 
 def state_at(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
-             t: float, basis: EigenBasis | None = None) -> np.ndarray:
+             t, basis: EigenBasis | None = None) -> np.ndarray:
     """State vector after holding input ``u`` for ``t`` seconds from
-    ``x0``; stacks broadcast as in :func:`step_response`."""
+    ``x0``; stacks broadcast as in :func:`step_response`.  A vector of
+    times (D,) gives the state at each, on a last stack axis
+    (..., D, n_states); each is the same one-row product as for its
+    lone ``t``."""
     u = np.asarray(u, dtype=float)
     x0 = np.asarray(x0, dtype=float)
+    t = np.asarray(t, dtype=float)
     if basis is None:
         basis = eigendecompose(model)
     w0, wu = _modal_coordinates(model, u, x0, basis)
-    return _state_trajectory(basis, w0, wu, np.array([float(t)]))[..., 0, :]
+    if t.ndim:
+        w0, wu = w0[..., None, :], wu[..., None, :]
+    return _state_trajectory(basis, w0, wu, t[..., None])[..., 0, :]
 
 
 @dataclass(frozen=True)

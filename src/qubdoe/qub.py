@@ -198,8 +198,8 @@ class SlopeFit:
     ``t0`` is the window start measured from the phase start; ``dT0``
     the fitted line's value there; ``alpha`` its slope; ``r2`` the
     coefficient of determination over the window.  The design sweep
-    fits whole rows of records at once and keeps every field as a
-    column with one entry per grid cell.
+    fits a group's records of all powers and durations at once and keeps
+    every field as a column with one entry per grid cell.
     """
 
     alpha: float
@@ -239,10 +239,12 @@ class QubEstimate:
 class _ExperimentSetup:
     """How an experiment drives a model: the boundary temperatures in
     input order, with the model's own weights for the indoor temperature
-    and the split of the total power across the flow inputs."""
+    and the split of the total power across the flow inputs.  Records
+    are rises over the outdoor temperature ``T_o``."""
 
     model: StateSpaceModel
     temperatures: np.ndarray
+    T_o: float
 
     def inputs(self, total_power) -> np.ndarray:
         """Inputs holding the boundary temperatures with ``total_power``
@@ -290,7 +292,7 @@ def _protocol_setup(model: StateSpaceModel, T_o: float,
     _check_temperatures(T_o, extra)
     temps = np.array([float(extra.get(name, T_o))
                       for name in model.temperature_inputs])
-    return _ExperimentSetup(model=model, temperatures=temps)
+    return _ExperimentSetup(model=model, temperatures=temps, T_o=T_o)
 
 
 def _sample_times(protocol: QubProtocol) -> np.ndarray:
@@ -306,21 +308,27 @@ def _held(model: StateSpaceModel, protocol: QubProtocol,
     return initial_state(model, setup.inputs(protocol.P0)), setup.inputs(protocol.P_c)
 
 
-def _two_pulse(model: StateSpaceModel, basis: EigenBasis, protocol: QubProtocol,
-               setup: _ExperimentSetup, P_h, held, t_heat: np.ndarray,
-               t_cool: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indoor rise over T_o at the instants ``t_heat`` and ``t_cool`` from
-    each phase's start, heated by ``P_h`` in place of ``protocol.P_h``
-    from the :func:`_held` state and cooled by its input; a (k,) array of
-    powers gives (k, n) rows, each identical to the run of that power
-    alone."""
+def _two_pulse(model: StateSpaceModel, basis: EigenBasis, setup: _ExperimentSetup,
+               P_h, held, t_qub, t_heat: np.ndarray, t_cool: np.ndarray,
+               starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Indoor rise over T_o of two-pulse records heated by ``P_h`` from the
+    :func:`_held` state for ``t_qub`` and then cooled by its input, at the
+    instants ``t_heat`` and ``t_cool`` from each phase's start.  A (k,)
+    array of powers gives (k, n) rows, each identical to the run of that
+    power alone.
+
+    A vector of switch times (D,) runs a group of durations at once: the
+    heating instants share the start, and cooling instant j starts from
+    the switch at ``t_qub[starts[j]]``; each row equals the run of its
+    duration alone."""
     x0, u_cool = held
     u_heat = setup.inputs(P_h)
-    x_switch = state_at(model, u_heat, x0, protocol.t_qub, basis=basis)
+    x_switch = state_at(model, u_heat, x0, t_qub, basis=basis)
     # reduce each phase to its indoor mean at once: one phase's outputs live at a time
-    dT_heat, dT_cool = (setup.indoor_mean(step_response(model, u, x, t, basis=basis))
-                        for u, x, t in ((u_heat, x0, t_heat), (u_cool, x_switch, t_cool)))
-    return dT_heat - protocol.T_o, dT_cool - protocol.T_o
+    dT_heat, dT_cool = (
+        setup.indoor_mean(step_response(model, u, x, t, basis=basis, starts=s))
+        for u, x, t, s in ((u_heat, x0, t_heat, None), (u_cool, x_switch, t_cool, starts)))
+    return dT_heat - setup.T_o, dT_cool - setup.T_o
 
 
 def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
@@ -357,8 +365,9 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
     if basis is None:
         basis = eigendecompose(model)
     rel = _sample_times(protocol)
-    dT_heat, dT_cool = _two_pulse(model, basis, protocol, setup, protocol.P_h,
-                                  _held(model, protocol, setup), rel, rel[1:])
+    dT_heat, dT_cool = _two_pulse(model, basis, setup, protocol.P_h,
+                                  _held(model, protocol, setup), protocol.t_qub,
+                                  rel, rel[1:])
     if dT_heat[-1] <= dT_heat[0] + 1e-12 * max(1.0, abs(dT_heat[0])):
         warnings.warn(
             "heating power is at or below the maintenance power: the indoor "
@@ -416,24 +425,25 @@ def _window(t_rel: np.ndarray, window_fraction: float, phase: str) -> np.ndarray
 
 def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str) -> SlopeFit:
     """Least-squares line through a phase's fit-window samples ``y_win``
-    at ``t_win`` from the phase start; a stack (k, n) of records gives
-    (k,) alpha, dT0 and r2, each identical to that record's lone fit."""
-    t_mean = t_win.mean()
-    t_dev = t_win - t_mean
-    t_var = float(_rowdot(t_dev, t_dev))
-    if t_var == 0.0:
+    at ``t_win`` from the phase start.  Stacks of clocks (..., n) and of
+    records broadcast: the fields are then arrays over the stack, each
+    fit identical to that record's lone fit."""
+    t_mean = t_win.mean(axis=-1)
+    t_dev = t_win - t_mean[..., None]
+    t_var = _rowdot(t_dev, t_dev)
+    if np.any(t_var == 0.0):
         raise ModelError(f"{phase} window has zero time variance")
     y_win = np.ascontiguousarray(y_win)
     y_mean = y_win.mean(axis=-1)
     y_dev = y_win - y_mean[..., None]
     alpha = _rowdot(t_dev, y_dev) / t_var
-    t0 = float(t_win[0])
+    t0 = t_win[..., 0]
     dT0 = y_mean + alpha * (t0 - t_mean)
     residual = y_win - (y_mean[..., None] + alpha[..., None] * t_dev)
     total = _rowdot(y_dev, y_dev)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(total == 0.0, 1.0, 1.0 - _rowdot(residual, residual) / total)
-    return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=int(t_win.size))
+    return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=t_win.shape[-1])
 
 
 def _cooling_clock(rel: np.ndarray, t_qub: float) -> np.ndarray:
@@ -483,7 +493,8 @@ def fit_slope(trace: QubTrace, phase: str,
     t_rel = trace.times[part] - (0.0 if phase == _HEATING else trace.t_qub)
     selected = _window(t_rel, window_fraction, phase)
     fit = _fit_window(t_rel[selected], trace.delta_T[part][selected], phase)
-    return replace(fit, alpha=float(fit.alpha), dT0=float(fit.dT0), r2=float(fit.r2))
+    return replace(fit, alpha=float(fit.alpha), dT0=float(fit.dT0), t0=float(fit.t0),
+                   r2=float(fit.r2))
 
 
 def _cancels(a, b):

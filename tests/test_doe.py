@@ -112,6 +112,9 @@ REFERENCE_CASES = {
                      dict(window_fraction=0.01)),
     # r²-based slope errors over windows whose length differs by duration
     "house-r2": ("house", dict(sample_dt=60.0), q.ErrorPolicy(), {}),
+    # windows of 121 to 1921 samples: the three shorter durations share a
+    # group of records, the longest takes one alone
+    "fine-sampling": ("bungalow", dict(sample_dt=5.0), q.ErrorPolicy(), {}),
 }
 
 
@@ -202,6 +205,75 @@ class TestAgainstPerCellReference:
         for row in grid.cells:
             assert [c.valid for c in row] == [c.ph == 1.0 for c in row]
             assert all(np.isfinite(c.eps_H_pct) == c.valid for c in row)
+
+
+def kernel_calls(monkeypatch):
+    """The sweep's kernel calls from now on, as (name, instants): the size
+    of ``step_response``'s times or of ``state_at``'s switch times, one
+    per duration of a group."""
+    calls = []
+    for name in ("state_at", "step_response"):
+        def counting(model, u, x0, t, *args, _name=name, _kernel=getattr(qub, name), **kwargs):
+            calls.append((_name, np.size(t)))
+            return _kernel(model, u, x0, t, *args, **kwargs)
+        monkeypatch.setattr(qub, name, counting)
+    return calls
+
+
+class TestDurationGroups:
+    """A sweep runs consecutive durations as one group, whose records for
+    all powers take at most one block of floats; a row must not depend on
+    the durations it shares its group with."""
+
+    # building, protocol fields, powers, durations, durations per switch-state call
+    CASES = {
+        # the first 12 durations of the default bungalow grid: 41-sample
+        # windows of 40 powers make groups of 9 and 3
+        "two-groups": ("bungalow", {}, np.geomspace(100.0, 400.0, 40),
+                       np.linspace(3600.0, 43200.0, 40)[:12], [9, 3]),
+        # 600 s sampling from 14,400 s on: windows of 41, then 9 to 25 samples
+        "ragged": ("house", dict(P_c=150.0, sample_dt=600.0,
+                                 boundary_temperatures={"T_g": 14.0}),
+                   np.geomspace(200.0, 3000.0, 7), np.linspace(3600.0, 43200.0, 12), [12]),
+        # at 10 s sampling 28,800 s takes more than a block alone (961
+        # samples a window), so it runs in three blocks of powers
+        "above-block": ("bungalow", dict(sample_dt=10.0), np.geomspace(60.0, 240.0, 40),
+                        np.array([3600.0, 7200.0, 28800.0]), [2, 1, 1, 1]),
+        # the top power's records overflow; every budget but 1 W's over- or
+        # underflows
+        "non-finite": ("tiny", {}, np.geomspace(1e-300, 1e300, 5),
+                       np.array([3600.0, 7200.0, 10800.0]), [3]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_rows_equal_lone_durations(self, case, bungalow_model, house_model, monkeypatch):
+        name, fields, ph, t_values, calls = self.CASES[case]
+        model = {"bungalow": bungalow_model, "house": house_model,
+                 "tiny": q.to_state_space(make_first_order(G=1e-12, C=1e-6), ["air"])}[name]
+        template = q.QubProtocol(**{"T_o": 0.0, "P0": 0.0, "P_h": 1000.0, "P_c": 0.0,
+                                    "t_qub": 43200.0, **fields})
+        kernel = kernel_calls(monkeypatch)
+        grid = q.sweep(model, template, ph, t_values, q.ErrorPolicy())
+        assert [n for kind, n in kernel if kind == "state_at"] == calls
+        for i, t in enumerate(t_values):
+            lone = q.sweep(model, template, ph, [t], q.ErrorPolicy())
+            for column in ("H_qub", "eps_qub_pct", "eps_Hm", "eps_H_pct", "theta_max"):
+                assert np.array_equal(getattr(grid, column)[i], getattr(lone, column)[0],
+                                      equal_nan=True), (column, t)
+            assert np.array_equal(grid.valid[i], lone.valid[0]), t
+        if case == "non-finite":
+            assert np.isnan(grid.theta_max[:, -1]).all()
+            assert [list(row) for row in grid.valid] == [[False, False, True, False, False]] * 3
+
+    def test_default_sweep_calls_the_kernel_three_times_a_group(self, bungalow_model,
+                                                                 monkeypatch):
+        # 40 durations of 41-sample windows for 40 powers: five groups
+        kernel = kernel_calls(monkeypatch)
+        ph, t = q.default_axes(q.reference_H(bungalow_model), 0.0)
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=ph[-1], P_c=0.0, t_qub=t[-1])
+        q.sweep(bungalow_model, template, ph, t, q.ErrorPolicy())
+        assert [kind for kind, _ in kernel] == ["state_at", "step_response",
+                                                 "step_response"] * 5
 
 
 class TestNoWarnings:

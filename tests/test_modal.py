@@ -186,6 +186,48 @@ class TestTimeBlocks:
         assert y.shape == (0, 11, model.C.shape[0])
 
 
+class TestDurationGroups:
+    """The kernel entries of a sweep's group of durations: a vector of
+    switch times for ``state_at``, and per-instant start states for
+    ``step_response``.  Every row equals the call for its duration alone,
+    bit for bit, with blocks cut across the durations."""
+
+    @pytest.mark.parametrize("name", ["bungalow", "house"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+    def test_vector_of_switch_times(self, bundled_models, name, stacked):
+        model = bundled_models[name]
+        basis = q.eigendecompose(model)
+        r = rng(31)
+        u = r.uniform(0.0, 900.0, (4,) * stacked + (len(model.input_names),))
+        x0 = r.uniform(-2.0, 2.0, model.n_states)
+        t = np.array([3600.0, 4500.0, 7200.0, 43200.0, 10.0])
+        states = q.state_at(model, u, x0, t, basis=basis)
+        assert states.shape == u.shape[:-1] + (t.size, model.n_states)
+        for d, t_d in enumerate(t):
+            assert np.array_equal(states[..., d, :], q.state_at(model, u, x0, t_d, basis=basis))
+
+    @pytest.mark.parametrize("name", ["bungalow", "house"])
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stacked"])
+    def test_per_instant_starts(self, bundled_models, name, stacked, monkeypatch):
+        model = bundled_models[name]
+        basis = q.eigendecompose(model)
+        r = rng(37)
+        n_in, n = len(model.input_names), model.n_states
+        u = r.uniform(0.0, 900.0, n_in)
+        # three start states per member, and ragged instants from each
+        x0 = r.uniform(-2.0, 2.0, (3,) * stacked + (3, n))
+        times = [np.linspace(0.0, 3.0e4, m) for m in (7, 2, 12)]
+        starts = np.repeat(np.arange(3), [t.size for t in times])
+        # blocks of 5 rows for a lone record and of 2 for a stack of 3:
+        # both cut across the durations
+        monkeypatch.setattr(modal, "_BLOCK_ELEMENTS", 5 * n)
+        y = q.step_response(model, u, x0, np.concatenate(times), basis=basis, starts=starts)
+        assert y.shape == x0.shape[:-2] + (starts.size, model.C.shape[0])
+        for d, t in enumerate(times):
+            lone = q.step_response(model, u, x0[..., d, :], t, basis=basis)
+            assert np.array_equal(y[..., starts == d, :], lone)
+
+
 class TestModalDecomposition:
     def test_reconstructs_step_response(self, bundled_models):
         r = rng(17)
