@@ -39,8 +39,8 @@ from .network import StateSpaceModel
 from .qub import (_COOLING, _HEATING, _WINDOW_FRACTION, QubProtocol, SlopeFit, _cancels,
                   _fit_window, _fit_windows, _held, _protocol_setup,
                   _sample_times, _two_pulse, estimate_H)
-# the sweep no longer calls simulate_qub per cell, but bench/tracing.py still
-# wraps it under this module to count such calls, so the name stays here
+# the sweep no longer calls simulate_qub, but bench/tracing.py wraps it under
+# this module and bench/test_bench.py checks that wrap, so the name stays here
 from .qub import simulate_qub  # noqa: F401
 
 __all__ = [
@@ -370,9 +370,7 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
         fit_slope → estimate_H → error budget run for the cell alone,
         bit for bit; theta_max, the peak of its trace to 1e-12 relative.
         A row does not depend on the durations it is grouped with: each
-        equals the sweep of its duration alone, bit for bit.  Both rest
-        on the BLAS property that
-        :func:`~qubdoe.modal.step_response` states.
+        equals the sweep of its duration alone, bit for bit.
 
     Raises
     ------

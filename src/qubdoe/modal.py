@@ -172,17 +172,6 @@ def _state_trajectory(basis: EigenBasis, w0: np.ndarray, wu: np.ndarray,
     return states @ basis.vectors.T
 
 
-def _row_blocks(n_rows: int, rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of consecutive blocks of ``rows`` rows covering
-    ``n_rows``.  A one-row remainder joins the block before it: numpy
-    sends a one-row product down a different BLAS path, whose last bits
-    differ from the same row evaluated inside a block."""
-    bounds = list(range(0, n_rows, rows)) + [n_rows]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        del bounds[-2]
-    return list(zip(bounds[:-1], bounds[1:]))
-
-
 def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
                   times: np.ndarray, basis: EigenBasis | None = None, *,
                   starts: np.ndarray | None = None) -> np.ndarray:
@@ -214,15 +203,15 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
         y(t) = C[e^{At}x0 + A⁻¹(e^{At} - I)Bu] + Du, evaluated through
         the eigenbasis, so accuracy is uniform in t.  The instants are
         evaluated in blocks whose state temporaries hold at most
-        :data:`_BLOCK_ELEMENTS` floats (two rows at the least); the
+        :data:`_BLOCK_ELEMENTS` floats (four rows at the least); the
         result is the same, bit for bit, whatever the block size.
 
-        That promise, and those for stacks and per-instant starts, rest
-        on BLAS: a row of a matrix product must not depend on how many
-        rows the product has.  OpenBLAS's default x86-64 kernels and its
-        Sandybridge kernels keep that for the bundled buildings, whose
-        outputs each read one state; its Prescott kernels do not
-        (``OPENBLAS_CORETYPE=Prescott`` changes the last bits).
+        Every block holds a multiple of four rows, the last block padded
+        by repeating the last instant (and start): BLAS kernels may
+        round the last one to three rows of a product apart from the
+        rest, and without such a remainder a row's bits depend on its own
+        data alone, never on its block or its neighbours.  The promises
+        for stacks and per-instant starts rest on that too.
     """
     u = np.asarray(u, dtype=float)
     x0 = np.asarray(x0, dtype=float)
@@ -233,14 +222,17 @@ def step_response(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     feedthrough = _apply(model.D, u)[..., None, :]
     stack = np.broadcast_shapes(w0.shape[:-1] if starts is None else w0.shape[:-2],
                                 wu.shape[:-1])
-    rows = max(2, _BLOCK_ELEMENTS // (max(1, math.prod(stack)) * model.n_states))
-    out = np.empty(stack + (times.size, model.C.shape[0]))
-    for start, stop in _row_blocks(times.size, rows):
-        block = slice(start, stop)
+    rows = max(4, _BLOCK_ELEMENTS // (max(1, math.prod(stack)) * model.n_states) // 4 * 4)
+    nt = times.size
+    out = np.empty(stack + (nt, model.C.shape[0]))
+    for start in range(0, nt, rows):
+        # the last block repeats the last instant up to a multiple of four rows
+        at = (slice(start, start + rows) if start + rows <= nt
+              else np.minimum(np.arange(start, nt + -nt % 4), nt - 1))
         # no name holds a block's states, so they are freed before the next
-        np.add(_state_trajectory(basis, w0, wu, times[block],
-                                 None if starts is None else starts[block]) @ model.C.T,
-               feedthrough, out=out[..., block, :])
+        y = _state_trajectory(basis, w0, wu, times[at],
+                              None if starts is None else starts[at]) @ model.C.T
+        np.add(y[..., :nt - start, :], feedthrough, out=out[..., start:start + rows, :])
     return out
 
 

@@ -427,23 +427,33 @@ def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str) -> SlopeFit:
     """Least-squares line through a phase's fit-window samples ``y_win``
     at ``t_win`` from the phase start.  Stacks of clocks (..., n) and of
     records broadcast: the fields are then arrays over the stack, each
-    fit identical to that record's lone fit."""
-    t_mean = t_win.mean(axis=-1)
+    fit identical to that record's lone fit.
+
+    Rows are copied contiguous at an even stride (odd windows padded with
+    a zero): each then starts 16-byte aligned, as a lone vector does, and
+    some BLAS kernels round a dot product by its operands' alignment."""
+    n = t_win.shape[-1]
+    t_win, y_win = (np.concatenate([a, np.zeros(a.shape[:-1] + (n % 2,))], axis=-1)
+                    for a in (t_win, y_win))
+
+    def dot(a, b):
+        return _rowdot(a[..., :n], b[..., :n])
+
+    t_mean = t_win[..., :n].mean(axis=-1)
     t_dev = t_win - t_mean[..., None]
-    t_var = _rowdot(t_dev, t_dev)
+    t_var = dot(t_dev, t_dev)
     if np.any(t_var == 0.0):
         raise ModelError(f"{phase} window has zero time variance")
-    y_win = np.ascontiguousarray(y_win)
-    y_mean = y_win.mean(axis=-1)
+    y_mean = y_win[..., :n].mean(axis=-1)
     y_dev = y_win - y_mean[..., None]
-    alpha = _rowdot(t_dev, y_dev) / t_var
+    alpha = dot(t_dev, y_dev) / t_var
     t0 = t_win[..., 0]
     dT0 = y_mean + alpha * (t0 - t_mean)
     residual = y_win - (y_mean[..., None] + alpha[..., None] * t_dev)
-    total = _rowdot(y_dev, y_dev)
+    total = dot(y_dev, y_dev)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r2 = np.where(total == 0.0, 1.0, 1.0 - _rowdot(residual, residual) / total)
-    return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=t_win.shape[-1])
+        r2 = np.where(total == 0.0, 1.0, 1.0 - dot(residual, residual) / total)
+    return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=n)
 
 
 def _cooling_clock(rel: np.ndarray, t_qub: float) -> np.ndarray:

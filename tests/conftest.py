@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -120,6 +121,15 @@ def bungalow_model(bungalow):
 @pytest.fixture(scope="session")
 def house_model(house):
     return q.to_state_space(house, [z.air_node for z in house.zones])
+
+
+@pytest.fixture(scope="session")
+def mixed_output_model(bungalow):
+    """The bungalow read at its air node made massless, zones dropped: the
+    one output row mixes the eight states the node touches (and D ≠ 0)."""
+    nodes = tuple(replace(node, capacity=0.0) if node.id == "air" else node
+                  for node in bungalow.nodes)
+    return q.to_state_space(replace(bungalow, nodes=nodes, zones=()), ["air"])
 
 
 @pytest.fixture(scope="session")

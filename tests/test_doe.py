@@ -140,6 +140,18 @@ class TestAgainstPerCellReference:
         else:
             assert any(c.valid for row in grid.cells for c in row)
 
+    def test_mixed_output(self, mixed_output_model):
+        # one output row over eight states, so every response block ends in
+        # a matrix-vector product; each cell still equals its lone run
+        template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=43200.0)
+        args = (mixed_output_model, template, np.geomspace(100.0, 3000.0, 40),
+                np.linspace(3600.0, 43200.0, 6), q.ErrorPolicy())
+        grid, reference = q.sweep(*args), reference_sweep(*args)
+        assert_matches_reference(grid, reference)
+        assert grid.valid.all()
+        for name in ("eps_Hm", "eps_H_pct"):
+            assert np.array_equal(getattr(grid, name), getattr(reference, name)), name
+
     def test_peak_outside_both_fit_windows(self, bungalow):
         # below the pre-experiment power the indoor temperature falls through
         # both phases, so its peak is the steady start, before either window

@@ -152,10 +152,13 @@ class TestTrajectories:
 
 
 class TestTimeBlocks:
-    @pytest.mark.parametrize("name", ["bungalow", "house"])
-    @pytest.mark.parametrize("nt", [40, 43])
-    def test_blocks_equal_one_block(self, bundled_models, name, nt, monkeypatch):
-        model = bundled_models[name]
+    @pytest.mark.parametrize("name", ["bungalow", "house", "mixed-output"])
+    @pytest.mark.parametrize("nt", [0, 1, 2, 3, 40, 43])
+    def test_blocks_equal_one_block(self, bundled_models, mixed_output_model, name, nt,
+                                    monkeypatch):
+        # the mixed output's C row reads eight states, so each block ends in
+        # a matrix-vector product over all of them
+        model = {**bundled_models, "mixed-output": mixed_output_model}[name]
         basis = q.eigendecompose(model)
         r = rng(29)
         n_in, n = len(model.input_names), model.n_states
@@ -169,13 +172,20 @@ class TestTimeBlocks:
         # the default block holds every instant
         whole = {case: q.step_response(model, u, x0, times, basis=basis)
                  for case, (u, x0) in cases.items()}
-        # blocks of 7 rows for a lone record and of 2 rows for a stack of
-        # 3 or 6; 43 instants then leave a one-row remainder in all
-        monkeypatch.setattr(modal, "_BLOCK_ELEMENTS", 7 * n)
+        # and each row is the call at its instant alone
         for case, (u, x0) in cases.items():
-            blocked = q.step_response(model, u, x0, times, basis=basis)
-            assert blocked.shape == whole[case].shape, case
-            assert np.array_equal(blocked, whole[case]), case
+            for j in range(nt):
+                alone = q.step_response(model, u, x0, times[j:j + 1], basis=basis)
+                assert np.array_equal(whole[case][..., j:j + 1, :], alone), (case, j)
+        # blocks of 4 or 12 rows for a lone record and of 4 for a stack of 3
+        # or 6; 1, 2, 3 and 43 instants then leave 1 to 3 rows past a
+        # multiple of four in the last block
+        for rows in (7, 13):
+            monkeypatch.setattr(modal, "_BLOCK_ELEMENTS", rows * n)
+            for case, (u, x0) in cases.items():
+                blocked = q.step_response(model, u, x0, times, basis=basis)
+                assert blocked.shape == whole[case].shape, case
+                assert np.array_equal(blocked, whole[case]), (case, rows)
 
     @pytest.mark.parametrize("u_stack, x0_stack", [((0,), ()), ((), (0,)), ((0,), (0,))])
     def test_empty_stack(self, u_stack, x0_stack):
