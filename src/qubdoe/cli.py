@@ -28,7 +28,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import __version__
-from .conductance import reference_H, static_gains
+from .conductance import _H_from_gains, static_gains
 from .doe import (DesignConstraints, DoeGrid, _fmt, default_axes, grid_to_csv,
                   select_optimum, sweep)
 from .error_budget import ErrorPolicy
@@ -203,8 +203,9 @@ def _axes(args, model: StateSpaceModel) -> tuple[np.ndarray, np.ndarray]:
     if args.ph_range is None or args.t_range is None:
         # mean indoor temperature of the pre-experiment steady state
         setup = _setup(args, model)
-        theta0 = float(setup.indoor_mean(static_gains(model) @ setup.inputs(args.p0)))
-        H_ref = reference_H(model)
+        gains = static_gains(model)
+        theta0 = float(setup.indoor_mean(gains @ setup.inputs(args.p0)))
+        H_ref = _H_from_gains(model, gains)
         ph_default, t_default = default_axes(H_ref, H_ref * (theta0 - args.to))
     ph_values = (_axis(args.ph_range, "--ph-range", "powers", np.geomspace)
                  if args.ph_range is not None else ph_default)
@@ -275,7 +276,7 @@ def _cmd_gains(args) -> Iterable[str]:
     _check_P0(args.p0)
     setup = _setup(args, model)
     gains = static_gains(model)
-    H = reference_H(model)
+    H = _H_from_gains(model, gains)
     temp_cols = [j for j, kind in enumerate(model.input_kinds) if kind == "temperature"]
     temp_sums = gains[:, temp_cols].sum(axis=1)
     lines = ["record,output,input,value"]

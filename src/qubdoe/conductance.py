@@ -47,8 +47,14 @@ def reference_H(model: StateSpaceModel) -> float:
     NumericalError
         When the indoor temperature does not rise under the heaters.
     """
+    return _H_from_gains(model, static_gains(model))
+
+
+def _H_from_gains(model: StateSpaceModel, gains: np.ndarray) -> float:
+    """:func:`reference_H` of a model from its :func:`static_gains`, for a
+    caller that needs the gains too and solves them once."""
     setup = _protocol_setup(model, 0.0, {})
-    rise = float(setup.indoor_mean(static_gains(model) @ setup.inputs(1.0)))
+    rise = float(setup.indoor_mean(gains @ setup.inputs(1.0)))
     if not rise > 0.0:
         raise NumericalError(
             f"steady indoor rise under the heaters is {rise:.3e} K/W; "

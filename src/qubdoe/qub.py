@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from collections.abc import Mapping
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from typing import TextIO
 
@@ -160,7 +161,7 @@ class QubTrace:
             raise SchemaError("trace columns must have identical length")
         if times.ndim != 1 or times.size < 4:
             raise SchemaError("trace must hold at least four samples")
-        if np.any(np.diff(times) <= 0.0):
+        if np.any(times[1:] <= times[:-1]):
             raise SchemaError("trace times must be strictly increasing")
         if not (isinstance(self.n_heating, (int, np.integer))
                 and 0 < self.n_heating < times.size):
@@ -310,12 +311,14 @@ def _held(model: StateSpaceModel, protocol: QubProtocol,
 
 def _two_pulse(model: StateSpaceModel, basis: EigenBasis, setup: _ExperimentSetup,
                P_h, held, t_qub, t_heat: np.ndarray, t_cool: np.ndarray,
-               starts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+               starts: np.ndarray | None = None) -> Iterator[np.ndarray]:
     """Indoor rise over T_o of two-pulse records heated by ``P_h`` from the
     :func:`_held` state for ``t_qub`` and then cooled by its input, at the
-    instants ``t_heat`` and ``t_cool`` from each phase's start.  A (k,)
-    array of powers gives (k, n) rows, each identical to the run of that
-    power alone.
+    instants ``t_heat`` and ``t_cool`` from each phase's start: the
+    heating rise, then the cooling rise, each computed only when asked
+    for, so a caller can store and free one before the other is made.
+    A (k,) array of powers gives (k, n) rows, each identical to the run
+    of that power alone.
 
     A vector of switch times (D,) runs a group of durations at once: the
     heating instants share the start, and cooling instant j starts from
@@ -325,10 +328,8 @@ def _two_pulse(model: StateSpaceModel, basis: EigenBasis, setup: _ExperimentSetu
     u_heat = setup.inputs(P_h)
     x_switch = state_at(model, u_heat, x0, t_qub, basis=basis)
     # reduce each phase to its indoor mean at once: one phase's outputs live at a time
-    dT_heat, dT_cool = (
-        setup.indoor_mean(step_response(model, u, x, t, basis=basis, starts=s))
-        for u, x, t, s in ((u_heat, x0, t_heat, None), (u_cool, x_switch, t_cool, starts)))
-    return dT_heat - setup.T_o, dT_cool - setup.T_o
+    return (setup.indoor_mean(step_response(model, u, x, t, basis=basis, starts=s)) - setup.T_o
+            for u, x, t, s in ((u_heat, x0, t_heat, None), (u_cool, x_switch, t_cool, starts)))
 
 
 def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
@@ -364,20 +365,29 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
     setup = _protocol_setup(model, protocol.T_o, protocol.boundary_temperatures)
     if basis is None:
         basis = eigendecompose(model)
+    # each column is allocated once and filled phase by phase; the heating
+    # phase's instants are read back from the clock column
     rel = _sample_times(protocol)
-    dT_heat, dT_cool = _two_pulse(model, basis, setup, protocol.P_h,
-                                  _held(model, protocol, setup), protocol.t_qub,
-                                  rel, rel[1:])
-    if dT_heat[-1] <= dT_heat[0] + 1e-12 * max(1.0, abs(dT_heat[0])):
+    n = rel.size - 1
+    heating, cooling = slice(0, n + 1), slice(n + 1, None)
+    times = np.empty(2 * n + 1)
+    times[heating] = rel
+    np.add(protocol.t_qub, rel[1:], out=times[cooling])
+    rel = times[heating]
+    delta_T = np.empty_like(times)
+    rises = _two_pulse(model, basis, setup, protocol.P_h, _held(model, protocol, setup),
+                       protocol.t_qub, rel, rel[1:])
+    # no name holds a phase's rise, so it is freed before the next is made
+    for part in (heating, cooling):
+        delta_T[part] = next(rises)
+    if delta_T[n] <= delta_T[0] + 1e-12 * max(1.0, abs(delta_T[0])):
         warnings.warn(
             "heating power is at or below the maintenance power: the indoor "
             "temperature does not rise during the heating pulse",
             stacklevel=2,
         )
-    n = rel.size - 1
-    times = np.concatenate([rel, protocol.t_qub + rel[1:]])
-    delta_T = np.concatenate([dT_heat, dT_cool])
-    power = np.concatenate([np.full(n + 1, protocol.P_h), np.full(n, protocol.P_c)])
+    power = np.empty_like(times)
+    power[heating], power[cooling] = protocol.P_h, protocol.P_c
     return QubTrace(times=times, delta_T=delta_T, power=power, n_heating=n + 1)
 
 
@@ -401,10 +411,17 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def _window(t_rel: np.ndarray, window_fraction: float, phase: str) -> np.ndarray:
-    """Mask of the trailing ``window_fraction`` of a phase sampled at
-    ``t_rel`` (from the phase start).  It depends on the sample instants
-    alone, so a sweep can check it before it simulates anything.
+def _window(times: np.ndarray, window_fraction: float, phase: str,
+            origin: float = 0.0) -> slice:
+    """The trailing ``window_fraction`` of a phase sampled at ``times``,
+    as the slice of its samples whose clock ``t_rel = times - origin``
+    (from the phase start) reaches (1 − f)·span − 1e-9·span, span being
+    the last ``t_rel``.  It depends on the sample instants alone, so a
+    sweep can check it before it simulates anything.
+
+    The instants never decrease, and neither does their clock, so the
+    samples that pass form a suffix: its start is found by bisection with
+    that same comparison, on one ``t_rel`` at a time.
 
     Raises
     ------
@@ -414,53 +431,55 @@ def _window(t_rel: np.ndarray, window_fraction: float, phase: str) -> np.ndarray
     """
     if not 0.0 < window_fraction <= 1.0:
         raise ModelError("window_fraction must lie in (0, 1]")
-    span = t_rel[-1]
+    span = times[-1] - origin
     # same selection rule in both phases => identical window geometry
-    selected = t_rel >= (1.0 - window_fraction) * span - 1e-9 * span
-    count = np.count_nonzero(selected)
+    bound = (1.0 - window_fraction) * span - 1e-9 * span
+    start = bisect_left(range(times.size), True, key=lambda i: times[i] - origin >= bound)
+    count = times.size - start
     if count < 3:
         raise ModelError(f"{phase} window holds only {count} samples; need at least 3")
-    return selected
+    return slice(start, times.size)
 
 
-def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str) -> SlopeFit:
+def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str,
+                origin: float = 0.0) -> SlopeFit:
     """Least-squares line through a phase's fit-window samples ``y_win``
-    at ``t_win`` from the phase start.  Stacks of clocks (..., n) and of
-    records broadcast: the fields are then arrays over the stack, each
-    fit identical to that record's lone fit.
+    at ``t_win - origin`` from the phase start.  Stacks of clocks (..., n)
+    and of records broadcast: the fields are then arrays over the stack,
+    each fit identical to that record's lone fit.
 
     Rows are copied contiguous at an even stride (odd windows padded with
     a zero): each then starts 16-byte aligned, as a lone vector does, and
-    some BLAS kernels round a dot product by its operands' alignment."""
+    some BLAS kernels round a dot product by its operands' alignment.
+    Beside the two copies the fit holds two arrays of the records' size:
+    the clock's deviations overwrite its copy, and the residual is formed
+    in place."""
     n = t_win.shape[-1]
-    t_win, y_win = (np.concatenate([a, np.zeros(a.shape[:-1] + (n % 2,))], axis=-1)
-                    for a in (t_win, y_win))
+    t_dev, y_pad = (np.zeros(a.shape[:-1] + (n + n % 2,)) for a in (t_win, y_win))
+    np.subtract(t_win, origin, out=t_dev[..., :n])
+    y_pad[..., :n] = y_win
 
     def dot(a, b):
         return _rowdot(a[..., :n], b[..., :n])
 
-    t_mean = t_win[..., :n].mean(axis=-1)
-    t_dev = t_win - t_mean[..., None]
+    t_mean = t_dev[..., :n].mean(axis=-1)
+    t0 = t_dev[..., 0].copy()
+    t_dev -= t_mean[..., None]
     t_var = dot(t_dev, t_dev)
     if np.any(t_var == 0.0):
         raise ModelError(f"{phase} window has zero time variance")
-    y_mean = y_win[..., :n].mean(axis=-1)
-    y_dev = y_win - y_mean[..., None]
+    y_mean = y_pad[..., :n].mean(axis=-1)
+    y_dev = y_pad - y_mean[..., None]
     alpha = dot(t_dev, y_dev) / t_var
-    t0 = t_win[..., 0]
     dT0 = y_mean + alpha * (t0 - t_mean)
-    residual = y_win - (y_mean[..., None] + alpha[..., None] * t_dev)
+    # the residual y − (ȳ + α·t_dev), rounded as that expression is
+    residual = alpha[..., None] * t_dev
+    residual += y_mean[..., None]
+    np.subtract(y_pad, residual, out=residual)
     total = dot(y_dev, y_dev)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(total == 0.0, 1.0, 1.0 - dot(residual, residual) / total)
     return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=n)
-
-
-def _cooling_clock(rel: np.ndarray, t_qub: float) -> np.ndarray:
-    """Instants of the cooling samples of a :func:`_two_pulse` record,
-    on the clock :func:`fit_slope` reads them with: from the last
-    heating sample, rel[-1]."""
-    return (t_qub + rel[1:]) - rel[-1]
 
 
 def _fit_windows(rel: np.ndarray, t_qub: float, window_fraction: float
@@ -469,10 +488,12 @@ def _fit_windows(rel: np.ndarray, t_qub: float, window_fraction: float
     on a :func:`simulate_qub` trace sampled at ``rel``, each as the
     :func:`_two_pulse` instants and the fit's clock; raises the ModelError
     of a window too short to fit."""
-    clock = _cooling_clock(rel, t_qub)
     heat = rel[_window(rel, window_fraction, _HEATING)]
-    cool = _window(clock, window_fraction, _COOLING)
-    return (heat, heat), (rel[1:][cool], clock[cool])
+    # the trace's cooling instants, on fit_slope's clock from the last
+    # heating sample, rel[-1]
+    switched = t_qub + rel[1:]
+    cool = _window(switched, window_fraction, _COOLING, rel[-1])
+    return (heat, heat), (rel[1:][cool], switched[cool] - rel[-1])
 
 
 def fit_slope(trace: QubTrace, phase: str,
@@ -500,9 +521,10 @@ def fit_slope(trace: QubTrace, phase: str,
     if phase not in (_HEATING, _COOLING):
         raise ModelError(f"phase must be '{_HEATING}' or '{_COOLING}', got {phase!r}")
     part = trace.heating if phase == _HEATING else trace.cooling
-    t_rel = trace.times[part] - (0.0 if phase == _HEATING else trace.t_qub)
-    selected = _window(t_rel, window_fraction, phase)
-    fit = _fit_window(t_rel[selected], trace.delta_T[part][selected], phase)
+    origin = 0.0 if phase == _HEATING else trace.t_qub
+    times = trace.times[part]
+    window = _window(times, window_fraction, phase, origin)
+    fit = _fit_window(times[window], trace.delta_T[part][window], phase, origin)
     return replace(fit, alpha=float(fit.alpha), dT0=float(fit.dT0), t0=float(fit.t0),
                    r2=float(fit.r2))
 
@@ -625,8 +647,9 @@ def estimate_from_trace(trace: QubTrace,
 
 _TRACE_HEADER = "t_s,dT_K,power_W,phase"
 
-#: trace rows rendered into one string at a time
-_RENDER_ROWS = 4096
+#: trace rows rendered into one string at a time: a chunk's Python floats
+#: and strings then take about the response kernel's 128 KiB block
+_RENDER_ROWS = 1024
 
 #: characters of trace text split into lines at a time (cut after a newline)
 _PARSE_CHARS = 1 << 16
@@ -822,6 +845,18 @@ def _read_lines(rows: _TraceRows, lines: list[str]) -> None:
     rows.append(times, delta_T, power, cooling)
 
 
+def _read_piece(rows: _TraceRows, piece: str) -> None:
+    """Read the rows of one piece of trace text.  Its lines are freed on
+    return, before the next piece is read."""
+    lines = piece.splitlines()
+    if rows.number == 0:
+        lines = _read_header(rows, lines)
+    if not any(lines):  # np.loadtxt warns on a piece without data
+        return
+    if any(c in piece for c in _LOOP_ONLY) or not _read_columns(rows, lines):
+        _read_lines(rows, lines)
+
+
 def trace_from_csv(source: str | TextIO) -> QubTrace:
     """Parse a trace CSV produced by :func:`trace_to_csv`.
 
@@ -841,13 +876,7 @@ def trace_from_csv(source: str | TextIO) -> QubTrace:
     """
     rows = _TraceRows(_row_bound(source))
     for piece in _slices(source):
-        lines = piece.splitlines()
-        if rows.number == 0:
-            lines = _read_header(rows, lines)
-        if not any(lines):  # np.loadtxt warns on a piece without data
-            continue
-        if any(c in piece for c in _LOOP_ONLY) or not _read_columns(rows, lines):
-            _read_lines(rows, lines)
+        _read_piece(rows, piece)
     if rows.number == 0:
         raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
     if rows.unknown:

@@ -4,7 +4,8 @@ Everything here is deliberately written by a different route than the
 package: dense per-branch stamping instead of incidence assembly,
 implicit Euler stepping instead of matrix exponentials, ``np.polyfit``
 instead of hand-rolled normal equations, the quadratic formula instead
-of a general eigensolver, brute-force Monte Carlo instead of
+of a general eigensolver, a fit window as a mask over every sample
+instead of a bisection for its start, brute-force Monte Carlo instead of
 first-order propagation, the two-zone aggregate H straight from the
 2x2 conductance matrix, the kept-node conductance matrix as a Schur
 complement of the stamped one, the modal sum re-added one mode at a
@@ -179,6 +180,22 @@ def eig_2x2(A):
     root = np.sqrt(disc)
     lam = np.array([(tr - root) / 2.0, (tr + root) / 2.0])
     return lam[np.argsort(lam.real)]
+
+
+def window_mask(times, window_fraction, phase, origin=0.0):
+    """The trailing ``window_fraction`` of a phase sampled at ``times`` as a
+    mask over all its samples, each clock value ``times - origin``
+    compared with (1 − f)·span − 1e-9·span; raises the ModelError of a
+    fraction outside (0, 1] or of a window under three samples."""
+    if not 0.0 < window_fraction <= 1.0:
+        raise q.ModelError("window_fraction must lie in (0, 1]")
+    t_rel = times - origin
+    span = t_rel[-1]
+    selected = t_rel >= (1.0 - window_fraction) * span - 1e-9 * span
+    count = np.count_nonzero(selected)
+    if count < 3:
+        raise q.ModelError(f"{phase} window holds only {count} samples; need at least 3")
+    return selected
 
 
 def polyfit_slope(t, y):

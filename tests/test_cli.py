@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
-from qubdoe import cli, qub
+from qubdoe import cli, conductance, qub
 from qubdoe.cli import main
 
 
@@ -305,6 +305,21 @@ class TestSweepOptimum:
         second = run_main(["sweep", bungalow_path] + self.RANGES, capsys)[1]
         third = run_main(["sweep", bungalow_path] + self.RANGES, capsys)[1]
         assert first == second == third
+
+    def test_default_axes_solve_the_gains_once(self, bungalow_path, monkeypatch, capsys):
+        # once for the default axes' H_ref and start temperature, once for
+        # the sweep's own H_ref
+        calls = []
+
+        def counted(model):
+            calls.append(model)
+            return q.static_gains(model)
+
+        monkeypatch.setattr(cli, "static_gains", counted)
+        monkeypatch.setattr(conductance, "static_gains", counted)
+        code, out, _ = run_main(["sweep", bungalow_path], capsys)
+        assert code == 0 and len(out.splitlines()) == 1 + 40 * 40
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("command", ["sweep", "optimum"])
     def test_unknown_boundary_name(self, command, bungalow_path, capsys):

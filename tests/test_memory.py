@@ -8,6 +8,15 @@ samples times all states, or all rows as Python objects, at once.  The
 commands' bounds are set by the trace's arrays, not its text, and fail
 when a command holds the whole CSV text in memory.
 
+The trace path holds one copy of the record's three arrays plus
+block-sized temporaries: ``simulate_qub`` stays within 1.3× those
+arrays (it fills each column in place, one phase at a time), and
+``simulate --out`` and ``estimate --trace`` within 1.5× (the fits read
+their windows as views, and the parse frees each piece's lines before
+it reads the next).  Of the ``simulate`` → ``estimate`` chain,
+``estimate`` sets the peak, and within it the parse, which holds the
+parsed columns beside the piece of text being read.
+
 The response kernel's blocks are bounded in bytes: each stacked
 temporary stays at or below glibc's default 128 KiB mmap threshold, so a
 freed block is reused by the next one instead of being returned to the
@@ -72,7 +81,7 @@ def test_cli_simulate_out_peak_bounded_by_the_trace(protocol, trace_bytes, tmp_p
     code, peak = traced_peak(cli.main, argv)
     assert code == 0
     assert path.stat().st_size > trace_bytes  # the text outweighs the arrays
-    assert peak <= 2.5 * trace_bytes
+    assert peak <= 1.5 * trace_bytes
 
 
 def test_cli_estimate_peak_bounded_by_the_trace(trace, trace_bytes, tmp_path, capsys):
@@ -81,14 +90,15 @@ def test_cli_estimate_peak_bounded_by_the_trace(trace, trace_bytes, tmp_path, ca
     code, peak = traced_peak(cli.main, ["estimate", "--trace", str(path)])
     assert code == 0 and capsys.readouterr().out.startswith("H_qub_W_per_K,")
     assert path.stat().st_size > trace_bytes
-    assert peak <= 2.5 * trace_bytes
+    assert peak <= 1.5 * trace_bytes
 
 
-def test_simulate_peak_within_four_times_the_trace(bungalow_model, protocol,
-                                                   trace_bytes):
+def test_simulate_holds_one_copy_of_the_trace(bungalow_model, protocol, trace_bytes):
+    """The columns, one phase's response and the kernel's blocks: 1.88×
+    when the phases were concatenated from copies."""
     basis = q.eigendecompose(bungalow_model)
     _, peak = traced_peak(q.simulate_qub, bungalow_model, protocol, basis=basis)
-    assert peak <= 4 * trace_bytes
+    assert peak <= 1.3 * trace_bytes
 
 
 def test_render_peak_within_three_times_the_text(trace):

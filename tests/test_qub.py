@@ -15,7 +15,7 @@ import qubdoe as q
 from qubdoe import qub
 from conftest import Unseekable, make_first_order, rng
 from oracles import (analytic_slopes, first_order_delta_T, polyfit_slope,
-                     row_trace_from_csv, row_trace_to_csv)
+                     row_trace_from_csv, row_trace_to_csv, window_mask)
 
 
 def proto(**kw):
@@ -212,6 +212,43 @@ class TestFitSlope:
                     + x[16_384:] @ y[16_384:] for x, y in zip(a, b)]
         assert qub._rowdot(a, b).tolist() == expected
         assert qub._rowdot(a[0, :8192], b[0, :8192]) == a[0, :8192] @ b[0, :8192]
+
+
+@st.composite
+def phase_clocks(draw):
+    """Sample instants that never decrease, and the origin their clock
+    counts from.  Past a large origin (a long t_qub) the steps fall below
+    the spacing of floats there, so distinct offsets give equal instants,
+    and the bound of the window can land on a run of them."""
+    origin = draw(st.sampled_from([0.0, 3600.0, 43200.0, 2.0 ** 40, 1e15]))
+    steps = draw(st.lists(st.sampled_from([0.0, 1e-3, 0.1, 1.0, 60.0])
+                          | st.floats(0.0, 1e4), min_size=1, max_size=60))
+    return origin + np.cumsum([0.0, *steps]), origin
+
+
+class TestWindowMatchesMask:
+    """The fit window's slice selects exactly the samples of the oracle's
+    mask over every sample, and the same inputs raise the same ModelError."""
+
+    @staticmethod
+    def outcome(select, *args):
+        try:
+            return select(*args).tolist()
+        except q.ModelError as exc:
+            return str(exc)
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(clock=phase_clocks(),
+           fraction=st.floats(0.0, 1.0, exclude_min=True)
+           | st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.25, 1e-9, 0.0, -0.5, 1.5, np.nan]),
+           phase=st.sampled_from(["heating", "cooling"]))
+    def test_slice_selects_the_mask(self, clock, fraction, phase):
+        times, origin = clock
+        expected = self.outcome(lambda *a: np.flatnonzero(window_mask(*a)),
+                                times, fraction, phase, origin)
+        got = self.outcome(lambda *a: np.arange(times.size)[qub._window(*a)],
+                           times, fraction, phase, origin)
+        assert got == expected
 
 
 class TestEstimators:
