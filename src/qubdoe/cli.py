@@ -5,8 +5,8 @@ its simulation, sweep or fit to the end before it writes anything — to
 stdout or to ``--out`` — so a run that fails on its input or its
 numerics never leaves a file behind.  An ``--out`` whose directory is
 missing or not writable, or that names a directory, fails before the
-work starts.  The output is then written in
-pieces: a trace CSV a chunk of rows at a time, never as one string.
+work starts.  The output is then written in pieces, never as one string:
+a trace CSV a chunk of rows at a time, a sweep grid a duration's rows.
 All output is plain CSV/text with shortest-round-trip floats: identical
 arguments and inputs give byte-identical output.
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .conductance import _H_from_gains, static_gains
-from .doe import (DesignConstraints, DoeGrid, _fmt, default_axes, grid_to_csv,
+from .doe import (DesignConstraints, DoeGrid, _fmt, _grid_chunks, default_axes,
                   select_optimum, sweep)
 from .error_budget import ErrorPolicy
 from .exceptions import ModelError, NumericalError, SchemaError
@@ -311,7 +311,7 @@ def _cmd_estimate(args) -> Iterable[str]:
 
 
 def _cmd_sweep(args) -> Iterable[str]:
-    return [grid_to_csv(_sweep(args))]
+    return _grid_chunks(_sweep(args))
 
 
 def _cmd_optimum(args) -> Iterable[str]:

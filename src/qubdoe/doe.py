@@ -14,10 +14,11 @@ exceed a block is a group alone, its powers in blocks.  Then the
 estimators and the budget run once over the fitted cells, elementwise.
 The response is affine in P_h, so theta_max is the peak of
 a(t) + P_h·b(t) (:func:`_affine_peaks`), one pass per run of a group's
-durations with as many samples.  The grid stays columns up to its CSV.
+durations with as many samples.  One phase's records live at a time,
+and the grid stays columns until its CSV, rendered a duration at a time.
 
 The kernels bound their temporaries, and the sweep a group's (powers,
-window samples) records, at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats:
+window samples) records of a phase, at :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats:
 128 KiB, glibc's default mmap threshold, so blocks reuse the same heap
 memory instead of faulting in fresh pages (a fresh default bungalow
 sweep took 17,751 minor faults with 400 KB blocks, 400 with these).
@@ -297,11 +298,12 @@ def _sweep_group(model: StateSpaceModel, basis: EigenBasis, setup, held, peaks,
         for first in range(0, ph.size, block):
             index = slice(first, first + block)
             at = cells[fit, index]
-            dT_heat, dT_cool = _two_pulse(model, basis, setup, ph[index], held, t_qub[fit],
-                                          t_heat, t_cool, starts)
-            ok = (finite[fit, index] & _fit_runs(heat, dT_heat, _HEATING, grid_h, at)
-                  & _fit_runs(cool, dT_cool, _COOLING, grid_c, at))
-            del dT_heat, dT_cool  # freed before the next block's records are made
+            rises = _two_pulse(model, basis, setup, ph[index], held, t_qub[fit],
+                               t_heat, t_cool, starts)
+            # each phase's records are fitted and freed before the next phase's are made
+            ok = finite[fit, index]
+            for windows, phase, grid in ((heat, _HEATING, grid_h), (cool, _COOLING, grid_c)):
+                ok &= _fit_runs(windows, next(rises), phase, grid, at)
             finite[fit, index] = ok
             fitted[at] = ok
             # P_c, and P_h per block, as the estimators read them: the mean of a
@@ -471,6 +473,9 @@ def default_axes(H_ref: float, maintenance_power: float) -> tuple[np.ndarray, np
     if not H_ref > 0.0:
         raise ModelError(f"H_ref must be positive, got {H_ref}")
     base = maintenance_power if maintenance_power > 0.0 else H_ref
+    if not math.isfinite(4.0 * base):
+        raise ModelError(f"maintenance power {base!r} W (or H_ref·1 K without one) is too "
+                         "large: four times it, the default grid's top power, is not finite")
     ph_values = np.geomspace(base, 4.0 * base, _DEFAULT_POINTS)
     t_values = np.linspace(3600.0, 12.0 * 3600.0, _DEFAULT_POINTS)
     return ph_values, t_values
@@ -481,14 +486,18 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _grid_chunks(grid: DoeGrid):
+    """The CSV text of ``grid``: the header, then one duration's rows per piece."""
+    ph_text = [_fmt(ph) for ph in grid.ph_values]
+    yield GRID_HEADER + "\n"
+    for i, t_text in enumerate(map(repr, grid.t_values.tolist())):
+        row = (getattr(grid, name)[i].tolist() for name in _COLUMNS)
+        yield "".join(f"{ph},{t_text},{H!r},{eps_qub!r},{eps_Hm!r},{eps_H!r},{theta!r},"
+                      f"{'1' if valid else '0'}\n"
+                      for ph, H, eps_qub, eps_Hm, eps_H, theta, valid in zip(ph_text, *row))
+
+
 def grid_to_csv(grid: DoeGrid) -> str:
     """Render the grid in duration-major order with a fixed header;
     floats use shortest round-trip form, so output is byte-stable."""
-    ph_text = [_fmt(ph) for ph in grid.ph_values]
-    lines = [GRID_HEADER]
-    columns = [getattr(grid, name).tolist() for name in _COLUMNS]
-    for t_text, *row in zip(map(repr, grid.t_values.tolist()), *columns):
-        lines += [f"{ph},{t_text},{H!r},{eps_qub!r},{eps_Hm!r},{eps_H!r},{theta!r},"
-                  f"{'1' if valid else '0'}"
-                  for ph, H, eps_qub, eps_Hm, eps_H, theta, valid in zip(ph_text, *row)]
-    return "\n".join(lines) + "\n"
+    return "".join(_grid_chunks(grid))

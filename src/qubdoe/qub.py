@@ -444,16 +444,16 @@ def _window(times: np.ndarray, window_fraction: float, phase: str,
 def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str,
                 origin: float = 0.0) -> SlopeFit:
     """Least-squares line through a phase's fit-window samples ``y_win``
-    at ``t_win - origin`` from the phase start.  Stacks of clocks (..., n)
-    and of records broadcast: the fields are then arrays over the stack,
+    at ``t_win - origin`` from the phase start.  A stack of records (..., n)
+    takes clocks that broadcast to it: the fields are then arrays over it,
     each fit identical to that record's lone fit.
 
     Rows are copied contiguous at an even stride (odd windows padded with
     a zero): each then starts 16-byte aligned, as a lone vector does, and
     some BLAS kernels round a dot product by its operands' alignment.
-    Beside the two copies the fit holds two arrays of the records' size:
-    the clock's deviations overwrite its copy, and the residual is formed
-    in place."""
+    Beside the two copies the fit holds one array of the records' size,
+    their deviations, which the residual overwrites; the clock's
+    deviations overwrite its copy."""
     n = t_win.shape[-1]
     t_dev, y_pad = (np.zeros(a.shape[:-1] + (n + n % 2,)) for a in (t_win, y_win))
     np.subtract(t_win, origin, out=t_dev[..., :n])
@@ -472,11 +472,11 @@ def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str,
     y_dev = y_pad - y_mean[..., None]
     alpha = dot(t_dev, y_dev) / t_var
     dT0 = y_mean + alpha * (t0 - t_mean)
-    # the residual y − (ȳ + α·t_dev), rounded as that expression is
-    residual = alpha[..., None] * t_dev
+    total = dot(y_dev, y_dev)
+    # the residual y − (ȳ + α·t_dev), rounded as that expression is, into y_dev
+    residual = np.multiply(alpha[..., None], t_dev, out=y_dev)
     residual += y_mean[..., None]
     np.subtract(y_pad, residual, out=residual)
-    total = dot(y_dev, y_dev)
     with np.errstate(divide="ignore", invalid="ignore"):
         r2 = np.where(total == 0.0, 1.0, 1.0 - dot(residual, residual) / total)
     return SlopeFit(alpha=alpha, dT0=dT0, t0=t0, r2=r2, n_samples=n)

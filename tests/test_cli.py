@@ -412,6 +412,19 @@ class TestSweepOptimum:
         assert code == 3 and out == ""
         assert err.startswith("error: input:") and "window holds only" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "optimum"])
+    def test_default_power_axis_overflow_exits_3(self, command, bungalow_path):
+        """Four times the maintenance power of --p0 1e308 is not finite:
+        one line names it, with no numpy warning before it."""
+        src = os.path.dirname(os.path.dirname(q.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "qubdoe.cli", command, bungalow_path,
+                               "--p0", "1e308"], capture_output=True, text=True, env=env)
+        assert done.returncode == 3 and done.stdout == ""
+        line, = done.stderr.splitlines()
+        assert line.startswith("error: input: maintenance power 1e+308 W")
+
     @pytest.mark.parametrize("window", ["0", "1.1"])
     @pytest.mark.parametrize("command", ["sweep", "estimate"])
     def test_window_fraction_out_of_range_exits_3(self, command, window,

@@ -574,6 +574,13 @@ class TestDefaultAxes:
         with pytest.raises(q.ModelError):
             q.default_axes(H_ref=-1.0, maintenance_power=100.0)
 
+    @pytest.mark.parametrize("H_ref, maintenance_power", [(50.0, 1e308), (50.0, math.inf),
+                                                          (1e308, 0.0)])
+    def test_power_axis_that_overflows(self, H_ref, maintenance_power):
+        # raised before np.geomspace, whose overflow warning is an error here
+        with pytest.raises(q.ModelError, match="maintenance power"):
+            q.default_axes(H_ref=H_ref, maintenance_power=maintenance_power)
+
 
 class TestExport:
     def test_header_and_row_count(self):

@@ -1,5 +1,6 @@
 """Working memory of the long-trace path: simulate, render, parse, and
-the ``simulate --out`` / ``estimate --trace`` commands around them.
+the ``simulate --out`` / ``estimate --trace`` commands around them; and
+of the sweep and its ``sweep`` command.
 
 tracemalloc counts every allocation Python and numpy make while it runs,
 so its peak is deterministic from run to run.  The bounds hold when the
@@ -16,6 +17,13 @@ their windows as views, and the parse frees each piece's lines before
 it reads the next).  Of the ``simulate`` → ``estimate`` chain,
 ``estimate`` sets the peak, and within it the parse, which holds the
 parsed columns beside the piece of text being read.
+
+The default 40×40 sweep of either bundled building stays within 7.25
+blocks of :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats (6.3 and 6.6
+with numpy 2.4): one phase's records live at a time, and each fit forms its
+residual in the records' deviations.  The ``sweep`` command then renders
+its CSV one duration's rows at a time, adding a few times one duration's
+text to what the sweep leaves, so the command peaks inside the sweep.
 
 The response kernel's blocks are bounded in bytes: each stacked
 temporary stays at or below glibc's default 128 KiB mmap threshold, so a
@@ -35,7 +43,7 @@ import numpy as np
 import pytest
 
 import qubdoe as q
-from qubdoe import cli, doe, qub
+from qubdoe import cli, doe, modal, qub
 from conftest import Unseekable
 
 #: glibc's default mmap and trim threshold
@@ -157,6 +165,70 @@ def test_cli_sweep_holds_one_duration_at_a_time(tmp_path, capsys):
     # one phase of the longest duration: 43,201 samples of 8 bytes
     record = 8 * 43_201
     assert peak <= 10 * record
+
+
+#: bytes of one kernel block of floats
+BLOCK_BYTES = 8 * modal._BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("building", ["bungalow", "house"])
+def test_sweep_holds_one_phase_of_records_at_a_time(building, request):
+    """The default 40×40 grid: the per-cell columns take about two
+    blocks, one phase's records of a group one, and their fit two (the
+    padded copy, and the deviations that the residual overwrites), with
+    the kernel's temporaries beside the records.  6.3 and 6.6 blocks;
+    7.7 when both phases' records lived through both fits and each fit
+    kept its residual beside the deviations."""
+    model = request.getfixturevalue(f"{building}_model")
+    ph_values, t_values = q.default_axes(q.reference_H(model), 0.0)
+    protocol = q.QubProtocol(T_o=0.0, P0=0.0, P_h=ph_values[-1], P_c=0.0,
+                             t_qub=t_values[-1])
+    grid, peak = traced_peak(q.sweep, model, protocol, ph_values, t_values, q.ErrorPolicy())
+    assert grid.valid.all()
+    assert peak <= 7.25 * BLOCK_BYTES
+
+
+class _Discard:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, pieces) -> None:
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_cli_sweep_renders_one_duration_at_a_time(tmp_path, monkeypatch):
+    """The default bungalow sweep: its CSV is rendered one duration's rows
+    at a time after the sweep has freed its arrays, so the render adds a
+    few times one duration's text to what the sweep leaves and the
+    command peaks in the sweep.  The render added ~990 KB, 50 KB above
+    the sweep's own peak, when it held the whole text and its lines."""
+    building = tmp_path / "bungalow.json"
+    building.write_text(q.bungalow_json(), encoding="utf-8")
+    run_sweep, after_sweep = cli._sweep, []
+
+    def sweep(args):
+        grid = run_sweep(args)
+        after_sweep.append(tracemalloc.get_traced_memory())  # (held, peak)
+        tracemalloc.reset_peak()
+        return grid
+
+    monkeypatch.setattr(cli, "_sweep", sweep)
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    code, render_peak = traced_peak(cli.main, ["sweep", str(building)])
+    (held, sweep_peak), = after_sweep
+    assert code == 0
+    row_text = sys.stdout.chars // 40  # the default grid's durations
+    assert render_peak - held <= 8 * row_text
+    assert render_peak <= sweep_peak + row_text
 
 
 @pytest.fixture(scope="module", params=[0, 1 << 20], ids=["no header", "padded header"])
