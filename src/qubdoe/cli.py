@@ -10,8 +10,10 @@ a trace CSV a chunk of rows at a time, a sweep grid a duration's rows.
 All output is plain CSV/text with shortest-round-trip floats: identical
 arguments and inputs give byte-identical output.
 
-``sweep`` and ``optimum`` take the same grid flags; an ``optimum`` limit
-left unset is none, and its limits are checked before the sweep runs.
+``_COMMANDS`` is the one list of the commands and of the flags each
+takes, which ``_FLAGS`` declares.  ``sweep`` and ``optimum`` take the same
+grid flags; an ``optimum`` limit left unset is none, and its limits are
+checked before the sweep runs.
 
 Exit codes: 0 success, 2 usage, 3 malformed input, 4 numerical failure.
 """
@@ -66,7 +68,9 @@ def _assignment(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}") from None
 
 
-_PROTOCOL_FLAGS = {
+_FLAGS = {
+    "building": dict(help="building JSON document"),
+    "--trace": dict(required=True, metavar="PATH", help="trace CSV"),
     "--to": dict(type=float, default=0.0, metavar="C",
                  help="outdoor temperature (default 0)"),
     "--p0": dict(type=float, default=0.0, metavar="W",
@@ -79,104 +83,31 @@ _PROTOCOL_FLAGS = {
                    help="duration of each phase in seconds (default 10800)"),
     "--window": dict(type=float, default=_WINDOW_FRACTION, metavar="F",
                      help="trailing fraction of each phase fitted (default 1/3)"),
-    "--dt": dict(type=float, default=None, metavar="S",
-                 help="sampling step (default t_qub/120)"),
+    "--dt": dict(type=float, metavar="S", help="sampling step (default t_qub/120)"),
     "--set": dict(dest="boundary", type=_assignment, action="append",
                   default=[], metavar="NAME=VALUE",
                   help="hold a named temperature source at a value other "
                        "than --to (repeatable)"),
+    "--eps-dt": dict(type=float, default=0.5, metavar="K",
+                     help="temperature-difference uncertainty (default 0.5)"),
+    "--eps-p-rel": dict(type=float, default=0.01, metavar="F",
+                        help="power uncertainty as a fraction of P_h (default 0.01)"),
+    "--eps-alpha": dict(type=float, metavar="K_PER_S",
+                        help="slope uncertainty (default: from each fit's r²)"),
+    "--ph-range": dict(type=_range_spec, metavar="A:B:N",
+                       help="heating powers, N log-spaced points over [A, B] W "
+                            "(default: maintenance power to 4x, 40 points)"),
+    "--t-range": dict(type=_range_spec, metavar="A:B:N",
+                      help="phase durations, N linear points over [A, B] s "
+                           "(default: 1 h to 12 h, 40 points)"),
+    "--max-power": dict(type=float, default=math.inf, metavar="W",
+                        help="heater limit (default: none)"),
+    "--max-temp": dict(type=float, default=math.inf, metavar="C",
+                       help="peak indoor temperature limit (default: none)"),
+    "--max-duration": dict(type=float, default=math.inf, metavar="S",
+                           help="whole-experiment limit, 2*t_qub (default: none)"),
+    "--out": dict(metavar="PATH", help="write the result here instead of stdout"),
 }
-
-
-def _add_protocol_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    for name in names:
-        p.add_argument(name, **_PROTOCOL_FLAGS[name])
-
-
-def _add_error_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--eps-dt", type=float, default=0.5, metavar="K",
-                   help="temperature-difference uncertainty (default 0.5)")
-    p.add_argument("--eps-p-rel", type=float, default=0.01, metavar="F",
-                   help="power uncertainty as a fraction of P_h (default 0.01)")
-    p.add_argument("--eps-alpha", type=float, default=None, metavar="K_PER_S",
-                   help="slope uncertainty (default: from each fit's r²)")
-
-
-def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("building")
-    # a sweep sets P_h and t_qub per cell from its axes
-    _add_protocol_flags(p, "--to", "--p0", "--pc", "--window", "--dt", "--set")
-    _add_error_flags(p)
-    p.add_argument("--ph-range", type=_range_spec, default=None, metavar="A:B:N",
-                   help="heating powers, N log-spaced points over [A, B] W "
-                        "(default: maintenance power to 4x, 40 points)")
-    p.add_argument("--t-range", type=_range_spec, default=None, metavar="A:B:N",
-                   help="phase durations, N linear points over [A, B] s "
-                        "(default: 1 h to 12 h, 40 points)")
-
-
-def _add_out_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the result here instead of stdout")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qubdoe",
-        description="Design two-pulse building heat-loss experiments on RC "
-                    "network models.",
-    )
-    parser.add_argument("--version", action="version", version=f"qubdoe {__version__}")
-    # whole flag names only, so that `sweep --ph` is not read as `--ph-range`
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
-
-    p = sub.add_parser("check", help="validate a building document")
-    p.add_argument("building", help="building JSON document")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("eig", help="time constants, modal amplitudes and classes")
-    p.add_argument("building")
-    _add_protocol_flags(p, "--to", "--p0", "--ph", "--tqub", "--set")
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_eig)
-
-    p = sub.add_parser("gains", help="static gain matrix and overall H")
-    p.add_argument("building")
-    _add_protocol_flags(p, "--to", "--p0", "--set")
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_gains)
-
-    p = sub.add_parser("simulate", help="run the two-pulse protocol, emit a trace CSV")
-    p.add_argument("building")
-    _add_protocol_flags(p, "--to", "--p0", "--ph", "--pc", "--tqub", "--dt", "--set")
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("estimate", help="fit a trace CSV and report H and C")
-    p.add_argument("--trace", required=True, metavar="PATH", help="trace CSV")
-    _add_protocol_flags(p, "--window")
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_estimate)
-
-    p = sub.add_parser("sweep", help="error map over a (P_h x t_qub) grid")
-    _add_sweep_flags(p)
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("optimum", help="best admissible design of a sweep")
-    _add_sweep_flags(p)
-    p.add_argument("--max-power", type=float, default=math.inf, metavar="W",
-                   help="heater limit (default: none)")
-    p.add_argument("--max-temp", type=float, default=math.inf, metavar="C",
-                   help="peak indoor temperature limit (default: none)")
-    p.add_argument("--max-duration", type=float, default=math.inf, metavar="S",
-                   help="whole-experiment limit, 2*t_qub (default: none)")
-    _add_out_flag(p)
-    p.set_defaults(func=_cmd_optimum)
-
-    return parser
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +202,7 @@ def _cmd_eig(args) -> Iterable[str]:
 
 
 def _cmd_gains(args) -> Iterable[str]:
-    circuit = _load_circuit(args.building)
-    model = to_state_space(circuit)
+    model = to_state_space(_load_circuit(args.building))
     _check_P0(args.p0)
     setup = _setup(args, model)
     gains = static_gains(model)
@@ -288,9 +218,8 @@ def _cmd_gains(args) -> Iterable[str]:
     # the reference H that sweep measures its intrinsic error against
     lines.append(f"H,,,{_fmt(H)}")
     lines.append(f"R,,,{_fmt(1.0 / H)}")
-    if circuit.zones:
-        steady = gains @ setup.inputs(args.p0)
-        lines.append(f"mean_temperature,,,{_fmt(setup.indoor_mean(steady))}")
+    steady = gains @ setup.inputs(args.p0)
+    lines.append(f"mean_temperature,,,{_fmt(setup.indoor_mean(steady))}")
     return ["\n".join(lines) + "\n"]
 
 
@@ -324,6 +253,48 @@ def _cmd_optimum(args) -> Iterable[str]:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+# a sweep sets P_h and t_qub per cell from its axes
+_GRID_FLAGS = ("building --to --p0 --pc --window --dt --set "
+               "--eps-dt --eps-p-rel --eps-alpha --ph-range --t-range")
+
+# each command's help line, its flags in --help order, and its handler
+_COMMANDS = {
+    "check": ("validate a building document", "building", _cmd_check),
+    "eig": ("time constants, modal amplitudes and classes",
+            "building --to --p0 --ph --tqub --set --out", _cmd_eig),
+    "gains": ("static gain matrix and overall H",
+              "building --to --p0 --set --out", _cmd_gains),
+    "simulate": ("run the two-pulse protocol, emit a trace CSV",
+                 "building --to --p0 --ph --pc --tqub --dt --set --out", _cmd_simulate),
+    "estimate": ("fit a trace CSV and report H and C",
+                 "--trace --window --out", _cmd_estimate),
+    "sweep": ("error map over a (P_h x t_qub) grid",
+              _GRID_FLAGS + " --out", _cmd_sweep),
+    "optimum": ("best admissible design of a sweep",
+                _GRID_FLAGS + " --max-power --max-temp --max-duration --out",
+                _cmd_optimum),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qubdoe",
+        description="Design two-pulse building heat-loss experiments on RC "
+                    "network models.",
+    )
+    parser.add_argument("--version", action="version", version=f"qubdoe {__version__}")
+    # whole flag names only, so that `sweep --ph` is not read as `--ph-range`
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False))
+    for command, (help_text, flags, handler) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=handler)
+    return parser
+
 
 def _check_out(path: str) -> None:
     """Raise the OSError that writing ``path`` would meet in its directory,

@@ -90,8 +90,9 @@ class QubProtocol:
     uses ``sample_dt`` (snapped to an integer divisor of ``t_qub`` so
     the phase switch lands exactly on a sample), which must leave at
     least 20 and fewer than 2**52 samples per phase.  Every temperature,
-    power and duration must be finite.  The fit window is not part of
-    the run: :func:`fit_slope` and its callers take it.
+    power and duration must be finite, and so must the experiment's end,
+    ``2 * t_qub``.  The fit window is not part of the run:
+    :func:`fit_slope` and its callers take it.
     """
 
     T_o: float
@@ -111,6 +112,9 @@ class QubProtocol:
                 raise SchemaError(f"{name} must be finite, got {value}")
         if not self.t_qub > 0.0:
             raise SchemaError(f"t_qub must be positive, got {self.t_qub}")
+        if not math.isfinite(2.0 * self.t_qub):
+            raise SchemaError(
+                f"t_qub must leave a finite experiment end 2*t_qub, got {self.t_qub}")
         if self.P_c < 0.0:
             raise SchemaError(f"P_c must be >= 0, got {self.P_c}")
         if not self.P_h > self.P_c:

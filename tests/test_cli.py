@@ -140,6 +140,22 @@ class TestGains:
         assert mean_temperature([]) == 0.0
         assert 0.0 < mean_temperature(["--set", "T_g=14"]) < 14.0
 
+    @pytest.mark.parametrize("argv, expected", [
+        ([], 0.0), (["--to", "5"], 5.0), (["--p0", "300"], 3.0), (["--set", "T_o=7"], 7.0),
+    ])
+    def test_zoneless_mean_temperature_follows_the_flags(self, argv, expected,
+                                                         tmp_path, capsys):
+        # one node, 100 W/K to the outdoor source: 300 W hold it 3 K above
+        hut = {"nodes": [{"id": "air", "capacity": 1e5}],
+               "branches": [{"id": "wall", "from": "REF", "to": "air",
+                             "conductance": 100.0, "temperature_source": "T_o"}],
+               "flow_sources": [{"node": "air", "source_name": "P_air"}]}
+        path = tmp_path / "hut.json"
+        path.write_text(json.dumps(hut), encoding="utf-8")
+        code, out, _ = run_main(["gains", str(path)] + argv, capsys)
+        assert code == 0
+        assert out.splitlines()[-1] == f"mean_temperature,,,{expected!r}"
+
     @pytest.mark.parametrize("argv, message", [
         (["--to", "nan"], "T_o must be finite"),
         (["--to=-inf"], "T_o must be finite"),
@@ -206,6 +222,20 @@ class TestSimulateEstimate:
         code, out, err = run_main(["simulate", bungalow_path, "--tqub", value], capsys)
         assert code == 3 and out == ""
         assert err.startswith("error: input:") and "t_qub must be finite" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_overflowing_experiment_end_exits_3(self, bungalow_path, command):
+        """2*t_qub of 1e308 s is not finite: one line names t_qub, with no
+        numpy warning before it."""
+        argv = {"simulate": ["--tqub", "1e308"], "sweep": ["--t-range", "1e308:1e308:1"]}
+        src = os.path.dirname(os.path.dirname(q.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "qubdoe.cli", command, bungalow_path,
+                               *argv[command]], capture_output=True, text=True, env=env)
+        assert done.returncode == 3 and done.stdout == ""
+        line, = done.stderr.splitlines()
+        assert line.startswith("error: input: t_qub must leave a finite experiment end")
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_dt_below_float64_resolution_exits_3(self, bungalow_path, command, capsys):
@@ -686,6 +716,30 @@ class TestOutFailsFast:
         assert code == 3 and out == ""
         assert err.startswith("error: input:") and "Permission denied" in err
         assert not path.exists()
+
+
+class TestWorkStartsThroughModuleNames:
+    """Each command that simulates or sweeps calls ``simulate_qub`` or
+    ``sweep`` through ``qubdoe.cli``'s globals, so replacing one there stops
+    the command where its set-up ends, as the benchmark's set-up probe does."""
+
+    class Reached(BaseException):
+        pass
+
+    @pytest.mark.parametrize("argv, name", [
+        (["sweep"], "sweep"),
+        (["optimum"], "sweep"),
+        (["simulate"], "simulate_qub"),
+    ])
+    def test_command_reaches_the_replaced_name(self, argv, name, bungalow_path,
+                                               monkeypatch):
+        for stop in ("sweep", "simulate_qub"):
+            def raiser(*args, stop=stop, **kwargs):
+                raise self.Reached(stop)
+            monkeypatch.setattr(cli, stop, raiser)
+        with pytest.raises(self.Reached) as reached:
+            main(argv + [bungalow_path])
+        assert reached.value.args == (name,)
 
 
 class TestConsoleScript:

@@ -58,6 +58,7 @@ class TestProtocolValidation:
         dict(sample_dt=501.0),       # just above t_qub/20
         dict(sample_dt=-1.0),
         dict(sample_dt=600.0),       # coarser than t_qub/20
+        dict(t_qub=1e308),           # the experiment's end, 2*t_qub, overflows
     ])
     def test_rejects(self, kw):
         with pytest.raises(q.SchemaError):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qubdoe.buildings
+from qubdoe import cli
 from qubdoe.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -61,3 +62,19 @@ def test_shell_example_prints_its_comments(block, tmp_path, monkeypatch, capsys)
     comments = [line[2:] for line in block.splitlines() if line.startswith("# ")]
     expected = "\n".join(comments).split("...")[0]
     assert expected and out.startswith(expected)
+
+
+def test_flag_table_matches_the_parser():
+    """Each row of the protocol-flag table lists, in ``--help`` order, the
+    protocol flags its commands take, and every flag is documented."""
+    rows = re.findall(r"^\| (`\w+`(?:, `\w+`)*) \| `(--[^`]*)`", README, flags=re.M)
+    protocol = {flag for _, flags in rows for flag in flags.split()}
+    listed = []
+    for names, flags in rows:
+        for command in re.findall(r"`(\w+)`", names):
+            listed.append(command)
+            taken = cli._COMMANDS[command][1].split()
+            assert flags.split() == [flag for flag in taken if flag in protocol], command
+    assert sorted(listed) == sorted(name for name, (_, taken, _) in cli._COMMANDS.items()
+                                    if protocol & set(taken.split()))
+    assert [flag for flag in cli._FLAGS if flag.startswith("--") and flag not in README] == []
