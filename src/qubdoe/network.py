@@ -27,8 +27,9 @@ through a nonzero direct-transmission ``D``).
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,17 @@ class Zone:
     air_mass: float
 
 
+def _add_new(seen: set[str], value: str, path: str, what: str) -> None:
+    if value in seen:
+        raise SchemaError(f"{path}: duplicate {what} '{value}'")
+    seen.add(value)
+
+
+def _known(nodes: Container[str], node: str, path: str) -> None:
+    if node not in nodes:
+        raise SchemaError(f"{path}: unknown node '{node}'")
+
+
 @dataclass(frozen=True)
 class ThermalCircuit:
     """A validated RC network.
@@ -113,10 +125,8 @@ class ThermalCircuit:
     name: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "branches", tuple(self.branches))
-        object.__setattr__(self, "flow_sources", tuple(self.flow_sources))
-        object.__setattr__(self, "zones", tuple(self.zones))
+        for key in _RECORDS:
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         self._validate()
 
     # -- derived views ------------------------------------------------
@@ -163,80 +173,51 @@ class ThermalCircuit:
         for i, node in enumerate(self.nodes):
             if node.id == REF:
                 raise SchemaError(f"nodes[{i}].id: '{REF}' is reserved for the datum")
-            if node.id in seen_nodes:
-                raise SchemaError(f"nodes[{i}].id: duplicate node '{node.id}'")
-            seen_nodes.add(node.id)
-            if not np.isfinite(node.capacity) or node.capacity < 0.0:
-                raise SchemaError(
-                    f"nodes[{i}].capacity: must be finite and >= 0, got {node.capacity!r}"
-                )
+            _add_new(seen_nodes, node.id, f"nodes[{i}].id", "node")
+            if not math.isfinite(node.capacity) or node.capacity < 0.0:
+                raise SchemaError(f"nodes[{i}].capacity: must be finite and >= 0, "
+                                  f"got {node.capacity!r}")
 
         seen_branches: set[str] = set()
         for i, br in enumerate(self.branches):
-            if br.id in seen_branches:
-                raise SchemaError(f"branches[{i}].id: duplicate branch '{br.id}'")
-            seen_branches.add(br.id)
-            if br.from_node != REF and br.from_node not in seen_nodes:
-                raise SchemaError(
-                    f"branches[{i}].from: unknown node '{br.from_node}'"
-                )
+            _add_new(seen_branches, br.id, f"branches[{i}].id", "branch")
+            if br.from_node != REF:
+                _known(seen_nodes, br.from_node, f"branches[{i}].from")
             if br.to_node == REF:
-                raise SchemaError(
-                    f"branches[{i}].to: must be a node id, not '{REF}' "
-                    "(orient the branch the other way)"
-                )
-            if br.to_node not in seen_nodes:
-                raise SchemaError(f"branches[{i}].to: unknown node '{br.to_node}'")
+                raise SchemaError(f"branches[{i}].to: must be a node id, not '{REF}' "
+                                  "(orient the branch the other way)")
+            _known(seen_nodes, br.to_node, f"branches[{i}].to")
             if br.from_node == br.to_node:
-                raise SchemaError(
-                    f"branches[{i}]: connects node '{br.to_node}' to itself"
-                )
-            if not np.isfinite(br.conductance) or br.conductance <= 0.0:
-                raise SchemaError(
-                    f"branches[{i}].conductance: must be finite and > 0, "
-                    f"got {br.conductance!r}"
-                )
+                raise SchemaError(f"branches[{i}]: connects node '{br.to_node}' to itself")
+            if not math.isfinite(br.conductance) or br.conductance <= 0.0:
+                raise SchemaError(f"branches[{i}].conductance: must be finite and > 0, "
+                                  f"got {br.conductance!r}")
 
         flow_names: set[str] = set()
         for i, fs in enumerate(self.flow_sources):
-            if fs.node not in seen_nodes:
-                raise SchemaError(f"flow_sources[{i}].node: unknown node '{fs.node}'")
-            if fs.source_name in flow_names:
-                raise SchemaError(
-                    f"flow_sources[{i}].source_name: duplicate source "
-                    f"'{fs.source_name}'"
-                )
-            flow_names.add(fs.source_name)
+            _known(seen_nodes, fs.node, f"flow_sources[{i}].node")
+            _add_new(flow_names, fs.source_name, f"flow_sources[{i}].source_name", "source")
         clash = flow_names & set(self.temperature_sources)
         if clash:
-            raise SchemaError(
-                "flow_sources: source names also used by temperature sources: "
-                + ", ".join(sorted(clash))
-            )
+            raise SchemaError("flow_sources: source names also used by temperature "
+                              "sources: " + ", ".join(sorted(clash)))
 
         capacity = {n.id: n.capacity for n in self.nodes}
         seen_zones: set[str] = set()
         seen_air: set[str] = set()
         for i, zone in enumerate(self.zones):
-            if zone.id in seen_zones:
-                raise SchemaError(f"zones[{i}].id: duplicate zone '{zone.id}'")
-            seen_zones.add(zone.id)
-            if zone.air_node not in capacity:
-                raise SchemaError(f"zones[{i}].air_node: unknown node '{zone.air_node}'")
+            _add_new(seen_zones, zone.id, f"zones[{i}].id", "zone")
+            _known(capacity, zone.air_node, f"zones[{i}].air_node")
             if capacity[zone.air_node] <= 0.0:
-                raise SchemaError(
-                    f"zones[{i}].air_node: node '{zone.air_node}' must carry "
-                    "a positive capacity"
-                )
+                raise SchemaError(f"zones[{i}].air_node: node '{zone.air_node}' must "
+                                  "carry a positive capacity")
             if zone.air_node in seen_air:
-                raise SchemaError(
-                    f"zones[{i}].air_node: node '{zone.air_node}' already "
-                    "belongs to another zone"
-                )
+                raise SchemaError(f"zones[{i}].air_node: node '{zone.air_node}' already "
+                                  "belongs to another zone")
             seen_air.add(zone.air_node)
-            if not np.isfinite(zone.floor_area) or zone.floor_area <= 0.0:
+            if not math.isfinite(zone.floor_area) or zone.floor_area <= 0.0:
                 raise SchemaError(f"zones[{i}].floor_area: must be > 0")
-            if not np.isfinite(zone.air_mass) or zone.air_mass <= 0.0:
+            if not math.isfinite(zone.air_mass) or zone.air_mass <= 0.0:
                 raise SchemaError(f"zones[{i}].air_mass: must be > 0")
 
         self._check_connected()
@@ -258,85 +239,78 @@ class ThermalCircuit:
                     stack.append(neighbour)
         stranded = [n.id for n in self.nodes if n.id not in reached]
         if stranded:
-            raise SchemaError(
-                "branches: no conductance path from the datum to node(s) "
-                + ", ".join(stranded)
-            )
-
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        branches = []
-        for br in self.branches:
-            entry: dict = {
-                "id": br.id,
-                "from": br.from_node,
-                "to": br.to_node,
-                "conductance": br.conductance,
-            }
-            if br.temperature_source is not None:
-                entry["temperature_source"] = br.temperature_source
-            branches.append(entry)
-        doc: dict = {}
-        if self.name:
-            doc["name"] = self.name
-        doc.update({
-            "nodes": [{"id": n.id, "capacity": n.capacity} for n in self.nodes],
-            "branches": branches,
-            "flow_sources": [
-                {"node": fs.node, "source_name": fs.source_name}
-                for fs in self.flow_sources
-            ],
-            "zones": [
-                {
-                    "id": z.id,
-                    "air_node": z.air_node,
-                    "floor_area": z.floor_area,
-                    "air_mass": z.air_mass,
-                }
-                for z in self.zones
-            ],
-        })
-        return doc
+            raise SchemaError("branches: no conductance path from the datum to "
+                              "node(s) " + ", ".join(stranded))
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# the building document
 # ---------------------------------------------------------------------------
 
 _AIR_DENSITY = 1.2  # kg/m³, used when a zone gives volume instead of air mass
+_VOLUME = "volume"  # a zone's alternative to its air mass key
 
 
-def _require(obj: object, path: str, kind: type, kind_name: str):
-    if not isinstance(obj, kind) or isinstance(obj, bool):
-        raise SchemaError(f"{path}: expected {kind_name}, got {type(obj).__name__}")
-    return obj
-
-
-def _number(obj: dict, path: str, key: str, *, default=None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
+def _text(item: dict, path: str, key: str) -> str:
+    if key not in item:
         raise SchemaError(f"{path}.{key}: required field is missing")
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
-    return float(value)
-
-
-def _string(obj: dict, path: str, key: str) -> str:
-    if key not in obj:
-        raise SchemaError(f"{path}.{key}: required field is missing")
-    value = obj[key]
+    value = item[key]
     if not isinstance(value, str) or not value:
         raise SchemaError(f"{path}.{key}: expected a non-empty string")
     return value
 
 
-def _reject_unknown(obj: dict, path: str, allowed: set[str]) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}: unexpected field '{key}'")
+def _optional_text(item: dict, path: str, key: str) -> str | None:
+    value = item.get(key)
+    if value is not None and (not isinstance(value, str) or not value):
+        raise SchemaError(f"{path}.{key}: expected a non-empty string")
+    return value
+
+
+def _number(item: dict, path: str, key: str) -> float:
+    if key not in item:
+        raise SchemaError(f"{path}.{key}: required field is missing")
+    value = item[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}.{key}: expected a number, got {type(value).__name__}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{path}.{key}: must be finite, got an integer too large "
+                          "for a float") from None
+
+
+def _air_mass(item: dict, path: str, key: str) -> float:
+    """The zone's air mass: given under ``key``, or derived from its volume."""
+    if _VOLUME not in item:
+        if key not in item:
+            raise SchemaError(f"{path}: one of '{key}' or '{_VOLUME}' is required")
+        return _number(item, path, key)
+    if key in item:
+        raise SchemaError(f"{path}: give one of '{key}' or '{_VOLUME}', not both")
+    return _AIR_DENSITY * _number(item, path, _VOLUME)
+
+
+#: The building document's record lists: the class each builds and, in
+#: that class's field order, each field's JSON key and reader.
+_RECORDS = {
+    "nodes": (Node, (("id", _text), ("capacity", _number))),
+    "branches": (Branch, (("id", _text), ("from", _text), ("to", _text),
+                          ("conductance", _number),
+                          ("temperature_source", _optional_text))),
+    "flow_sources": (FlowSource, (("node", _text), ("source_name", _text))),
+    "zones": (Zone, (("id", _text), ("air_node", _text), ("floor_area", _number),
+                     ("air_mass", _air_mass))),
+}
+#: the keys each record may carry: its fields', and a zone's volume
+_KEYS = {name: {key for key, _ in fields} for name, (_, fields) in _RECORDS.items()}
+_KEYS["zones"].add(_VOLUME)
+_DOCUMENT_KEYS = {"name", *_RECORDS}
+
+
+def _expect(obj: object, path: str, kind: type, kind_name: str) -> None:
+    if not isinstance(obj, kind):
+        raise SchemaError(f"{path}: expected {kind_name}, got {type(obj).__name__}")
 
 
 def parse_building(text: str) -> ThermalCircuit:
@@ -346,8 +320,8 @@ def parse_building(text: str) -> ThermalCircuit:
     ----------
     text : str
         JSON document with top-level keys ``nodes``, ``branches`` and
-        optionally ``flow_sources`` and ``zones``.  All units are SI:
-        capacities J/K, conductances W/K, areas m², masses kg.
+        optionally ``name``, ``flow_sources`` and ``zones``.  All units
+        are SI: capacities J/K, conductances W/K, areas m², masses kg.
 
     Returns
     -------
@@ -360,78 +334,48 @@ def parse_building(text: str) -> ThermalCircuit:
     """
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"document: not valid JSON ({exc})") from None
-    _require(raw, "document", dict, "an object")
-    _reject_unknown(raw, "document",
-                    {"name", "nodes", "branches", "flow_sources", "zones"})
+    _expect(raw, "document", dict, "an object")
+    for key in raw:
+        if key not in _DOCUMENT_KEYS:
+            raise SchemaError(f"document: unexpected field '{key}'")
     name = raw.get("name", "")
     if not isinstance(name, str):
         raise SchemaError("document.name: expected a string")
 
-    nodes = []
-    for i, item in enumerate(_require(raw.get("nodes", []), "nodes", list, "a list")):
-        path = f"nodes[{i}]"
-        _require(item, path, dict, "an object")
-        _reject_unknown(item, path, {"id", "capacity"})
-        nodes.append(Node(id=_string(item, path, "id"),
-                          capacity=_number(item, path, "capacity")))
-
-    branches = []
-    for i, item in enumerate(_require(raw.get("branches", []), "branches", list, "a list")):
-        path = f"branches[{i}]"
-        _require(item, path, dict, "an object")
-        _reject_unknown(item, path, {"id", "from", "to", "conductance", "temperature_source"})
-        source = item.get("temperature_source")
-        if source is not None and (not isinstance(source, str) or not source):
-            raise SchemaError(f"{path}.temperature_source: expected a non-empty string")
-        branches.append(Branch(
-            id=_string(item, path, "id"),
-            from_node=_string(item, path, "from"),
-            to_node=_string(item, path, "to"),
-            conductance=_number(item, path, "conductance"),
-            temperature_source=source,
-        ))
-
-    flow_sources = []
-    for i, item in enumerate(_require(raw.get("flow_sources", []),
-                                      "flow_sources", list, "a list")):
-        path = f"flow_sources[{i}]"
-        _require(item, path, dict, "an object")
-        _reject_unknown(item, path, {"node", "source_name"})
-        flow_sources.append(FlowSource(node=_string(item, path, "node"),
-                                       source_name=_string(item, path, "source_name")))
-
-    zones = []
-    for i, item in enumerate(_require(raw.get("zones", []), "zones", list, "a list")):
-        path = f"zones[{i}]"
-        _require(item, path, dict, "an object")
-        _reject_unknown(item, path, {"id", "air_node", "floor_area", "air_mass", "volume"})
-        if "air_mass" in item:
-            air_mass = _number(item, path, "air_mass")
-        elif "volume" in item:
-            air_mass = _AIR_DENSITY * _number(item, path, "volume")
-        else:
-            raise SchemaError(f"{path}: one of 'air_mass' or 'volume' is required")
-        zones.append(Zone(
-            id=_string(item, path, "id"),
-            air_node=_string(item, path, "air_node"),
-            floor_area=_number(item, path, "floor_area"),
-            air_mass=air_mass,
-        ))
-
-    return ThermalCircuit(nodes=tuple(nodes), branches=tuple(branches),
-                          flow_sources=tuple(flow_sources), zones=tuple(zones),
-                          name=name)
+    lists = {}
+    for list_name, (record, fields) in _RECORDS.items():
+        items = raw.get(list_name, [])
+        _expect(items, list_name, list, "a list")
+        allowed = _KEYS[list_name]
+        records = []
+        for i, item in enumerate(items):
+            path = f"{list_name}[{i}]"
+            _expect(item, path, dict, "an object")
+            for key in item:
+                if key not in allowed:
+                    raise SchemaError(f"{path}: unexpected field '{key}'")
+            records.append(record(*[read(item, path, key) for key, read in fields]))
+        lists[list_name] = tuple(records)
+    return ThermalCircuit(**lists, name=name)
 
 
 def circuit_to_json(circuit: ThermalCircuit) -> str:
     """Serialize a circuit to its canonical document form.
 
     ``parse_building(circuit_to_json(c)) == c`` holds exactly: floats go
-    through JSON's shortest round-trip representation.
+    through JSON's shortest round-trip representation.  A branch without
+    a temperature source omits the key.
     """
-    return json.dumps(circuit.to_dict(), indent=2) + "\n"
+    doc: dict = {"name": circuit.name} if circuit.name else {}
+    for list_name, (_, fields) in _RECORDS.items():
+        doc[list_name] = [
+            {key: value for (key, _), value in zip(fields, vars(record).values())
+             if value is not None}
+            for record in getattr(circuit, list_name)
+        ]
+    return json.dumps(doc, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -350,7 +350,8 @@ def simulate_qub(model: StateSpaceModel, protocol: QubProtocol, *,
         the building's zones.
     protocol : QubProtocol
     basis : EigenBasis, optional
-        Reused eigendecomposition for sweep loops.
+        The model's eigendecomposition, when the caller already holds it
+        (to simulate many protocols on one model); computed when omitted.
 
     Returns
     -------

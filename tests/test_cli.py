@@ -57,6 +57,20 @@ class TestCheck:
         code, out, err = run_main(["check", str(bad)], capsys)
         assert code == 3 and err.startswith("error: input:")
 
+    @pytest.mark.parametrize("text, where", [
+        ('{"nodes": [{"id": "a", "capacity": 1' + "0" * 5000 + "}]}", ""),
+        ("[" * 100_000, ""),
+        ('{"nodes": [{"id": "a", "capacity": 1' + "0" * 399 + "}]}", "nodes[0].capacity: "),
+    ], ids=["5001-digit-integer", "deep-nesting", "integer-beyond-float"])
+    def test_unreadable_document_exits_3_with_one_line(self, text, where, tmp_path, capsys):
+        # the first may reach the number's float conversion where Python
+        # sets no limit on integer digits
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code, out, err = run_main(["check", str(bad)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input: " + where) and err.count("\n") == 1
+
     def test_non_utf8_document_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(q.bungalow_json().encode("utf-8").replace(b"{", b"{\xff", 1))

@@ -21,11 +21,16 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
 
 
 @st.composite
-def documents(draw):
+def documents(draw, internal_source=False):
     """A connected network: a ladder from the boundary through n capacitive
     nodes, optional bridges between non-adjacent rungs and to the
     boundary, one or two heaters (possibly on one node); returned as a
-    building document with one or two distinct sensor nodes."""
+    building document with one or two distinct sensor nodes.  The
+    document may carry a name, explicit ``"temperature_source": null``
+    and zones given by air mass or by volume; with ``internal_source``, a
+    second temperature source on an internal rung too.  Such a source
+    holds the unheated network away from T_o, so the properties from rest
+    below do not draw it."""
     n = draw(st.integers(1, 5))
     conductance = st.floats(1.0, 500.0)
     # a small capacity palette makes repeated time constants likely
@@ -48,12 +53,48 @@ def documents(draw):
     doc = {"nodes": nodes, "branches": branches,
            "flow_sources": [{"node": f"n{k}", "source_name": f"P{i}"}
                             for i, k in enumerate(heated)]}
+    name = draw(st.text(max_size=8))
+    if name:
+        doc["name"] = name
+    for branch in branches[1:]:
+        if "temperature_source" not in branch and draw(st.booleans()):
+            branch["temperature_source"] = None
+    if internal_source and n > 1 and draw(st.booleans()):
+        branches[draw(st.integers(1, n - 1))]["temperature_source"] = "T_i"
+    zoned = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
+    doc["zones"] = [{"id": f"z{k}", "air_node": f"n{k}",
+                     "floor_area": draw(st.floats(1.0, 200.0)),
+                     draw(st.sampled_from(["air_mass", "volume"])): draw(st.floats(1.0, 500.0))}
+                    for k in zoned]
     return doc, [f"n{k}" for k in sensors]
 
 
 def circuits():
     """The parsed networks of :func:`documents`, with their sensor nodes."""
     return documents().map(lambda drawn: (q.parse_building(json.dumps(drawn[0])), drawn[1]))
+
+
+def shuffled(value, random):
+    """``value`` with the keys of every object in a random order."""
+    if isinstance(value, dict):
+        items = list(value.items())
+        random.shuffle(items)
+        return {key: shuffled(item, random) for key, item in items}
+    if isinstance(value, list):
+        return [shuffled(item, random) for item in value]
+    return value
+
+
+@PROPERTY_SETTINGS
+@given(drawn=documents(internal_source=True), random=st.randoms(use_true_random=False),
+       indent=st.sampled_from([None, 0, 1, 4, "\t"]))
+def test_document_layout_does_not_change_the_circuit(drawn, random, indent):
+    # key order and whitespace are free; the canonical form is a fixed point
+    doc, _ = drawn
+    circuit = q.parse_building(json.dumps(doc))
+    assert q.parse_building(json.dumps(shuffled(doc, random), indent=indent)) == circuit
+    text = q.circuit_to_json(circuit)
+    assert q.circuit_to_json(q.parse_building(text)) == text
 
 
 @st.composite

@@ -136,6 +136,13 @@ class TestParsing:
             q.parse_building(doc(zones=[{"id": "z", "air_node": "a",
                                          "floor_area": 10.0}]))
 
+    def test_null_temperature_source_is_no_source(self):
+        circuit = q.parse_building(branches_doc({"id": "b", "from": "REF", "to": "a",
+                                                 "conductance": 1.0,
+                                                 "temperature_source": None}))
+        assert circuit.branches[1].temperature_source is None
+        assert circuit.temperature_sources == ("T_o",)
+
     def test_zone_volume_converts_to_mass(self):
         circuit = q.parse_building(doc(zones=[{"id": "z", "air_node": "a",
                                                "floor_area": 10.0, "volume": 50.0}]))
@@ -162,6 +169,114 @@ class TestParsing:
         again = q.parse_building(q.circuit_to_json(circuit))
         for n1, n2 in zip(circuit.nodes, again.nodes):
             assert n1.capacity == n2.capacity
+
+
+def nodes_doc(*nodes):
+    return doc(nodes=[{"id": "a", "capacity": 1.0e5}, *nodes])
+
+
+def branches_doc(*branches):
+    return doc(branches=[{"id": "loss", "from": "REF", "to": "a", "conductance": 10.0,
+                          "temperature_source": "T_o"}, *branches])
+
+
+def zone(**fields):
+    return {"id": "z", "air_node": "a", "floor_area": 10.0, "air_mass": 40.0, **fields}
+
+
+#: one document with a single fault for each check of parse_building,
+#: and the whole message it gives
+SINGLE_FAULTS = [
+    ("{nope", "document: not valid JSON (Expecting property name enclosed in double "
+              "quotes: line 1 column 2 (char 1))"),
+    ("[1, 2]", "document: expected an object, got list"),
+    (doc(extra=1), "document: unexpected field 'extra'"),
+    (doc(name=3), "document.name: expected a string"),
+    (doc(nodes={}), "nodes: expected a list, got dict"),
+    (doc(zones="z"), "zones: expected a list, got str"),
+    (doc(nodes=[1]), "nodes[0]: expected an object, got int"),
+    (doc(flow_sources=[None]), "flow_sources[0]: expected an object, got NoneType"),
+    (doc(nodes=[{"id": "a", "capacity": 1.0, "x": 2}]), "nodes[0]: unexpected field 'x'"),
+    (doc(zones=[zone(area=1.0)]), "zones[0]: unexpected field 'area'"),
+    (doc(nodes=[{"capacity": 1.0}]), "nodes[0].id: required field is missing"),
+    (doc(nodes=[{"id": "a"}]), "nodes[0].capacity: required field is missing"),
+    (doc(nodes=[{"id": "", "capacity": 1.0}]), "nodes[0].id: expected a non-empty string"),
+    (doc(nodes=[{"id": None, "capacity": 1.0}]), "nodes[0].id: expected a non-empty string"),
+    (doc(nodes=[{"id": "a", "capacity": "big"}]),
+     "nodes[0].capacity: expected a number, got str"),
+    (doc(nodes=[{"id": "a", "capacity": True}]),
+     "nodes[0].capacity: expected a number, got bool"),
+    (doc(nodes=[{"id": "a", "capacity": 1.0e5}], branches=[
+        {"id": "loss", "from": "REF", "to": "a", "conductance": 10.0,
+         "temperature_source": ""}]),
+     "branches[0].temperature_source: expected a non-empty string"),
+    (branches_doc({"id": "b", "from": "REF", "to": "a", "conductance": 1.0,
+                   "temperature_source": 7}),
+     "branches[1].temperature_source: expected a non-empty string"),
+    (branches_doc({"id": "b", "from": "REF", "conductance": 1.0}),
+     "branches[1].to: required field is missing"),
+    (doc(flow_sources=[{"node": "a"}]), "flow_sources[0].source_name: required field is missing"),
+    (doc(zones=[{"id": "z", "air_node": "a", "floor_area": 10.0}]),
+     "zones[0]: one of 'air_mass' or 'volume' is required"),
+    (doc(zones=[zone(volume=50.0)]),
+     "zones[0]: give one of 'air_mass' or 'volume', not both"),
+    (doc(zones=[zone(volume="big")]),
+     "zones[0]: give one of 'air_mass' or 'volume', not both"),
+    (doc(zones=[{"id": "z", "air_node": "a", "floor_area": 10.0, "volume": "big"}]),
+     "zones[0].volume: expected a number, got str"),
+    (doc(zones=[zone(floor_area=[])]), "zones[0].floor_area: expected a number, got list"),
+    (json.dumps({"nodes": [], "branches": []}), "nodes: at least one node is required"),
+    (doc(branches=[]), "branches: at least one branch is required"),
+    (doc(nodes=[{"id": "REF", "capacity": 1.0}]), "nodes[0].id: 'REF' is reserved for the datum"),
+    (nodes_doc({"id": "a", "capacity": 2.0}), "nodes[1].id: duplicate node 'a'"),
+    (doc(nodes=[{"id": "a", "capacity": -1.0}]),
+     "nodes[0].capacity: must be finite and >= 0, got -1.0"),
+    (doc(nodes=[{"id": "a", "capacity": 1e400}]),
+     "nodes[0].capacity: must be finite and >= 0, got inf"),
+    (doc(nodes=[{"id": "a", "capacity": 10**400}]),
+     "nodes[0].capacity: must be finite, got an integer too large for a float"),
+    (branches_doc({"id": "loss", "from": "REF", "to": "a", "conductance": 1.0}),
+     "branches[1].id: duplicate branch 'loss'"),
+    (branches_doc({"id": "b", "from": "zz", "to": "a", "conductance": 1.0}),
+     "branches[1].from: unknown node 'zz'"),
+    (branches_doc({"id": "b", "from": "a", "to": "REF", "conductance": 1.0}),
+     "branches[1].to: must be a node id, not 'REF' (orient the branch the other way)"),
+    (branches_doc({"id": "b", "from": "REF", "to": "zz", "conductance": 1.0}),
+     "branches[1].to: unknown node 'zz'"),
+    (branches_doc({"id": "b", "from": "a", "to": "a", "conductance": 1.0}),
+     "branches[1]: connects node 'a' to itself"),
+    (branches_doc({"id": "b", "from": "REF", "to": "a", "conductance": 0.0}),
+     "branches[1].conductance: must be finite and > 0, got 0.0"),
+    (doc(flow_sources=[{"node": "zz", "source_name": "P"}]),
+     "flow_sources[0].node: unknown node 'zz'"),
+    (doc(flow_sources=[{"node": "a", "source_name": "P"}, {"node": "a", "source_name": "P"}]),
+     "flow_sources[1].source_name: duplicate source 'P'"),
+    (doc(flow_sources=[{"node": "a", "source_name": "T_o"}]),
+     "flow_sources: source names also used by temperature sources: T_o"),
+    (doc(zones=[zone(), zone(air_node="b")]), "zones[1].id: duplicate zone 'z'"),
+    (doc(zones=[zone(air_node="zz")]), "zones[0].air_node: unknown node 'zz'"),
+    (doc(nodes=[{"id": "a", "capacity": 1.0e5}, {"id": "m", "capacity": 0.0}],
+         branches=[{"id": "loss", "from": "REF", "to": "a", "conductance": 10.0},
+                   {"id": "am", "from": "a", "to": "m", "conductance": 10.0}],
+         zones=[zone(air_node="m")]),
+     "zones[0].air_node: node 'm' must carry a positive capacity"),
+    (doc(zones=[zone(), zone(id="y")]),
+     "zones[1].air_node: node 'a' already belongs to another zone"),
+    (doc(zones=[zone(floor_area=0.0)]), "zones[0].floor_area: must be > 0"),
+    (doc(zones=[zone(air_mass=-1.0)]), "zones[0].air_mass: must be > 0"),
+    (doc(zones=[{"id": "z", "air_node": "a", "floor_area": 10.0, "volume": 0.0}]),
+     "zones[0].air_mass: must be > 0"),
+    (nodes_doc({"id": "island", "capacity": 2.0e5}),
+     "branches: no conductance path from the datum to node(s) island"),
+]
+
+
+@pytest.mark.parametrize("text, message", SINGLE_FAULTS,
+                         ids=[message for _, message in SINGLE_FAULTS])
+def test_single_fault_message(text, message):
+    with pytest.raises(q.SchemaError) as exc:
+        q.parse_building(text)
+    assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

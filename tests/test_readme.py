@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qubdoe.buildings
-from qubdoe import cli
+from qubdoe import cli, network
 from qubdoe.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -78,3 +78,18 @@ def test_flag_table_matches_the_parser():
     assert sorted(listed) == sorted(name for name, (_, taken, _) in cli._COMMANDS.items()
                                     if protocol & set(taken.split()))
     assert [flag for flag in cli._FLAGS if flag.startswith("--") and flag not in README] == []
+
+
+def test_document_table_matches_the_parser():
+    """The building-document table lists each record list's keys in the
+    parser's field order, then the extra keys it accepts, with whether
+    each must be given."""
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| ([\w ]+) \|", README, flags=re.M)
+    given = {network._text: "required", network._number: "required",
+             network._optional_text: "optional", network._air_mass: "one of"}
+    expected = []
+    for name, (_, fields) in network._RECORDS.items():
+        expected += [(name, key, given[read]) for key, read in fields]
+        extra = network._KEYS[name] - {key for key, _ in fields}
+        expected += [(name, key, "one of") for key in sorted(extra)]
+    assert rows == expected
