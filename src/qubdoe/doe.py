@@ -80,6 +80,10 @@ class DoeCell:
 #: the per-cell columns of a DoeGrid, in the order of the DoeCell fields
 _COLUMNS = tuple(f.name for f in fields(DoeCell)[2:])
 
+#: the :class:`~qubdoe.qub.SlopeFit` fields that the estimators and the
+#: budget read, kept per cell by the sweep (not ``t0``)
+_FIT_COLUMNS = ("alpha", "dT0", "r2", "n_samples")
+
 
 @dataclass(frozen=True)
 class DoeGrid:
@@ -260,8 +264,8 @@ def _fit_runs(windows, dT: np.ndarray, phase: str, grid: SlopeFit,
         y = dT[:, offset:offset + clocks.size].reshape(-1, *clocks.shape).swapaxes(0, 1)
         offset += clocks.size
         fit = _fit_window(clocks[:, None, :], y, phase)
-        for f in fields(SlopeFit):
-            getattr(grid, f.name)[cells[start:stop]] = getattr(fit, f.name)
+        for name in _FIT_COLUMNS:
+            getattr(grid, name)[cells[start:stop]] = getattr(fit, name)
         finite[start:stop] = np.isfinite(y).all(axis=-1)
     return finite
 
@@ -271,14 +275,14 @@ def _sweep_group(model: StateSpaceModel, basis: EigenBasis, setup, held, peaks,
     """The peak temperatures (durations, powers) of the powers ``ph`` at a
     group of consecutive durations, given as :func:`_row_protocol` rows
     (nan where a record is not finite).  At each duration with fit
-    windows, each finite record's held P_h and P_c and both fits go into
-    the columns ``fits`` at its cell in ``cells`` (durations, powers),
-    marked fitted.
+    windows, each finite record's held P_h and both fits go into the
+    columns ``fits`` at its cell in ``cells`` (durations, powers), marked
+    fitted.
 
     One peak call covers each run of durations with as many samples; then
     per block of powers, one :func:`_two_pulse` covers the concatenated
     windows of every duration, and one fit each run of windows as long."""
-    P_h, P_c, grid_h, grid_c, fitted = fits
+    P_h, _, grid_h, grid_c, fitted = fits
     t_qub = np.array([protocol.t_qub for protocol, _, _ in rows])
     sizes = [rel.size for _, rel, _ in rows]
     peak, finite = np.empty(cells.shape), np.empty(cells.shape, dtype=bool)
@@ -306,12 +310,11 @@ def _sweep_group(model: StateSpaceModel, basis: EigenBasis, setup, held, peaks,
                 ok &= _fit_runs(windows, next(rises), phase, grid, at)
             finite[fit, index] = ok
             fitted[at] = ok
-            # P_c, and P_h per block, as the estimators read them: the mean of a
-            # record's held samples, which need not equal the held value
+            # P_h as the estimators read it: the mean of a record's held
+            # samples, which need not equal the held value
             for start, stop in _runs(fit_sizes):
                 size = fit_sizes[start]
                 P_h[at[start:stop]] = np.repeat(ph[index, None], size, axis=1).mean(axis=1)
-                P_c[at[start:stop]] = np.full(size - 1, rows[0][0].P_c).mean()
     return np.where(finite, peak, nan)
 
 
@@ -319,12 +322,13 @@ def _grid_budget(fits: tuple, H_ref: float, policy: ErrorPolicy, out: dict) -> N
     """Estimate and budget the fitted cells of the :func:`_sweep_group`
     columns ``fits`` at once, and fill the grid columns ``out`` at the
     cells whose budget is finite; elementwise, so each cell's bits are
-    its lone run's."""
+    its lone run's.  P_c, one value per duration, is broadcast to the
+    cells."""
     P_h, P_c, fit_h, fit_c, fitted = fits
     cell = np.flatnonzero(fitted & ~_cancels(fit_h.dT0 * fit_c.alpha, fit_c.dT0 * fit_h.alpha))
-    fit_h, fit_c = (SlopeFit(*(getattr(fit, f.name)[cell] for f in fields(SlopeFit)))
+    fit_h, fit_c = (replace(fit, **{name: getattr(fit, name)[cell] for name in _FIT_COLUMNS})
                     for fit in (fit_h, fit_c))
-    P_h, P_c = P_h[cell], P_c[cell]
+    P_h, P_c = P_h[cell], P_c[np.unravel_index(cell, out["valid"].shape)[0]]
     H_qub = estimate_H(fit_h.alpha, fit_c.alpha, fit_h.dT0, fit_c.dT0, P_h, P_c)
     sens = partials(fit_h.alpha, fit_c.alpha, P_h, P_c, fit_h.dT0, fit_c.dT0)
     errors = policy.resolve(P_h, fit_h, fit_c)
@@ -396,13 +400,14 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
                             protocol_template.boundary_temperatures)
     H_ref = reference_H(model)
     basis = eigendecompose(model)
-    # each duration's window error and the floats its records take, without
-    # keeping its instants
-    errors, floats = [], []
+    # each duration's window error, the floats its records take and its
+    # sample count, without keeping its instants
+    errors, floats, sizes = [], [], []
     for t in t_values:
-        _, _, windows, error = _row_protocol(protocol_template, t, window_fraction)
+        _, rel, windows, error = _row_protocol(protocol_template, t, window_fraction)
         errors.append(error)
         floats.append(_record_floats(windows, model.n_states))
+        sizes.append(rel.size)
     if all(error is not None for error in errors):
         raise errors[0]
     held = _held(model, protocol_template, setup)
@@ -414,8 +419,14 @@ def sweep(model: StateSpaceModel, protocol_template: QubProtocol,
     out = {name: np.full((t_values.size, ph_values.size), False if name == "valid" else nan)
            for name in _COLUMNS}
     n_cells = out["valid"].size
-    fits = (np.full(n_cells, nan), np.full(n_cells, nan),
-            *(SlopeFit(*(np.full(n_cells, nan) for _ in fields(SlopeFit))) for _ in range(2)),
+    # P_c per duration as the estimators read it: the mean of a record's
+    # held samples, which need not equal the held value
+    P_c = np.empty(t_values.size)
+    for start, stop in _runs(sizes):
+        P_c[start:stop] = np.full(sizes[start] - 1, protocol_template.P_c).mean()
+    fits = (np.full(n_cells, nan), P_c,
+            *(SlopeFit(t0=None, **{name: np.full(n_cells, nan) for name in _FIT_COLUMNS})
+              for _ in range(2)),
             np.zeros(n_cells, dtype=bool))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for group in _groups(floats, ph.size):

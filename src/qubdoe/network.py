@@ -70,7 +70,8 @@ class Branch:
 
     ``from_node`` may be ``REF``.  ``temperature_source`` names an ideal
     temperature source acting in series with the branch, oriented so a
-    positive source raises ``to_node`` relative to ``from_node``.
+    positive source raises ``to_node`` relative to ``from_node``; only a
+    branch from ``REF`` may carry one.
     """
 
     id: str
@@ -192,6 +193,9 @@ class ThermalCircuit:
             if not math.isfinite(br.conductance) or br.conductance <= 0.0:
                 raise SchemaError(f"branches[{i}].conductance: must be finite and > 0, "
                                   f"got {br.conductance!r}")
+            if br.temperature_source is not None and br.from_node != REF:
+                raise SchemaError(f"branches[{i}].temperature_source: a source branch must "
+                                  f"run from '{REF}', not from '{br.from_node}'")
 
         flow_names: set[str] = set()
         for i, fs in enumerate(self.flow_sources):

@@ -25,6 +25,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
+from itertools import chain, repeat
 from typing import TextIO
 
 import numpy as np
@@ -204,7 +205,8 @@ class SlopeFit:
     the fitted line's value there; ``alpha`` its slope; ``r2`` the
     coefficient of determination over the window.  The design sweep
     fits a group's records of all powers and durations at once and keeps
-    every field as a column with one entry per grid cell.
+    every field the budget reads as a column with one entry per grid
+    cell, and ``t0`` as None.
     """
 
     alpha: float
@@ -669,18 +671,24 @@ _ROW_DTYPE = np.dtype([("t_s", "f8"), ("dT_K", "f8"), ("power_W", "f8"),
 _LOOP_ONLY = ("\0", "\x1f")
 
 
+def _column(values: np.ndarray):
+    """The ``repr`` of each float of ``values``, formatted once when all
+    share one bit pattern (so ``0.0`` and ``-0.0`` are never merged)."""
+    bits = values.view(np.int64)
+    if (bits == bits[0]).all():
+        return repeat(repr(values[0].item()), values.size)
+    return map(repr, values.tolist())
+
+
 def _csv_chunks(trace: QubTrace):
     """The CSV text of ``trace``: the header, then ``_RENDER_ROWS`` rows
-    per piece."""
-    n = trace.n_heating
+    per piece, each piece built a column at a time."""
+    n, columns = trace.n_heating, (trace.times, trace.delta_T, trace.power)
     yield _TRACE_HEADER + "\n"
     for start in range(0, trace.times.size, _RENDER_ROWS):
-        part = slice(start, start + _RENDER_ROWS)
-        rows = zip(trace.times[part].tolist(), trace.delta_T[part].tolist(),
-                   trace.power[part].tolist())
-        yield "".join(
-            f"{t!r},{dT!r},{p!r},{_HEATING if i < n else _COOLING}\n"
-            for i, (t, dT, p) in enumerate(rows, start))
+        part = [_column(values[start:start + _RENDER_ROWS]) for values in columns]
+        labels = chain(repeat(_HEATING + "\n", max(n - start, 0)), repeat(_COOLING + "\n"))
+        yield "".join(map(",".join, zip(*part, labels)))
 
 
 def trace_to_csv(trace: QubTrace) -> str:

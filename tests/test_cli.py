@@ -78,6 +78,28 @@ class TestCheck:
         assert code == 3 and out == ""
         assert err.startswith("error: input:") and "can't decode byte 0xff" in err
 
+    def test_source_on_an_internal_branch_exits_3(self, tmp_path, capsys):
+        """A four-node ladder with a temperature source on the n0-n1 rung:
+        held at T_o like a boundary, the source left the network off rest
+        and H_qub moving with T_o (2.00 / 4.10 / 1.06 W/K at 0 / -7 / 12 °C
+        against a reference H of 1.00)."""
+        ladder = {"nodes": [{"id": f"n{k}", "capacity": 1.0e5} for k in range(4)],
+                  "branches": [{"id": "g0", "from": "REF", "to": "n0", "conductance": 1.0,
+                                "temperature_source": "T_o"},
+                               {"id": "r1", "from": "n0", "to": "n1", "conductance": 1.0,
+                                "temperature_source": "T_i"},
+                               *({"id": f"r{k}", "from": f"n{k - 1}", "to": f"n{k}",
+                                  "conductance": 1.0} for k in (2, 3))],
+                  "flow_sources": [{"node": "n0", "source_name": "P"}],
+                  "zones": [{"id": f"z{k}", "air_node": f"n{k}", "floor_area": 10.0,
+                             "air_mass": 40.0} for k in (0, 1)]}
+        bad = tmp_path / "ladder.json"
+        bad.write_text(json.dumps(ladder), encoding="utf-8")
+        code, out, err = run_main(["check", str(bad)], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input: branches[1].temperature_source: ")
+        assert err.count("\n") == 1
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

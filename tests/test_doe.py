@@ -247,6 +247,10 @@ class TestDurationGroups:
         "ragged": ("house", dict(P_c=150.0, sample_dt=600.0,
                                  boundary_temperatures={"T_g": 14.0}),
                    np.geomspace(200.0, 3000.0, 7), np.linspace(3600.0, 43200.0, 12), [12]),
+        # a P_c whose mean over a record's held samples, as the estimators
+        # read it, is one float per duration and not the same at all of them
+        "inexact-P_c": ("bungalow", dict(P_c=333.3, sample_dt=600.0),
+                        np.geomspace(400.0, 3000.0, 7), np.linspace(3600.0, 43200.0, 12), [12]),
         # at 10 s sampling 28,800 s takes more than a block alone (961
         # samples a window), so it runs in three blocks of powers
         "above-block": ("bungalow", dict(sample_dt=10.0), np.geomspace(60.0, 240.0, 40),

@@ -21,16 +21,13 @@ PROPERTY_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
 
 
 @st.composite
-def documents(draw, internal_source=False):
+def documents(draw):
     """A connected network: a ladder from the boundary through n capacitive
     nodes, optional bridges between non-adjacent rungs and to the
     boundary, one or two heaters (possibly on one node); returned as a
     building document with one or two distinct sensor nodes.  The
     document may carry a name, explicit ``"temperature_source": null``
-    and zones given by air mass or by volume; with ``internal_source``, a
-    second temperature source on an internal rung too.  Such a source
-    holds the unheated network away from T_o, so the properties from rest
-    below do not draw it."""
+    and zones given by air mass or by volume."""
     n = draw(st.integers(1, 5))
     conductance = st.floats(1.0, 500.0)
     # a small capacity palette makes repeated time constants likely
@@ -59,8 +56,6 @@ def documents(draw, internal_source=False):
     for branch in branches[1:]:
         if "temperature_source" not in branch and draw(st.booleans()):
             branch["temperature_source"] = None
-    if internal_source and n > 1 and draw(st.booleans()):
-        branches[draw(st.integers(1, n - 1))]["temperature_source"] = "T_i"
     zoned = draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True))
     doc["zones"] = [{"id": f"z{k}", "air_node": f"n{k}",
                      "floor_area": draw(st.floats(1.0, 200.0)),
@@ -86,7 +81,7 @@ def shuffled(value, random):
 
 
 @PROPERTY_SETTINGS
-@given(drawn=documents(internal_source=True), random=st.randoms(use_true_random=False),
+@given(drawn=documents(), random=st.randoms(use_true_random=False),
        indent=st.sampled_from([None, 0, 1, 4, "\t"]))
 def test_document_layout_does_not_change_the_circuit(drawn, random, indent):
     # key order and whitespace are free; the canonical form is a fixed point

@@ -19,7 +19,7 @@ it reads the next).  Of the ``simulate`` → ``estimate`` chain,
 parsed columns beside the piece of text being read.
 
 The default 40×40 sweep of either bundled building stays within 7.25
-blocks of :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats (6.3 and 6.6
+blocks of :data:`~qubdoe.modal._BLOCK_ELEMENTS` floats (5.9 and 6.3
 with numpy 2.4): one phase's records live at a time, and each fit forms its
 residual in the records' deviations.  The ``sweep`` command then renders
 its CSV one duration's rows at a time, adding a few times one duration's
@@ -110,6 +110,8 @@ def test_simulate_holds_one_copy_of_the_trace(bungalow_model, protocol, trace_by
 
 
 def test_render_peak_within_three_times_the_text(trace):
+    """2.0×: the chunks, then the text joined from them; one chunk's
+    column strings add a few KB beside them."""
     text, peak = traced_peak(q.trace_to_csv, trace)
     assert peak <= 3 * len(text)
 
@@ -173,12 +175,13 @@ BLOCK_BYTES = 8 * modal._BLOCK_ELEMENTS
 
 @pytest.mark.parametrize("building", ["bungalow", "house"])
 def test_sweep_holds_one_phase_of_records_at_a_time(building, request):
-    """The default 40×40 grid: the per-cell columns take about two
-    blocks, one phase's records of a group one, and their fit two (the
-    padded copy, and the deviations that the residual overwrites), with
-    the kernel's temporaries beside the records.  6.3 and 6.6 blocks;
-    7.7 when both phases' records lived through both fits and each fit
-    kept its residual beside the deviations."""
+    """The default 40×40 grid: the per-cell columns take about one and a
+    half blocks, one phase's records of a group one, and their fit two
+    (the padded copy, and the deviations that the residual overwrites),
+    with the kernel's temporaries beside the records.  5.9 and 6.3
+    blocks; 6.2 and 6.6 when the sweep also kept both phases' ``t0`` and
+    P_c per cell, and 7.7 when both phases' records lived through both
+    fits and each fit kept its residual beside the deviations."""
     model = request.getfixturevalue(f"{building}_model")
     ph_values, t_values = q.default_axes(q.reference_H(model), 0.0)
     protocol = q.QubProtocol(T_o=0.0, P0=0.0, P_h=ph_values[-1], P_c=0.0,

@@ -105,6 +105,15 @@ class TestParsing:
         with pytest.raises(q.SchemaError, match="itself"):
             q.parse_building(doc(branches=bad))
 
+    def test_temperature_source_only_from_ref(self):
+        nodes = [{"id": "a", "capacity": 1.0e5}, {"id": "b", "capacity": 1.0e5}]
+        bad = [{"id": "g", "from": "REF", "to": "a", "conductance": 1.0,
+                "temperature_source": "T_o"},
+               {"id": "r", "from": "a", "to": "b", "conductance": 1.0,
+                "temperature_source": "T_i"}]
+        with pytest.raises(q.SchemaError, match=r"branches\[1\]\.temperature_source: .*'a'"):
+            q.parse_building(doc(nodes=nodes, branches=bad))
+
     def test_duplicate_branch_id(self):
         bad = [{"id": "b", "from": "REF", "to": "a", "conductance": 1.0,
                 "temperature_source": "T_o"},

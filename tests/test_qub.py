@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qubdoe as q
@@ -450,6 +450,67 @@ class TestTraceCsv:
         rows = "".join(f"{float(i)},0.0,0.0,{label}\n" for i, label in enumerate(labels))
         with pytest.raises(q.SchemaError, match=match):
             q.trace_from_csv("t_s,dT_K,power_W,phase\n" + rows)
+
+
+#: floats whose bits a column render must keep apart: both zeros, nans
+#: of two payloads and signs, both infinities, and values that round
+NAN_PAYLOAD = np.array([0x7FF8_0000_0000_0001]).view(float)[0]
+RENDER_FLOATS = [0.0, -0.0, np.nan, -np.nan, NAN_PAYLOAD, np.inf, -np.inf,
+                 1500.0, 0.1, 5e-324, -1.7976931348623157e308]
+
+
+@st.composite
+def run_columns(draw, n):
+    """A column of ``n`` floats as runs of one value, 1 to 16 rows long."""
+    value = st.one_of(st.sampled_from(RENDER_FLOATS), st.floats())
+    column = []
+    while len(column) < n:
+        column += [draw(value)] * draw(st.integers(1, 16))
+    return np.array(column[:n])
+
+
+def unchecked_trace(times, delta_T, power, n_heating):
+    """A QubTrace built without its checks, so its columns may hold nan or
+    ±inf and repeat a time: the render must write any float as the row
+    oracle does."""
+    trace = object.__new__(q.QubTrace)
+    for name, value in (("times", times), ("delta_T", delta_T), ("power", power),
+                        ("n_heating", n_heating)):
+        object.__setattr__(trace, name, value)
+    return trace
+
+
+@st.composite
+def render_traces(draw, chunk=7):
+    """Traces of 4 to 40 rows whose columns are runs of one value (crossing
+    chunk borders and the phase switch, or changing within a chunk, as a
+    measured trace's power does), with the phase switch anywhere or on,
+    just before or just after a chunk border."""
+    n = draw(st.integers(4, 40))
+    near_border = [b + d for b in range(chunk, n, chunk) for d in (-1, 0, 1)]
+    n_heating = draw(st.one_of(st.integers(1, n - 1), st.sampled_from(near_border))
+                     if near_border else st.integers(1, n - 1))
+    return unchecked_trace(*(draw(run_columns(n)) for _ in range(3)),
+                           n_heating=min(max(n_heating, 1), n - 1))
+
+
+#: chunks of 0.0 beside -0.0, and of nans of three bit patterns beside ±inf
+ZEROS_AND_NANS = (np.arange(14.0), np.array([0.0, 0.0, -0.0, -0.0, 0.0, -0.0, -0.0] * 2),
+                  np.array([np.nan, NAN_PAYLOAD, -np.nan] * 4 + [np.inf, -np.inf]))
+
+
+class TestTraceRenderMatchesRowOracle:
+    """The render, a column of ``_RENDER_ROWS`` rows at a time, writes the
+    row oracle's bytes."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(trace=render_traces())
+    @example(trace=unchecked_trace(*ZEROS_AND_NANS, n_heating=6))
+    @example(trace=unchecked_trace(*ZEROS_AND_NANS, n_heating=7))
+    @example(trace=unchecked_trace(*ZEROS_AND_NANS, n_heating=8))
+    def test_seven_rows_a_chunk(self, trace):
+        with mock.patch.object(qub, "_RENDER_ROWS", 7):
+            assert q.trace_to_csv(trace) == row_trace_to_csv(trace)
 
 
 class TestTraceCsvChunks:
