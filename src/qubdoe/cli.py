@@ -37,8 +37,8 @@ from .error_budget import ErrorPolicy
 from .exceptions import ModelError, NumericalError, SchemaError
 from .modal import classify_modes, initial_state, modal_decomposition
 from .network import StateSpaceModel, ThermalCircuit, parse_building, to_state_space
-from .qub import (_WINDOW_FRACTION, QubProtocol, _check_P0, _csv_chunks,
-                  _protocol_setup, estimate_from_trace, simulate_qub,
+from .qub import (_WINDOW_FRACTION, QubProtocol, _check_P0, _check_t_qub,
+                  _csv_chunks, _protocol_setup, estimate_from_trace, simulate_qub,
                   trace_from_csv)
 
 # ---------------------------------------------------------------------------
@@ -184,12 +184,15 @@ def _cmd_check(args) -> Iterable[str]:
 
 def _cmd_eig(args) -> Iterable[str]:
     model = to_state_space(_load_circuit(args.building))
-    protocol = QubProtocol(T_o=args.to, P0=args.p0, P_h=args.ph, P_c=0.0,
-                           t_qub=args.tqub)
     setup = _setup(args, model)
-    decomp = modal_decomposition(model, setup.inputs(protocol.P_h),
-                                 initial_state(model, setup.inputs(protocol.P0)))
-    labels = dict(classify_modes(decomp, protocol.t_qub))
+    _check_P0(args.p0)
+    # no P_c: a pulse of any power, even none, is a response to decompose
+    if not math.isfinite(args.ph):
+        raise SchemaError(f"P_h must be finite, got {args.ph}")
+    _check_t_qub(args.tqub)
+    decomp = modal_decomposition(model, setup.inputs(args.ph),
+                                 initial_state(model, setup.inputs(args.p0)))
+    labels = dict(classify_modes(decomp, args.tqub))
     init_eq = setup.indoor_mean(decomp.init_amplitudes.T)
     input_eq = setup.indoor_mean(decomp.input_amplitudes.T)
     lines = ["mode_index,tau_s,lambda_per_s,init_amp,input_amp,class"]

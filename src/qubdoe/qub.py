@@ -80,6 +80,17 @@ def _check_P0(P0: float) -> None:
         raise SchemaError(f"P0 must be >= 0, got {P0}")
 
 
+def _check_t_qub(t_qub: float) -> None:
+    """Reject a phase duration that is not finite and positive, or whose
+    experiment end ``2 * t_qub`` is not finite."""
+    if not math.isfinite(t_qub):
+        raise SchemaError(f"t_qub must be finite, got {t_qub}")
+    if not t_qub > 0.0:
+        raise SchemaError(f"t_qub must be positive, got {t_qub}")
+    if not math.isfinite(2.0 * t_qub):
+        raise SchemaError(f"t_qub must leave a finite experiment end 2*t_qub, got {t_qub}")
+
+
 @dataclass(frozen=True)
 class QubProtocol:
     """Parameters of one two-pulse run.
@@ -107,15 +118,11 @@ class QubProtocol:
     def __post_init__(self) -> None:
         _check_temperatures(self.T_o, self.boundary_temperatures)
         _check_P0(self.P0)
-        for name in ("P_h", "P_c", "t_qub"):
+        for name in ("P_h", "P_c"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise SchemaError(f"{name} must be finite, got {value}")
-        if not self.t_qub > 0.0:
-            raise SchemaError(f"t_qub must be positive, got {self.t_qub}")
-        if not math.isfinite(2.0 * self.t_qub):
-            raise SchemaError(
-                f"t_qub must leave a finite experiment end 2*t_qub, got {self.t_qub}")
+        _check_t_qub(self.t_qub)
         if self.P_c < 0.0:
             raise SchemaError(f"P_c must be >= 0, got {self.P_c}")
         if not self.P_h > self.P_c:
@@ -658,7 +665,7 @@ _TRACE_HEADER = "t_s,dT_K,power_W,phase"
 #: and strings then take about the response kernel's 128 KiB block
 _RENDER_ROWS = 1024
 
-#: characters of trace text split into lines at a time (cut after a newline)
+#: characters of trace text split into lines at a time (cut after a line break)
 _PARSE_CHARS = 1 << 16
 
 #: one trace row as ``np.loadtxt`` reads it; eight characters hold either
@@ -702,47 +709,49 @@ def trace_to_csv(trace: QubTrace) -> str:
     return "".join(_csv_chunks(trace))
 
 
-def _header_lead(text: str) -> str | None:
-    """What is left to check of a trace text that starts with ``text``:
-    None once its first non-blank line is the header, else the part of
-    that line that decides whether it can still be.  Raises the header
-    error as soon as it cannot, even with whitespace padding."""
-    head = text.lstrip()
-    line = head.splitlines(keepends=True)[0] if head else ""
-    if _TRACE_HEADER.startswith(line):
-        return line
-    if line.strip() != _TRACE_HEADER:
+def _header(reads: Iterator[str]) -> str:
+    """Take a trace text's header line, and the blank lines before it, from
+    its ``reads`` and return the rest of the read that ends it.  Only what
+    can still become the header is kept between reads, so a text that
+    cannot open with it fails at the read that shows so, not at a line
+    break it may never reach, and so does a text that ends first."""
+    lead = ""
+    for block in reads:
+        head = (lead + block).lstrip()
+        line = head.splitlines(keepends=True)[0] if head else ""
+        lead = line.rstrip()
+        if lead == _TRACE_HEADER and line.splitlines()[0] != line:
+            return head[len(line):]
+        if lead != _TRACE_HEADER and not _TRACE_HEADER.startswith(line):
+            break
+    if lead != _TRACE_HEADER:
         raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
-    # a line still open may take more padding, but nothing else
-    return None if line.splitlines()[0] != line else _TRACE_HEADER
+    return ""
 
 
 def _slices(source: str | TextIO):
-    """Consecutive pieces of a trace text, given as the text itself or as
-    an open text file, read ``_PARSE_CHARS`` characters at a time: each
-    piece ends right after a read's last newline, and the rest is carried
-    over into the next piece, so their ``splitlines`` together are those
-    of the whole text.  The carry is kept as a list of reads and joined
-    once, so a long line costs linear time.
-
-    Each read is checked until the trace header is complete, so a text
-    that cannot open with it fails at the read that shows so, not at its
-    first newline (which it may never reach)."""
+    """The data of a trace text, given as the text itself or as an open
+    text file, read ``_PARSE_CHARS`` characters at a time, in consecutive
+    pieces from just after the header: each piece ends right after a
+    read's last line break, and the rest is carried over into the next
+    piece, so their non-blank lines together are those of the data.  The
+    carry is kept as a list of reads and joined once, so a long line
+    costs linear time."""
     if isinstance(source, str):
         reads = (source[i:i + _PARSE_CHARS] for i in range(0, len(source), _PARSE_CHARS))
     else:
         reads = iter(lambda: source.read(_PARSE_CHARS), "")
-    carry, lead = [], ""
-    for block in reads:
-        if lead is not None:
-            lead = _header_lead(lead + block)
-        cut = block.rfind("\n") + 1
+    carry, block = [], _header(reads)
+    while block is not None:
+        # a read without a newline may still end lines as splitlines does
+        cut = block.rfind("\n") + 1 or len(block) + 1 - len((block + "_").splitlines()[-1])
         if cut:
             carry.append(block[:cut])
             yield "".join(carry)
             carry = [block[cut:]]
         else:
             carry.append(block)
+        block = next(reads, None)
     if tail := "".join(carry):
         yield tail
 
@@ -751,7 +760,12 @@ def _row_bound(source: str | TextIO) -> int:
     """An upper bound on the data rows of a trace text: a row takes a line
     and three commas, and the header takes three more.  0 for a file that
     cannot seek back or does not decode; the parse then grows its columns
-    as it goes and reports the decoding error where it reaches it."""
+    as it goes and reports the decoding error where it reaches it.  This
+    read-ahead stays because every one-pass reader measured held more:
+    arrays per piece joined at the end, or growing ``array`` columns,
+    raised trace-bungalow's peak RSS by 1.46 and 1.75 MB, and
+    ``ndarray.resize`` growth raised ``estimate``'s traced peak from 1.43×
+    to 1.52-1.67× the trace's arrays."""
     if isinstance(source, str):
         return min(source.count("\n") + 1, source.count(",") // 3)
     if not source.seekable():
@@ -783,7 +797,7 @@ class _TraceRows:
     def __init__(self, capacity: int) -> None:
         self.columns = np.empty((3, capacity))  # t_s, dT_K, power_W
         self.cooling = np.empty(capacity, dtype=bool)
-        self.number = 0  # non-blank lines so far, header included
+        self.number = 1  # non-blank lines so far, the header's included
         self.unknown = set()
 
     def append(self, times, delta_T, power, cooling) -> None:
@@ -800,18 +814,6 @@ class _TraceRows:
             column[start:stop] = values
         self.cooling[start:stop] = cooling
         self.number += stop - start
-
-
-def _read_header(rows: _TraceRows, lines: list[str]) -> list[str]:
-    """Check the first non-blank line of ``lines`` against the header and
-    return the lines after it; none when all of ``lines`` are blank."""
-    for i, line in enumerate(lines):
-        if line.strip():
-            if line.strip() != _TRACE_HEADER:
-                raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
-            rows.number = 1
-            return lines[i + 1:]
-    return []
 
 
 def _read_columns(rows: _TraceRows, lines: list[str]) -> bool:
@@ -862,8 +864,6 @@ def _read_piece(rows: _TraceRows, piece: str) -> None:
     """Read the rows of one piece of trace text.  Its lines are freed on
     return, before the next piece is read."""
     lines = piece.splitlines()
-    if rows.number == 0:
-        lines = _read_header(rows, lines)
     if not any(lines):  # np.loadtxt warns on a piece without data
         return
     if any(c in piece for c in _LOOP_ONLY) or not _read_columns(rows, lines):
@@ -877,8 +877,8 @@ def trace_from_csv(source: str | TextIO) -> QubTrace:
     the same way, ``_PARSE_CHARS`` characters at a time, and give the same
     trace or the same error; a file is never read whole (one that can
     seek back is read through once first, to size the columns).  Numbers
-    follow Python's ``float`` syntax.  Blank lines are skipped and not
-    counted in the line numbers of errors.
+    follow Python's ``float`` syntax, lines end at ``str.splitlines``'
+    breaks, and blank lines are skipped, not counted in error line numbers.
 
     Each piece is read by numpy's C text reader; a piece it refuses, or
     one with a label other than exactly ``heating`` or ``cooling``, is
@@ -890,8 +890,6 @@ def trace_from_csv(source: str | TextIO) -> QubTrace:
     rows = _TraceRows(_row_bound(source))
     for piece in _slices(source):
         _read_piece(rows, piece)
-    if rows.number == 0:
-        raise SchemaError(f"trace: first line must be '{_TRACE_HEADER}'")
     if rows.unknown:
         raise SchemaError(f"unknown phase label(s): {sorted(rows.unknown)}")
     n = rows.number - 1

@@ -133,6 +133,17 @@ class TestEig:
         assert err.startswith("error: input:")
         assert "boundary_temperatures['T_o'] must be finite" in err
 
+    def test_checks_only_the_flags_it_takes(self, bungalow_path, capsys):
+        """``eig`` takes no ``--pc``, so a zero pulse, which leaves the
+        start state's own decay, is no error, and a non-finite one is
+        reported without naming P_c."""
+        code, out, err = run_main(["eig", bungalow_path, "--ph", "0"], capsys)
+        assert code == 0 and err == ""
+        assert out.startswith("mode_index,")
+        code, out, err = run_main(["eig", bungalow_path, "--ph", "nan"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: input: P_h must be finite") and "P_c" not in err
+
 
 class TestGains:
     def test_single_zone_records(self, bungalow_path, capsys):
@@ -669,8 +680,9 @@ class TestLibraryAgreesWithCli:
     """``to_state_space(circuit)`` is the model every subcommand runs on:
     the library reproduces the CLI's bytes on zones of unequal mass."""
 
-    @pytest.mark.parametrize("heaters_on_air", [True, False],
-                             ids=["zone-heaters", "heaters-off-air"])
+    @pytest.mark.parametrize("heaters_on_air", [
+        pytest.param(True, id="zone-heaters", marks=pytest.mark.default_blas_digits),
+        pytest.param(False, id="heaters-off-air")])
     def test_gains_H(self, heaters_on_air, tmp_path, capsys):
         path, circuit = unequal_house(tmp_path, heaters_on_air)
         code, out, _ = run_main(["gains", path], capsys)

@@ -122,6 +122,17 @@ def test_parse_peak_within_twice_the_text(trace):
     assert peak <= 2 * len(text)
 
 
+@pytest.mark.parametrize("end", ["\r", "\u2028"], ids=["CR", "U+2028"])
+def test_parse_peak_within_twice_the_text_for_any_line_end(trace, end):
+    """Lines end wherever ``str.splitlines`` ends them, so the text is read
+    in pieces whatever its line ends: 6.47× and 8.47× the text when only a
+    newline ended a piece and the whole text was one."""
+    text = q.trace_to_csv(trace).replace("\n", end)
+    parsed, peak = traced_peak(q.trace_from_csv, text)
+    assert parsed.delta_T.tobytes() == trace.delta_T.tobytes()
+    assert peak <= 2 * len(text)
+
+
 def test_stacked_response_temporaries_stay_under_the_mmap_threshold(bungalow_model):
     """One default sweep row: 40 heating powers at 121 instants."""
     model = bungalow_model

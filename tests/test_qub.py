@@ -638,16 +638,18 @@ class TestTraceCsvFastPath:
 
 
 @pytest.mark.parametrize("text", ["", "abc", "a\nb", "a\n\nb\n", "x" * 100,
-                                  "t_s\r\n" + "y" * 50 + "\n"])
+                                  "t_s\r\n" + "y" * 50 + "\n", "ab\rcd\rxyz" * 4,
+                                  "abcdef\r\n" * 4, "a\u2028bcdefghi\x1cj\x85" * 3])
 def test_file_slices_rejoin_to_the_text(text, monkeypatch):
-    """One slicer reads a text and a file holding it into the same pieces."""
-    # the slices check the header as they read, so each text opens with it
-    text = qub._TRACE_HEADER + "\r\n" + text if text else text
+    """One slicer reads a text and a file holding it into the same pieces:
+    the data after the header line, each piece but the last ending at a
+    line break of any kind ``str.splitlines`` knows."""
+    head = " \n\t" + qub._TRACE_HEADER + " \r\n"
     monkeypatch.setattr(qub, "_PARSE_CHARS", 7)
-    pieces = list(qub._slices(text))
-    assert pieces == list(qub._slices(io.StringIO(text, newline="")))
+    pieces = list(qub._slices(head + text))
+    assert pieces == list(qub._slices(io.StringIO(head + text, newline="")))
     assert "".join(pieces) == text
-    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    assert all((piece + "_").splitlines()[-1] == "_" for piece in pieces[:-1])
     assert all(pieces)
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qubdoe.buildings
-from qubdoe import cli, network
+from qubdoe import cli, doe, network
 from qubdoe.cli import main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
@@ -44,8 +44,19 @@ def commands(block):
     return [line for line in block.splitlines() if line.startswith("qubdoe ")]
 
 
-@pytest.mark.parametrize("block", [block for block in blocks("sh") if commands(block)],
-                         ids=lambda block: commands(block)[0].split()[1])
+def shell_examples():
+    """The shell blocks that run ``qubdoe``, by their first command; the
+    ``simulate`` and ``sweep`` examples print the default BLAS kernels'
+    digits."""
+    for block in blocks("sh"):
+        if commands(block):
+            command = commands(block)[0].split()[1]
+            pinned = command in ("simulate", "sweep")
+            yield pytest.param(block, id=command,
+                               marks=[pytest.mark.default_blas_digits] if pinned else [])
+
+
+@pytest.mark.parametrize("block", shell_examples())
 def test_shell_example_prints_its_comments(block, tmp_path, monkeypatch, capsys):
     """Each ``qubdoe`` line of a shell example runs through ``main`` in a
     fresh directory, with ``$BUNGALOW`` set as the README sets it, and the
@@ -93,3 +104,23 @@ def test_document_table_matches_the_parser():
         extra = network._KEYS[name] - {key for key, _ in fields}
         expected += [(name, key, "one of") for key in sorted(extra)]
     assert rows == expected
+
+
+def test_csv_schemas_are_what_the_commands_print(tmp_path, capsys):
+    """Each block of the CSV-schema section opens with the header its
+    command prints: the trace, the sweep grid, the mode table and the
+    estimate, in that order."""
+    section = README.split("\n## CSV schemas\n")[1].split("\n## ")[0]
+    schemas = [block.splitlines()[0]
+               for block in re.findall(r"^```\n(.*?)^```", section, flags=re.M | re.S)]
+    bungalow = str(Path(inspect.getfile(qubdoe.buildings)).parent / "data" / "bungalow.json")
+    trace = str(tmp_path / "trace.csv")
+    assert main(["simulate", bungalow, "--out", trace]) == 0
+    printed = []
+    for argv in (["simulate", bungalow],
+                 ["sweep", bungalow, "--ph-range", "1000:2000:2", "--t-range", "3600:7200:2"],
+                 ["eig", bungalow], ["estimate", "--trace", trace]):
+        assert main(argv) == 0
+        printed.append(capsys.readouterr().out.partition("\n")[0])
+    assert printed[1] == doe.GRID_HEADER
+    assert schemas == printed
