@@ -88,10 +88,11 @@ _FLAGS = {
                   default=[], metavar="NAME=VALUE",
                   help="hold a named temperature source at a value other "
                        "than --to (repeatable)"),
-    "--eps-dt": dict(type=float, default=0.5, metavar="K",
-                     help="temperature-difference uncertainty (default 0.5)"),
-    "--eps-p-rel": dict(type=float, default=0.01, metavar="F",
-                        help="power uncertainty as a fraction of P_h (default 0.01)"),
+    "--eps-dt": dict(type=float, default=ErrorPolicy.eps_dT, metavar="K",
+                     help="temperature-difference uncertainty (default %(default)s)"),
+    "--eps-p-rel": dict(type=float, default=ErrorPolicy.eps_P_rel, metavar="F",
+                        help="power uncertainty as a fraction of P_h "
+                             "(default %(default)s)"),
     "--eps-alpha": dict(type=float, metavar="K_PER_S",
                         help="slope uncertainty (default: from each fit's r²)"),
     "--ph-range": dict(type=_range_spec, metavar="A:B:N",

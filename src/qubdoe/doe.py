@@ -85,7 +85,7 @@ _COLUMNS = tuple(f.name for f in fields(DoeCell)[2:])
 _FIT_COLUMNS = ("alpha", "dT0", "r2", "n_samples")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoeGrid:
     """Full sweep result: one column per :class:`DoeCell` field after ph
     and t_qub, where ``H_qub[i, j]`` pairs ``t_values[i]`` with

@@ -57,19 +57,20 @@ class MeasurementErrors:
 class ErrorPolicy:
     """How to pick measurement uncertainties for a given run.
 
-    Defaults: 0.5 K on temperature differences, 1% of the heating power
-    on the power readings, and the regression standard error of the
-    slope (worse phase) unless an explicit value is forced.  Every value
-    given must be finite and >= 0.
+    ``eps_dT`` is the temperature-difference uncertainty (K, default
+    0.5); ``eps_P_rel`` the power uncertainty as a fraction of the
+    heating power (default 0.01); ``eps_alpha`` the slope uncertainty
+    (K/s), which when None is the regression standard error of the
+    slope in the worse-fitted phase.  Every value given must be finite
+    and >= 0.
     """
 
     eps_dT: float = 0.5
     eps_P_rel: float = 0.01
-    eps_P_abs: float | None = None
     eps_alpha: float | None = None
 
     def __post_init__(self) -> None:
-        for name in ("eps_dT", "eps_P_rel", "eps_P_abs", "eps_alpha"):
+        for name in ("eps_dT", "eps_P_rel", "eps_alpha"):
             value = getattr(self, name)
             if value is not None and not 0.0 <= value < np.inf:
                 raise ModelError(f"{name} must be finite and >= 0, got {value}")
@@ -77,14 +78,14 @@ class ErrorPolicy:
     def resolve(self, P_h: float, fit_h: SlopeFit, fit_c: SlopeFit) -> MeasurementErrors:
         """The uncertainties of a run at heating power ``P_h`` whose
         phases were fitted as ``fit_h`` and ``fit_c``."""
-        eps_P = self.eps_P_abs if self.eps_P_abs is not None else self.eps_P_rel * abs(P_h)
         if self.eps_alpha is not None:
             eps_alpha = self.eps_alpha
         else:
             eps_alpha = np.maximum(
                 slope_standard_error(fit_h.alpha, fit_h.r2, fit_h.n_samples),
                 slope_standard_error(fit_c.alpha, fit_c.r2, fit_c.n_samples))
-        return MeasurementErrors(eps_alpha=eps_alpha, eps_P=eps_P, eps_dT=self.eps_dT)
+        return MeasurementErrors(eps_alpha=eps_alpha, eps_P=self.eps_P_rel * abs(P_h),
+                                 eps_dT=self.eps_dT)
 
 
 def slope_standard_error(alpha: float, r2: float, n: int) -> float:

@@ -67,7 +67,7 @@ _SLOW_MULTIPLE = 4.0      # slow: still alive after this multiple of t_qub
 _SPLIT_MULTIPLE = 2.0     # negligible medium modes: b up to this multiple, d beyond
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenBasis:
     """Sorted eigendecomposition A = V Λ V⁻¹ of a state matrix.
 
@@ -254,7 +254,7 @@ def state_at(model: StateSpaceModel, u: np.ndarray, x0: np.ndarray,
     return _state_trajectory(basis, w0, wu, t[..., None])[..., 0, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalDecomposition:
     """Per-mode split of a constant-input response.
 

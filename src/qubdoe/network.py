@@ -133,10 +133,6 @@ class ThermalCircuit:
     # -- derived views ------------------------------------------------
 
     @property
-    def node_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes)
-
-    @property
     def node_index(self) -> dict[str, int]:
         return {n.id: i for i, n in enumerate(self.nodes)}
 
@@ -443,7 +439,7 @@ def _weights(weights, count: int, what: str) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpaceModel:
     """Linear model dx/dt = A x + B u, y = C x + D u.
 

@@ -149,7 +149,7 @@ class QubProtocol:
         return self.sample_dt if self.sample_dt is not None else self.t_qub / 120.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubTrace:
     """Sampled experiment record.
 
@@ -249,7 +249,7 @@ class QubEstimate:
 # simulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _ExperimentSetup:
     """How an experiment drives a model: the boundary temperatures in
     input order, with the model's own weights for the indoor temperature

@@ -31,6 +31,14 @@ def house_path(tmp_path_factory):
     return str(path)
 
 
+def cli_env(**variables):
+    """The environment of a ``python -m qubdoe.cli`` child that imports
+    this package, with ``variables`` set."""
+    src = os.path.dirname(os.path.dirname(q.__file__))
+    return dict(os.environ, **variables, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def run_main(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
@@ -275,11 +283,9 @@ class TestSimulateEstimate:
         """2*t_qub of 1e308 s is not finite: one line names t_qub, with no
         numpy warning before it."""
         argv = {"simulate": ["--tqub", "1e308"], "sweep": ["--t-range", "1e308:1e308:1"]}
-        src = os.path.dirname(os.path.dirname(q.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "qubdoe.cli", command, bungalow_path,
-                               *argv[command]], capture_output=True, text=True, env=env)
+                               *argv[command]], capture_output=True, text=True,
+                              env=cli_env())
         assert done.returncode == 3 and done.stdout == ""
         line, = done.stderr.splitlines()
         assert line.startswith("error: input: t_qub must leave a finite experiment end")
@@ -493,11 +499,9 @@ class TestSweepOptimum:
     def test_default_power_axis_overflow_exits_3(self, command, bungalow_path):
         """Four times the maintenance power of --p0 1e308 is not finite:
         one line names it, with no numpy warning before it."""
-        src = os.path.dirname(os.path.dirname(q.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-m", "qubdoe.cli", command, bungalow_path,
-                               "--p0", "1e308"], capture_output=True, text=True, env=env)
+                               "--p0", "1e308"], capture_output=True, text=True,
+                              env=cli_env())
         assert done.returncode == 3 and done.stdout == ""
         line, = done.stderr.splitlines()
         assert line.startswith("error: input: maintenance power 1e+308 W")
@@ -548,6 +552,21 @@ class TestSweepOptimum:
         with pytest.raises(SystemExit) as exc:
             main(["sweep", bungalow_path, "--ph-range", "10:20"])
         assert exc.value.code == 2
+        assert "argument --ph-range: expected A:B:N, got '10:20'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ph-range", "1:2:0", "N must be >= 1"),
+        ("--t-range", "1:2:x", "expected A:B:N, got '1:2:x'"),
+        ("--set", "T_g", "expected NAME=VALUE, got 'T_g'"),
+        ("--set", "=3", "expected NAME=VALUE, got '=3'"),
+        ("--set", "T_g=warm", "expected NAME=VALUE, got 'T_g=warm'"),
+    ])
+    def test_malformed_argument_exits_2_naming_the_flag(self, flag, value, message,
+                                                        bungalow_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", bungalow_path, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}\n" in capsys.readouterr().err
 
     def test_nonpositive_log_axis_rejected(self, bungalow_path, capsys):
         code, _, err = run_main(
@@ -813,6 +832,23 @@ class TestConsoleScript:
         assert proc.wait(timeout=60) == 0
         assert err == b""
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep"],
+        ["simulate", "--tqub", "43200", "--dt", "1"],
+    ], ids=["sweep", "simulate"])
+    def test_head_taking_one_line_is_not_an_error(self, argv, bungalow_path):
+        # as `qubdoe ... | head -1`: the grid's 1,601 and the trace's
+        # 86,402 lines overfill the pipe, so the reader leaves writes pending
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "qubdoe.cli", argv[0], bungalow_path, *argv[1:]],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+        assert proc.stdout.readline().endswith(b"\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+
     def test_version_flag(self):
         result = subprocess.run(
             [sys.executable, "-m", "qubdoe.cli", "--version"],
@@ -852,12 +888,10 @@ class TestBlasThreadCount:
                               "--dt", "60", "--ph-range", "200:3000:24",
                               "--t-range", "3600:43200:24", "--max-temp", "10"],
         }[command]
-        src = os.path.dirname(os.path.dirname(q.__file__))
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-                       MKL_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
-                           filter(None, [src, os.environ.get("PYTHONPATH")])))
+            env = cli_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                          MKL_NUM_THREADS=threads)
             done = subprocess.run([sys.executable, "-m", "qubdoe.cli", *argv],
                                   capture_output=True, env=env, check=True)
             outputs.append(done.stdout)

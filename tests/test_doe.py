@@ -24,7 +24,7 @@ def small_sweep(ph=(500.0, 1000.0, 2000.0), t=(4000.0, 8000.0),
     model = q.to_state_space(circuit, ["air"])
     template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=P_c, t_qub=6000.0)
     if policy is None:
-        policy = q.ErrorPolicy(eps_dT=0.5, eps_P_abs=10.0, eps_alpha=1.0e-6)
+        policy = q.ErrorPolicy(eps_dT=0.5, eps_P_rel=0.01, eps_alpha=1.0e-6)
     return q.sweep(model, template, ph, t, policy)
 
 
@@ -65,13 +65,6 @@ class TestSweep:
         assert sub.cells[0][0] == full.cells[1][1]
         assert sub.cells[0][1] == full.cells[1][2]
 
-    def test_policy_and_fixed_errors_agree_on_eps_dT_only(self):
-        fixed = q.ErrorPolicy(eps_dT=0.5, eps_P_abs=0.0, eps_alpha=0.0)
-        relative = q.ErrorPolicy(eps_dT=0.5, eps_P_rel=0.0, eps_alpha=0.0)
-        g1 = small_sweep(policy=fixed)
-        g2 = small_sweep(policy=relative)
-        assert q.grid_to_csv(g1) == q.grid_to_csv(g2)
-
     def test_bad_reference_and_empty_axes(self):
         # the sensor node never sees the heater: there is no reference H
         doc = {
@@ -88,7 +81,7 @@ class TestSweep:
         blind = q.to_state_space(q.parse_building(json.dumps(doc)), ["air"])
         model = q.to_state_space(make_first_order(), ["air"])
         template = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=6000.0)
-        policy = q.ErrorPolicy(eps_dT=0.5, eps_P_abs=0.0, eps_alpha=0.0)
+        policy = q.ErrorPolicy(eps_dT=0.5, eps_P_rel=0.0, eps_alpha=0.0)
         with pytest.raises(q.NumericalError, match="rise"):
             q.sweep(blind, template, [1000.0], [4000.0], policy)
         with pytest.raises(q.ModelError):
@@ -105,9 +98,9 @@ REFERENCE_CASES = {
     "cooling-power": ("bungalow", dict(P_c=300.0), q.ErrorPolicy(eps_alpha=2.0e-6), {}),
     "ground-14": ("house", dict(P_c=150.0, sample_dt=600.0,
                                 boundary_temperatures={"T_g": 14.0}),
-                  q.ErrorPolicy(eps_P_abs=5.0), {}),
+                  q.ErrorPolicy(eps_P_rel=0.005), {}),
     "house-fixed": ("house", dict(T_o=-3.0, P0=200.0, sample_dt=60.0),
-                    q.ErrorPolicy(eps_dT=0.5, eps_P_abs=10.0, eps_alpha=1.0e-6), {}),
+                    q.ErrorPolicy(eps_dT=0.5, eps_P_rel=0.02, eps_alpha=1.0e-6), {}),
     "short-window": ("bungalow", dict(sample_dt=60.0), q.ErrorPolicy(),
                      dict(window_fraction=0.01)),
     # r²-based slope errors over windows whose length differs by duration

@@ -151,18 +151,13 @@ class TestErrorPolicy:
         errors = policy.resolve(2000.0, *self.fits())
         assert errors.eps_alpha == pytest.approx(7.0e-6)
 
-    def test_absolute_power_override(self):
-        policy = q.ErrorPolicy(eps_P_abs=33.0)
-        errors = policy.resolve(2000.0, *self.fits())
-        assert errors.eps_P == pytest.approx(33.0)
-
-    @pytest.mark.parametrize("field", ["eps_dT", "eps_P_rel", "eps_P_abs", "eps_alpha"])
+    @pytest.mark.parametrize("field", ["eps_dT", "eps_P_rel", "eps_alpha"])
     def test_negative_values_rejected(self, field):
         with pytest.raises(q.ModelError, match=field):
             q.ErrorPolicy(**{field: -0.01})
         q.ErrorPolicy(**{field: 0.0})
 
-    @pytest.mark.parametrize("field", ["eps_dT", "eps_P_rel", "eps_P_abs", "eps_alpha"])
+    @pytest.mark.parametrize("field", ["eps_dT", "eps_P_rel", "eps_alpha"])
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     def test_non_finite_values_rejected(self, field, value):
         with pytest.raises(q.ModelError, match=f"{field} must be finite"):

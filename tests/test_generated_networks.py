@@ -124,7 +124,7 @@ protocols = st.builds(
 
 
 POLICIES = [q.ErrorPolicy(), q.ErrorPolicy(eps_alpha=1.0e-6),
-               q.ErrorPolicy(eps_dT=0.2, eps_P_abs=5.0, eps_alpha=1.0e-6)]
+               q.ErrorPolicy(eps_dT=0.2, eps_P_rel=0.005, eps_alpha=1.0e-6)]
 
 
 def usable(model):

@@ -335,6 +335,11 @@ class TestClassification:
         with pytest.raises(q.QubdoeError):
             q.classify_modes(decomp, 0.0)
 
+    def test_unstable_mode_rejected(self):
+        decomp = synthetic_decomposition([100.0, -50.0], [1.0, 1.0])
+        with pytest.raises(q.NumericalError, match="non-positive time constant"):
+            q.classify_modes(decomp, 10800.0)
+
     def test_bungalow_has_all_classes_at_three_hours(self, bungalow_model):
         model = bungalow_model
         u0 = input_vector(model, {"T_o": 0.0, "P_heat": 0.0})

@@ -473,6 +473,20 @@ class TestStateSpace:
                 input_kinds=("flow",), output_names=("x", "y"),
             )
 
+    @pytest.mark.parametrize("changes, error, match", [
+        (dict(input_kinds=("flow", "flow")), q.ModelError, "input_kinds must match"),
+        (dict(input_kinds=("heat",)), q.ModelError, "unknown input kind 'heat'"),
+        (dict(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
+              state_names=()), q.ModelError, "model has no state"),
+        (dict(A=[[np.nan]]), q.NumericalError, "non-finite entries"),
+    ], ids=["kinds-length", "unknown-kind", "no-state", "non-finite-A"])
+    def test_malformed_model_rejected(self, changes, error, match):
+        fields = dict(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
+                      state_names=("x",), input_names=("P",),
+                      input_kinds=("flow",), output_names=("x",))
+        with pytest.raises(error, match=match):
+            q.StateSpaceModel(**(fields | changes))
+
     def test_no_output_rejected(self, bungalow, bungalow_model):
         # without outputs there is no indoor temperature to average
         with pytest.raises(q.ModelError, match="model has no output"):

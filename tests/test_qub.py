@@ -282,6 +282,11 @@ class TestEstimators:
         with pytest.raises(q.NumericalError):
             q.estimate_H(2.0e-4, 1.0e-4, 6.0, 3.0, 1000.0, 500.0)
 
+    def test_estimate_C_degenerate(self):
+        # α_h·ΔT_c == α_c·ΔT_h: the capacity's denominator vanishes
+        with pytest.raises(q.NumericalError, match="capacity is unidentifiable"):
+            q.estimate_C(2.0e-4, 1.0e-4, 6.0, 3.0, 1000.0, 500.0)
+
     def test_estimate_C_exact_with_matched_instants(self):
         """Values and tangent slopes referenced to the same instant give
         the capacity with no exponential distortion."""
@@ -362,6 +367,8 @@ class TestRecoverC:
             q.recover_C(-1.0, 100.0, 10.0)
         with pytest.raises(q.QubdoeError):
             q.recover_C(1.0e6, -5.0, 10.0)
+        with pytest.raises(q.ModelError, match="t0 must be >= 0"):
+            q.recover_C(1.0e6, 100.0, -1.0)
 
 
 class TestEstimateFromTrace:
@@ -434,6 +441,9 @@ class TestTraceCsv:
         with pytest.raises(q.SchemaError):
             q.QubTrace(times=t[::-1], delta_T=np.zeros(10),
                        power=np.zeros(10), n_heating=5)
+        with pytest.raises(q.SchemaError, match="identical length"):
+            q.QubTrace(times=t, delta_T=np.zeros(9), power=np.zeros(10),
+                       n_heating=5)
         # both phases must be non-empty, and the count a whole number
         for n_heating in (0, 10, 5.0):
             with pytest.raises(q.SchemaError):
