@@ -211,8 +211,7 @@ def _cmd_gains(args) -> Iterable[str]:
     setup = _setup(args, model)
     gains = static_gains(model)
     H = _H_from_gains(model, gains)
-    temp_cols = [j for j, kind in enumerate(model.input_kinds) if kind == "temperature"]
-    temp_sums = gains[:, temp_cols].sum(axis=1)
+    temp_sums = gains[:, :len(model.temperature_inputs)].sum(axis=1)
     lines = ["record,output,input,value"]
     for i, out in enumerate(model.output_names):
         for j, inp in enumerate(model.input_names):

@@ -34,7 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementErrors:
     """Absolute 1-sigma instrument uncertainties.
 
@@ -99,7 +99,7 @@ def slope_standard_error(alpha: float, r2: float, n: int) -> float:
     return np.where(r2 == 0.0, np.inf, se)[()]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QubPartials:
     """First-order sensitivities of H to the six measured quantities."""
 
@@ -152,7 +152,7 @@ def measurement_error(p: QubPartials, errors: MeasurementErrors) -> float:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorBudget:
     """The full budget of one experiment design."""
 

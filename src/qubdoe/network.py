@@ -149,12 +149,6 @@ class ThermalCircuit:
     def flow_source_names(self) -> tuple[str, ...]:
         return tuple(fs.source_name for fs in self.flow_sources)
 
-    @property
-    def source_names(self) -> tuple[str, ...]:
-        """All source names, temperature sources first (the input order
-        of every model derived from this circuit)."""
-        return self.temperature_sources + self.flow_source_names
-
     def capacities(self) -> np.ndarray:
         return np.array([n.capacity for n in self.nodes], dtype=float)
 
@@ -443,10 +437,11 @@ def _weights(weights, count: int, what: str) -> np.ndarray:
 class StateSpaceModel:
     """Linear model dx/dt = A x + B u, y = C x + D u.
 
-    States are the capacitive node temperatures; inputs stack every
-    temperature source (declaration order) then every flow source;
-    outputs are the requested node temperatures.  ``D`` is nonzero only
-    for outputs that sit on eliminated (massless) nodes.
+    States are the capacitive node temperatures; the inputs are the
+    ``temperature_inputs`` followed by the ``flow_inputs``, and
+    ``input_names`` is their concatenation, the column order of ``B``
+    and ``D``; outputs are the requested node temperatures.  ``D`` is
+    nonzero only for outputs that sit on eliminated (massless) nodes.
     ``state_capacities`` keeps the nodal heat capacities (J/K): the
     matrix diag(c)·(-A) is symmetric positive definite, which is what
     makes the spectrum real and stable.
@@ -462,8 +457,8 @@ class StateSpaceModel:
     C: np.ndarray
     D: np.ndarray
     state_names: tuple[str, ...]
-    input_names: tuple[str, ...]
-    input_kinds: tuple[str, ...]
+    temperature_inputs: tuple[str, ...]
+    flow_inputs: tuple[str, ...]
     output_names: tuple[str, ...]
     state_capacities: np.ndarray | None = None
     output_weights: np.ndarray | None = None
@@ -481,11 +476,6 @@ class StateSpaceModel:
             object.__setattr__(
                 self, "state_capacities", _frozen_array(self.state_capacities, (n,))
             )
-        if len(self.input_kinds) != m:
-            raise ModelError("input_kinds must match input_names")
-        for kind in self.input_kinds:
-            if kind not in ("temperature", "flow"):
-                raise ModelError(f"unknown input kind '{kind}'")
         if n == 0:
             raise ModelError("model has no state (no capacitive node)")
         if p == 0:
@@ -505,14 +495,8 @@ class StateSpaceModel:
         return len(self.state_names)
 
     @property
-    def temperature_inputs(self) -> tuple[str, ...]:
-        return tuple(name for name, kind in zip(self.input_names, self.input_kinds)
-                     if kind == "temperature")
-
-    @property
-    def flow_inputs(self) -> tuple[str, ...]:
-        return tuple(name for name, kind in zip(self.input_names, self.input_kinds)
-                     if kind == "flow")
+    def input_names(self) -> tuple[str, ...]:
+        return self.temperature_inputs + self.flow_inputs
 
 
 def _indoor_weights(circuit: ThermalCircuit
@@ -615,14 +599,11 @@ def to_state_space(circuit: ThermalCircuit,
             C[row, :] = -elim_states[k, :]
             D[row, :] = elim_inputs[k, :]
 
-    input_names = circuit.source_names
-    kinds = (("temperature",) * len(circuit.temperature_sources)
-             + ("flow",) * len(circuit.flow_sources))
     return StateSpaceModel(
         A=A, B=B, C=C, D=D,
         state_names=tuple(circuit.nodes[i].id for i in state_idx),
-        input_names=input_names,
-        input_kinds=kinds,
+        temperature_inputs=circuit.temperature_sources,
+        flow_inputs=circuit.flow_source_names,
         output_names=tuple(outputs),
         state_capacities=capacities[state_idx],
         output_weights=output_weights,

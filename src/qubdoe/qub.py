@@ -26,6 +26,7 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
+from types import MappingProxyType
 from typing import TextIO
 
 import numpy as np
@@ -103,8 +104,9 @@ class QubProtocol:
     the phase switch lands exactly on a sample), which must leave at
     least 20 and fewer than 2**52 samples per phase.  Every temperature,
     power and duration must be finite, and so must the experiment's end,
-    ``2 * t_qub``.  The fit window is not part of the run:
-    :func:`fit_slope` and its callers take it.
+    ``2 * t_qub``.  ``boundary_temperatures`` is kept as a read-only
+    copy, so the protocol compares and hashes by value.  The fit window
+    is not part of the run: :func:`fit_slope` and its callers take it.
     """
 
     T_o: float
@@ -113,9 +115,11 @@ class QubProtocol:
     P_c: float
     t_qub: float
     sample_dt: float | None = None
-    boundary_temperatures: Mapping[str, float] = field(default_factory=dict)
+    boundary_temperatures: Mapping[str, float] = field(default_factory=dict, hash=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "boundary_temperatures",
+                           MappingProxyType(dict(self.boundary_temperatures)))
         _check_temperatures(self.T_o, self.boundary_temperatures)
         _check_P0(self.P0)
         for name in ("P_h", "P_c"):
@@ -204,7 +208,7 @@ class QubTrace:
         return float(self.times[self.n_heating - 1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlopeFit:
     """Least-squares line over the trailing window of one phase.
 

@@ -40,7 +40,8 @@ def heating_inputs(model, P_h):
     P_h split evenly across the heaters."""
     share = P_h / len(model.flow_inputs)
     u0 = np.zeros(len(model.input_names))
-    u_h = np.array([share if kind == "flow" else 0.0 for kind in model.input_kinds])
+    u_h = np.array([0.0] * len(model.temperature_inputs)
+                   + [share] * len(model.flow_inputs))
     return u0, u_h
 
 

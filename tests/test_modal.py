@@ -22,8 +22,8 @@ def two_state_model(seed=1):
             break
     return q.StateSpaceModel(
         A=A, B=np.array([[1.0 / C[0]], [0.0]]), C=np.eye(2),
-        D=np.zeros((2, 1)), state_names=("x0", "x1"), input_names=("P",),
-        input_kinds=("flow",), output_names=("x0", "x1"),
+        D=np.zeros((2, 1)), state_names=("x0", "x1"), temperature_inputs=(),
+        flow_inputs=("P",), output_names=("x0", "x1"),
         state_capacities=C,
     )
 
@@ -54,7 +54,7 @@ class TestEigendecompose:
         rotor = q.StateSpaceModel(
             A=np.array([[-1.0, 5.0], [-5.0, -1.0]]),
             B=np.zeros((2, 1)), C=np.eye(2), D=np.zeros((2, 1)),
-            state_names=("x", "y"), input_names=("P",), input_kinds=("flow",),
+            state_names=("x", "y"), temperature_inputs=(), flow_inputs=("P",),
             output_names=("x", "y"),
         )
         with pytest.raises(q.NumericalError, match="[Cc]omplex|imaginary"):
@@ -64,7 +64,7 @@ class TestEigendecompose:
         jordan = q.StateSpaceModel(
             A=np.array([[-1.0, 1.0], [0.0, -1.0 + 1.0e-14]]),
             B=np.zeros((2, 1)), C=np.eye(2), D=np.zeros((2, 1)),
-            state_names=("x", "y"), input_names=("P",), input_kinds=("flow",),
+            state_names=("x", "y"), temperature_inputs=(), flow_inputs=("P",),
             output_names=("x", "y"),
         )
         with pytest.raises(q.NumericalError, match="condition"):
@@ -101,9 +101,8 @@ class TestTrajectories:
         circuit = make()
         outputs = [n.id for n in circuit.nodes if n.capacity > 0.0]
         model = q.to_state_space(circuit, outputs)
-        u = input_vector(model, {name: (3.0 if kind == "temperature" else 900.0)
-                                 for name, kind in zip(model.input_names,
-                                                       model.input_kinds)})
+        u = input_vector(model, {name: 3.0 for name in model.temperature_inputs}
+                         | {name: 900.0 for name in model.flow_inputs})
         basis = q.eigendecompose(model)
         tau_min = basis.time_constants.min()
         dt = tau_min / 100.0
@@ -242,9 +241,8 @@ class TestModalDecomposition:
     def test_reconstructs_step_response(self, bundled_models):
         r = rng(17)
         for model in bundled_models.values():
-            u = input_vector(model, {name: (0.0 if kind == "temperature" else 800.0)
-                                     for name, kind in zip(model.input_names,
-                                                           model.input_kinds)})
+            u = input_vector(model, {name: 0.0 for name in model.temperature_inputs}
+                             | {name: 800.0 for name in model.flow_inputs})
             x0 = r.uniform(-2.0, 2.0, model.n_states)
             decomp = q.modal_decomposition(model, u, x0)
             times = r.uniform(0.0, 8.0e4, 10)

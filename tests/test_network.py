@@ -299,8 +299,9 @@ class TestSources:
 
     def test_input_order_temperatures_then_flows(self):
         model = q.to_state_space(make_first_order(), ["air"])
+        assert model.temperature_inputs == ("T_o",)
+        assert model.flow_inputs == ("P",)
         assert model.input_names == ("T_o", "P")
-        assert model.input_kinds == ("temperature", "flow")
 
 
 # ---------------------------------------------------------------------------
@@ -469,21 +470,19 @@ class TestStateSpace:
             q.StateSpaceModel(
                 A=np.array([[1.0, 1.0], [1.0, 1.0]]),
                 B=np.zeros((2, 1)), C=np.eye(2), D=np.zeros((2, 1)),
-                state_names=("x", "y"), input_names=("P",),
-                input_kinds=("flow",), output_names=("x", "y"),
+                state_names=("x", "y"), temperature_inputs=(),
+                flow_inputs=("P",), output_names=("x", "y"),
             )
 
     @pytest.mark.parametrize("changes, error, match", [
-        (dict(input_kinds=("flow", "flow")), q.ModelError, "input_kinds must match"),
-        (dict(input_kinds=("heat",)), q.ModelError, "unknown input kind 'heat'"),
         (dict(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
               state_names=()), q.ModelError, "model has no state"),
         (dict(A=[[np.nan]]), q.NumericalError, "non-finite entries"),
-    ], ids=["kinds-length", "unknown-kind", "no-state", "non-finite-A"])
+    ], ids=["no-state", "non-finite-A"])
     def test_malformed_model_rejected(self, changes, error, match):
         fields = dict(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
-                      state_names=("x",), input_names=("P",),
-                      input_kinds=("flow",), output_names=("x",))
+                      state_names=("x",), temperature_inputs=(),
+                      flow_inputs=("P",), output_names=("x",))
         with pytest.raises(error, match=match):
             q.StateSpaceModel(**(fields | changes))
 
@@ -495,6 +494,20 @@ class TestStateSpace:
         with pytest.raises(q.ModelError, match="model has no output"):
             replace(bungalow_model, C=np.zeros((0, n)), D=np.zeros((0, m)),
                     output_names=())
+
+    def test_hand_built_model_takes_temperatures_then_flows(self):
+        # one node, C = 1e5 J/K, G = 100 W/K; B's columns follow
+        # temperature_inputs then flow_inputs whatever order is written
+        G, C = 100.0, 1.0e5
+        model = q.StateSpaceModel(
+            A=[[-G / C]], B=[[G / C, 1.0 / C]], C=[[1.0]], D=[[0.0, 0.0]],
+            state_names=("x",), flow_inputs=("P",), temperature_inputs=("T",),
+            output_names=("x",))
+        assert model.input_names == ("T", "P")
+        assert q.reference_H(model) == G
+        protocol = q.QubProtocol(T_o=0.0, P0=0.0, P_h=1000.0, P_c=0.0, t_qub=3600.0)
+        estimate = q.estimate_from_trace(q.simulate_qub(model, protocol))
+        assert estimate.H_qub == pytest.approx(G, rel=1e-9)
 
 
 def two_heater_circuit(zones):
