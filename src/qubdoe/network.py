@@ -465,6 +465,11 @@ class StateSpaceModel:
     flow_weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        for key in ("state_names", "temperature_inputs", "flow_inputs", "output_names"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
+        repeated = sorted({x for x in self.input_names if self.input_names.count(x) > 1})
+        if repeated:
+            raise ModelError(f"input names appear more than once: {repeated}")
         n = len(self.state_names)
         m = len(self.input_names)
         p = len(self.output_names)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field, replace
 from itertools import chain, repeat
@@ -162,6 +161,9 @@ class QubTrace:
     samples are the heating phase and the rest the cooling phase, so the
     phase switches exactly once, right after t_qub (the heating phase
     owns its endpoint).
+
+    A float64 column is kept uncopied and made read-only, the caller's
+    array with it; columns of other dtypes are copied to float64.
     """
 
     times: np.ndarray
@@ -429,17 +431,12 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return sum(parts[1:], parts[0])
 
 
-def _window(times: np.ndarray, window_fraction: float, phase: str,
-            origin: float = 0.0) -> slice:
-    """The trailing ``window_fraction`` of a phase sampled at ``times``,
-    as the slice of its samples whose clock ``t_rel = times - origin``
-    (from the phase start) reaches (1 − f)·span − 1e-9·span, span being
-    the last ``t_rel``.  It depends on the sample instants alone, so a
-    sweep can check it before it simulates anything.
-
-    The instants never decrease, and neither does their clock, so the
-    samples that pass form a suffix: its start is found by bisection with
-    that same comparison, on one ``t_rel`` at a time.
+def _window(clock: np.ndarray, window_fraction: float, phase: str) -> slice:
+    """The trailing ``window_fraction`` of a phase sampled at ``clock``,
+    its times from the phase start, as the slice of its samples whose
+    clock reaches (1 − f)·span − 1e-9·span, span being the last clock
+    value.  It depends on the sample instants alone, so a sweep can
+    check it before it simulates anything.
 
     Raises
     ------
@@ -449,22 +446,20 @@ def _window(times: np.ndarray, window_fraction: float, phase: str,
     """
     if not 0.0 < window_fraction <= 1.0:
         raise ModelError("window_fraction must lie in (0, 1]")
-    span = times[-1] - origin
+    span = clock[-1]
     # same selection rule in both phases => identical window geometry
-    bound = (1.0 - window_fraction) * span - 1e-9 * span
-    start = bisect_left(range(times.size), True, key=lambda i: times[i] - origin >= bound)
-    count = times.size - start
+    start = int(np.searchsorted(clock, (1.0 - window_fraction) * span - 1e-9 * span))
+    count = clock.size - start
     if count < 3:
         raise ModelError(f"{phase} window holds only {count} samples; need at least 3")
-    return slice(start, times.size)
+    return slice(start, clock.size)
 
 
-def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str,
-                origin: float = 0.0) -> SlopeFit:
+def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str) -> SlopeFit:
     """Least-squares line through a phase's fit-window samples ``y_win``
-    at ``t_win - origin`` from the phase start.  A stack of records (..., n)
-    takes clocks that broadcast to it: the fields are then arrays over it,
-    each fit identical to that record's lone fit.
+    at the clock ``t_win``, the time from the phase start.  A stack of
+    records (..., n) takes clocks that broadcast to it: the fields are
+    then arrays over it, each fit identical to that record's lone fit.
 
     Rows are copied contiguous at an even stride (odd windows padded with
     a zero): each then starts 16-byte aligned, as a lone vector does, and
@@ -474,8 +469,7 @@ def _fit_window(t_win: np.ndarray, y_win: np.ndarray, phase: str,
     deviations overwrite its copy."""
     n = t_win.shape[-1]
     t_dev, y_pad = (np.zeros(a.shape[:-1] + (n + n % 2,)) for a in (t_win, y_win))
-    np.subtract(t_win, origin, out=t_dev[..., :n])
-    y_pad[..., :n] = y_win
+    t_dev[..., :n], y_pad[..., :n] = t_win, y_win
 
     def dot(a, b):
         return _rowdot(a[..., :n], b[..., :n])
@@ -508,10 +502,11 @@ def _fit_windows(rel: np.ndarray, t_qub: float, window_fraction: float
     of a window too short to fit."""
     heat = rel[_window(rel, window_fraction, _HEATING)]
     # the trace's cooling instants, on fit_slope's clock from the last
-    # heating sample, rel[-1]
-    switched = t_qub + rel[1:]
-    cool = _window(switched, window_fraction, _COOLING, rel[-1])
-    return (heat, heat), (rel[1:][cool], switched[cool] - rel[-1])
+    # heating sample, rel[-1]; the window's clock is copied so that a
+    # sweep holding the windows does not hold the whole phase clock
+    clock = (t_qub + rel[1:]) - rel[-1]
+    cool = _window(clock, window_fraction, _COOLING)
+    return (heat, heat), (rel[1:][cool], clock[cool].copy())
 
 
 def fit_slope(trace: QubTrace, phase: str,
@@ -539,10 +534,9 @@ def fit_slope(trace: QubTrace, phase: str,
     if phase not in (_HEATING, _COOLING):
         raise ModelError(f"phase must be '{_HEATING}' or '{_COOLING}', got {phase!r}")
     part = trace.heating if phase == _HEATING else trace.cooling
-    origin = 0.0 if phase == _HEATING else trace.t_qub
-    times = trace.times[part]
-    window = _window(times, window_fraction, phase, origin)
-    fit = _fit_window(times[window], trace.delta_T[part][window], phase, origin)
+    clock = trace.times[part] - (0.0 if phase == _HEATING else trace.t_qub)
+    window = _window(clock, window_fraction, phase)
+    fit = _fit_window(clock[window], trace.delta_T[part][window], phase)
     return replace(fit, alpha=float(fit.alpha), dT0=float(fit.dT0), t0=float(fit.t0),
                    r2=float(fit.r2))
 

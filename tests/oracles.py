@@ -5,7 +5,7 @@ package: dense per-branch stamping instead of incidence assembly,
 implicit Euler stepping instead of matrix exponentials, ``np.polyfit``
 instead of hand-rolled normal equations, the quadratic formula instead
 of a general eigensolver, a fit window as a mask over every sample
-instead of a bisection for its start, brute-force Monte Carlo instead of
+instead of a binary search for its start, brute-force Monte Carlo instead of
 first-order propagation, the two-zone aggregate H straight from the
 2x2 conductance matrix, the kept-node conductance matrix as a Schur
 complement of the stamped one, the modal sum re-added one mode at a

@@ -478,13 +478,26 @@ class TestStateSpace:
         (dict(A=np.zeros((0, 0)), B=np.zeros((0, 1)), C=np.zeros((1, 0)),
               state_names=()), q.ModelError, "model has no state"),
         (dict(A=[[np.nan]]), q.NumericalError, "non-finite entries"),
-    ], ids=["no-state", "non-finite-A"])
+        # one name for a temperature and a flow input: a protocol's
+        # boundary temperature for it would set only the first column
+        (dict(B=[[1.0, 1.0]], D=[[0.0, 0.0]], temperature_inputs=("P",)),
+         q.ModelError, r"input names appear more than once: \['P'\]"),
+    ], ids=["no-state", "non-finite-A", "input-twice"])
     def test_malformed_model_rejected(self, changes, error, match):
         fields = dict(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]],
                       state_names=("x",), temperature_inputs=(),
                       flow_inputs=("P",), output_names=("x",))
         with pytest.raises(error, match=match):
             q.StateSpaceModel(**(fields | changes))
+
+    def test_name_lists_kept_as_tuples(self):
+        model = q.StateSpaceModel(
+            A=[[-1.0]], B=[[1.0, 1.0]], C=[[1.0]], D=[[0.0, 0.0]],
+            state_names=["x"], temperature_inputs=["T"], flow_inputs=["P"],
+            output_names=["x"])
+        assert (model.state_names, model.temperature_inputs, model.flow_inputs,
+                model.output_names, model.input_names) == (
+                    ("x",), ("T",), ("P",), ("x",), ("T", "P"))
 
     def test_no_output_rejected(self, bungalow, bungalow_model):
         # without outputs there is no indoor temperature to average

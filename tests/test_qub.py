@@ -248,7 +248,7 @@ class TestWindowMatchesMask:
         expected = self.outcome(lambda *a: np.flatnonzero(window_mask(*a)),
                                 times, fraction, phase, origin)
         got = self.outcome(lambda *a: np.arange(times.size)[qub._window(*a)],
-                           times, fraction, phase, origin)
+                           times - origin, fraction, phase)
         assert got == expected
 
 
@@ -449,6 +449,19 @@ class TestTraceCsv:
             with pytest.raises(q.SchemaError):
                 q.QubTrace(times=t, delta_T=np.zeros(10), power=np.zeros(10),
                            n_heating=n_heating)
+
+    def test_trace_keeps_float_arrays_and_copies_others(self):
+        # float64 columns are kept as given and made read-only, the
+        # caller's array with them; other dtypes are copied to float64
+        given = {"times": np.arange(10.0), "delta_T": np.zeros(10),
+                 "power": np.zeros(10, dtype=np.float32)}
+        trace = q.QubTrace(**given, n_heating=5)
+        for name in ("times", "delta_T"):
+            assert getattr(trace, name) is given[name]
+            assert not given[name].flags.writeable
+        assert not np.shares_memory(trace.power, given["power"])
+        assert trace.power.dtype == np.float64 and not trace.power.flags.writeable
+        assert given["power"].flags.writeable
 
     @pytest.mark.parametrize("labels, match", [
         (["heating"] * 3 + ["warming"] + ["cooling"] * 3, "unknown phase label"),

@@ -1,11 +1,14 @@
 """The public surface: the names the package exports, pinned, so that
-growing or shrinking it is a visible edit of this list, and how the
-records among them compare."""
+growing or shrinking it is a visible edit of this list, how the records
+among them compare, and the one runtime dependency, numpy."""
 from __future__ import annotations
 
+import ast
 import dataclasses
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +168,25 @@ def test_protocol_keeps_its_own_boundary_temperatures():
     assert protocol.boundary_temperatures == {"T_o": 5.0}
     with pytest.raises(TypeError):
         protocol.boundary_temperatures["T_o"] = 6.0
+
+
+def test_runtime_imports_only_numpy_and_the_standard_library():
+    outside = set()
+    for path in Path(q.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside.update((path.name, name) for name in names
+                           if name.split(".")[0] not in {"numpy", *sys.stdlib_module_names})
+    assert not outside
+
+
+def test_declared_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["dependencies"] == ["numpy>=1.24"]
